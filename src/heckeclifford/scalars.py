@@ -44,12 +44,6 @@ class ThirdDiscriminantError(ValueError):
     """Towers are capped at two distinct discriminants."""
 
 
-def _poly_trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
 def _poly_divmod_int(a, b):
     """Divide integer polynomials, assuming the division is exact over Z."""
     a = list(a)
@@ -266,6 +260,16 @@ class CycField:
         self.q_inv = self.zeta_pow(-1)
         self.xi = self.q - self.q_inv
         self.sqrt_minus1 = self.zeta_pow(l)
+        # sigma_k: zeta -> zeta^k for the units k != 1 mod 4l, as the sparse
+        # images (index, coefficient) of the basis powers zeta^j, j < degree
+        self._conjugations = {
+            k: tuple(
+                tuple((i, t) for i, t in enumerate(self.zeta_pow(j * k).raw[0]) if t)
+                for j in range(m)
+            )
+            for k in range(2, 4 * l)
+            if gcd(k, 4 * l) == 1
+        }
 
     @staticmethod
     @lru_cache(maxsize=None)
@@ -277,6 +281,8 @@ class CycField:
         return FieldElem(self, (nums, 1))
 
     def rational(self, p, q=1):
+        if q == 0:
+            raise ZeroDivisionError("rational with zero denominator")
         g = gcd(p, q)
         if q < 0:
             g = -g
@@ -290,48 +296,31 @@ class CycField:
         return FieldElem(self, kernels.felem_normalize(list(nums), den))
 
     def raw_inverse(self, raw):
-        """Inverse of a nonzero raw element by the extended Euclid algorithm."""
+        """Inverse of a nonzero raw element, in integer arithmetic only.
+
+        A monomial (c/den)*zeta^j inverts directly to (den/c)*zeta^-j.  Any
+        other a = nums/den inverts through the Galois norm: with P the product
+        of the conjugates sigma_k(nums) for k != 1, the norm N = nums*P is an
+        integer, and a^-1 = den*P/N.
+        """
         nums, den = raw
-        r0 = [Fraction(c) for c in self.modulus]
-        r1 = [Fraction(c) for c in nums]
-        _poly_trim(r1)
-        s0, s1 = [], [Fraction(1)]
-        while len(r1) > 1:
-            # divide r0 by r1
-            q = [Fraction(0)] * (len(r0) - len(r1) + 1)
-            rem = list(r0)
-            for k in range(len(rem) - len(r1), -1, -1):
-                c = rem[k + len(r1) - 1] / r1[-1]
-                q[k] = c
-                if c:
-                    for j, bj in enumerate(r1):
-                        rem[k + j] -= c * bj
-            _poly_trim(rem)
-            r0, r1 = r1, rem
-            # s update: s_new = s0 - q*s1
-            qs = [Fraction(0)] * (len(q) + len(s1) - 1) if s1 else []
-            for i, a in enumerate(q):
-                if a:
-                    for j, b in enumerate(s1):
-                        qs[i + j] += a * b
-            new = [Fraction(0)] * max(len(s0), len(qs))
-            for i, a in enumerate(s0):
-                new[i] += a
-            for i, a in enumerate(qs):
-                new[i] -= a
-            _poly_trim(new)
-            s0, s1 = s1, new
-        if not r1:
+        support = [j for j, c in enumerate(nums) if c]
+        if not support:
             raise NotInvertibleError("inverse of zero")
-        c = r1[0]
-        inv = [a / c * den for a in s1]
-        inv += [Fraction(0)] * (self.degree - len(inv))
-        common = 1
-        for a in inv:
-            common = common * a.denominator // gcd(common, a.denominator)
-        return kernels.felem_normalize(
-            [int(a * common) for a in inv[: self.degree]], common
-        )
+        if len(support) == 1:
+            j = support[0]
+            return kernels.felem_scale(self.zeta_pow(-j).raw, den, nums[j])
+        prod = None
+        for table in self._conjugations.values():
+            conj = [0] * self.degree
+            for c, col in zip(nums, table):
+                if c:
+                    for i, t in col:
+                        conj[i] += c * t
+            conj = (tuple(conj), 1)
+            prod = conj if prod is None else kernels.felem_mul(prod, conj, self.red)
+        norm = kernels.felem_mul((nums, 1), prod, self.red)[0][0]
+        return kernels.felem_scale(prod, den, norm)
 
     def __repr__(self):
         return f"CycField(l={self.l})"

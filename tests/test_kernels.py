@@ -46,6 +46,10 @@ def test_normalize_canonical_forms():
         assert impl.felem_normalize([0, 0], 7) == ((0, 0), 1)
         assert impl.felem_normalize([2, 4], -2) == ((-1, -2), 1)
         assert impl.felem_normalize([3, 6], 12) == ((1, 2), 4)
+        # a negative norm reaches felem_scale as a negative denominator
+        a = ((3, -6, 0, 9), 4)
+        assert impl.felem_scale(a, 2, -9) == impl.felem_scale(a, -2, 9)
+        assert impl.felem_scale(a, 2, -9) == ((-1, 2, 0, -3), 6)
 
 
 def test_selected_backend_exposed():

@@ -2,11 +2,15 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, strategies as st
 
+from heckeclifford import kernels
 from heckeclifford.scalars import (
     CycField,
+    FieldElem,
     NotInvertibleError,
     Tower,
     ZeroDivisorError,
@@ -66,6 +70,130 @@ def test_field_inverse_of_zero_raises():
     f = CycField.for_l(2)
     with pytest.raises(NotInvertibleError):
         f.zero.inverse()
+    for l in range(2, 9):
+        f = CycField.for_l(l)
+        with pytest.raises(NotInvertibleError):
+            f.raw_inverse(f.zero.raw)
+
+
+def test_rational_zero_denominator_raises():
+    f = CycField.for_l(2)
+    for p in (3, 0, -1):
+        with pytest.raises(ZeroDivisionError):
+            f.rational(p, 0)
+    assert f.rational(3, -6) == f.rational(-1, 2)
+
+
+def _poly_trim(p):
+    while p and p[-1] == 0:
+        p.pop()
+    return p
+
+
+def euclid_inverse(field, raw):
+    """Reference inverse: extended Euclid over Fractions against the modulus."""
+    nums, den = raw
+    r0 = [Fraction(c) for c in field.modulus]
+    r1 = [Fraction(c) for c in nums]
+    _poly_trim(r1)
+    s0, s1 = [], [Fraction(1)]
+    while len(r1) > 1:
+        # divide r0 by r1
+        q = [Fraction(0)] * (len(r0) - len(r1) + 1)
+        rem = list(r0)
+        for k in range(len(rem) - len(r1), -1, -1):
+            c = rem[k + len(r1) - 1] / r1[-1]
+            q[k] = c
+            if c:
+                for j, bj in enumerate(r1):
+                    rem[k + j] -= c * bj
+        _poly_trim(rem)
+        r0, r1 = r1, rem
+        # s update: s_new = s0 - q*s1
+        qs = [Fraction(0)] * (len(q) + len(s1) - 1) if s1 else []
+        for i, a in enumerate(q):
+            if a:
+                for j, b in enumerate(s1):
+                    qs[i + j] += a * b
+        new = [Fraction(0)] * max(len(s0), len(qs))
+        for i, a in enumerate(s0):
+            new[i] += a
+        for i, a in enumerate(qs):
+            new[i] -= a
+        _poly_trim(new)
+        s0, s1 = s1, new
+    if not r1:
+        raise NotInvertibleError("inverse of zero")
+    c = r1[0]
+    inv = [a / c * den for a in s1]
+    inv += [Fraction(0)] * (field.degree - len(inv))
+    common = 1
+    for a in inv:
+        common = common * a.denominator // gcd(common, a.denominator)
+    return kernels.felem_normalize(
+        [int(a * common) for a in inv[: field.degree]], common
+    )
+
+
+_BIG = st.integers(-(10**12), 10**12)
+_COEFF = st.one_of(st.just(0), st.integers(-9, 9), _BIG)
+
+
+@st.composite
+def _element(draw, field):
+    """General elements of field half the time, else monomials or rationals."""
+    nums = [0] * field.degree
+    kind = draw(st.sampled_from(["general", "general", "monomial", "rational"]))
+    if kind == "general":
+        nums = draw(st.lists(_COEFF, min_size=field.degree, max_size=field.degree))
+    else:
+        j = 0 if kind == "rational" else draw(st.integers(0, field.degree - 1))
+        nums[j] = draw(_BIG.filter(bool))
+    return field.elem(nums, draw(st.integers(1, 10**6)))
+
+
+_FIELDS = st.integers(2, 8).map(CycField.for_l)
+_NONZERO = _FIELDS.flatmap(lambda f: _element(f).filter(lambda x: not x.is_zero()))
+_PAIRS = _FIELDS.flatmap(lambda f: st.tuples(_element(f), _element(f)))
+
+
+def _conjugate(field, table, x):
+    nums, den = x.raw
+    out = [0] * field.degree
+    for c, col in zip(nums, table):
+        for i, t in col:
+            out[i] += c * t
+    return field.elem(out, den)
+
+
+@given(_NONZERO)
+def test_raw_inverse_matches_euclid_oracle(x):
+    f = x.field
+    inv = f.raw_inverse(x.raw)
+    assert inv == euclid_inverse(f, x.raw)
+    assert x * FieldElem(f, inv) == f.one
+
+
+@given(_PAIRS)
+def test_conjugations_are_field_automorphisms(pair):
+    a, b = pair
+    f = a.field
+    assert len(f._conjugations) == f.degree - 1
+    for k, table in f._conjugations.items():
+        assert _conjugate(f, table, f.q) == f.zeta_pow(k)
+        assert _conjugate(f, table, a * b) == _conjugate(f, table, a) * _conjugate(
+            f, table, b
+        )
+
+
+@given(_NONZERO)
+def test_norm_is_rational(x):
+    f = x.field
+    norm = x
+    for table in f._conjugations.values():
+        norm = norm * _conjugate(f, table, x)
+    assert not any(norm.raw[0][1:])
+    assert norm.raw[0][0] != 0
 
 
 def test_q_of_endpoints():
