@@ -103,10 +103,15 @@ def weight_of_c(w):
 
 def parse_weight(l, text):
     """Parse "k0,k1,..,k_{l-1}" as the dominant weight sum k_i * Lambda_i."""
-    parts = [p.strip() for p in text.split(",")]
-    if len(parts) != l:
-        raise ValueError(f"expected {l} comma-separated integers")
-    return Weight(l, tuple(int(p) for p in parts), (0,) * l)
+    try:
+        lam = tuple(int(p) for p in text.split(","))
+    except ValueError:
+        lam = ()
+    if len(lam) != l:
+        raise ValueError(f"expected {l} comma-separated integers, got {text!r}")
+    if any(k < 0 for k in lam):
+        raise ValueError(f"a dominant weight has no negative entry, got {text!r}")
+    return Weight(l, lam, (0,) * l)
 
 
 def f_lambda(lam_weight):

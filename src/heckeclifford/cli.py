@@ -105,7 +105,11 @@ def cmd_crystal(args):
         if not args.lam:
             print("blambda requires --lambda", file=sys.stderr)
             return 2
-        lam = parse_weight(args.l, args.lam)
+        try:
+            lam = parse_weight(args.l, args.lam)
+        except ValueError as exc:
+            print(f"bad --lambda: {exc}", file=sys.stderr)
+            return 2
         graph = generate_blambda(args.l, lam, args.depth)
     issues = star_commutation_report(graph) if args.which == "binfty" else []
     if args.format == "dot":

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import linalg
+from . import kernels, linalg
 from .algebra import HeckeClifford, NormalMonomial
 from .grothendieck import WordSum
 from .scalars import (
@@ -1135,8 +1135,8 @@ def _op_x_plus_xinv(M, k):
     return out
 
 
-def _shifted_apply(M, op_cols, lam_raw):
-    red = M.field.red
+def _shifted_apply(field, op_cols, lam_raw):
+    red = field.red
 
     def apply(v):
         w = linalg.mat_vec(op_cols, v, red)
@@ -1185,7 +1185,7 @@ def jordan_block_max(M, op_cols, lam):
         M.unit_k_vector(t, mask) for t in range(M.dim) for mask in range(M.rank)
     ]
     _, depth = generalized_eigs(
-        M.field, _shifted_apply(M, op_cols, lam.raw), basis
+        M.field, _shifted_apply(M.field, op_cols, lam.raw), basis
     )
     return depth
 
@@ -1195,47 +1195,156 @@ def _word_d_factor(l, word):
     return 1 << (len(word) - m // 2)
 
 
+def _divide_by_root(poly, q_raw, red):
+    """Synthetic division of poly (coefficients low degree first) by x - q."""
+    acc = poly[-1]
+    out = [acc]
+    for a in reversed(poly[:-1]):
+        acc = kernels.felem_add(a, kernels.felem_mul(q_raw, acc, red))
+        out.append(acc)
+    rem = out.pop()
+    out.reverse()
+    return out, rem
+
+
+def _probe_multiplicities(field, op_cols, vectors, qs):
+    """Root multiplicities of the qs in the minimal polynomial of sum(vectors).
+
+    Inserts v, Av, A^2 v, .. into one Tracker until the first dependency,
+    which is the monic minimal polynomial of v.  Returns one multiplicity per
+    q, or None when that polynomial has a factor other than the x - q.
+    """
+    red = field.red
+    v = {}
+    for b in vectors:
+        linalg.vec_add_into(v, b)
+    tracker = linalg.Tracker(field)
+    degree = 0
+    while True:
+        dep = tracker.insert(v, degree)
+        if dep is not None:
+            break
+        v = linalg.mat_vec(op_cols, v, red)
+        degree += 1
+    zero = field.zero.raw
+    poly = [dep.get(j, zero) for j in range(degree + 1)]
+    mults = []
+    for q in qs:
+        e = 0
+        while len(poly) > 1:
+            quot, rem = _divide_by_root(poly, q, red)
+            if not kernels.felem_is_zero(rem):
+                break
+            poly = quot
+            e += 1
+        mults.append(e)
+    return mults if len(poly) == 1 else None
+
+
+def _apply_factors(field, op_cols, factors, v):
+    """prod (A - q)^e v over the (q, e) factors, by mat_vec only."""
+    for q, e in factors:
+        apply = _shifted_apply(field, op_cols, q)
+        for _ in range(e):
+            if not v:
+                return v
+            v = apply(v)
+    return v
+
+
+def _certified_split(field, op_cols, vectors, qs):
+    """Generalized eigenspaces of A on span(vectors) from one Krylov probe.
+
+    The probe proposes multiplicities e_i; the split is certified by checking
+    that prod_i (A - q_i)^e_i kills every vector exactly.  Then span(vectors)
+    is the direct sum of the generalized eigenspaces at the q_i with e_i > 0,
+    and each one is the image of the product over the other factors.
+    Returns [(i, vectors_i)] in ascending i, or None when the probe finds a
+    root outside the qs or the certificate fails.  Requires span(vectors) to
+    be A-invariant.
+    """
+    mults = _probe_multiplicities(field, op_cols, vectors, qs)
+    if mults is None:
+        return None
+    present = [i for i, e in enumerate(mults) if e]
+    factors = [(qs[i], mults[i]) for i in present]
+    if any(_apply_factors(field, op_cols, factors, b) for b in vectors):
+        return None
+    if len(present) == 1:
+        return [(present[0], vectors)]
+    parts = []
+    for i in present:
+        others = [(qs[j], mults[j]) for j in present if j != i]
+        image = linalg.Echelon(field)
+        for b in vectors:
+            image.insert(_apply_factors(field, op_cols, others, b))
+        parts.append((i, [linalg.vec_primitive(r) for r in image.basis()]))
+    return parts
+
+
+def _split_level(field, op_cols, vectors, qs):
+    """Split span(vectors) into the generalized eigenspaces of A at the qs.
+
+    Tries the certified split, and otherwise runs one elimination per q until
+    the eigenspaces use up len(vectors): eigenspaces at distinct values are
+    independent, so the remaining ones are zero.  Returns [(i, vectors_i)]
+    for the nonzero eigenspaces in ascending i.  Requires span(vectors) to be
+    A-invariant; raises ArithmeticError when the eigenspaces do not exhaust it.
+    """
+    parts = _certified_split(field, op_cols, vectors, qs)
+    if parts is None:
+        parts = []
+        remaining = len(vectors)
+        for i, q in enumerate(qs):
+            if not remaining:
+                break
+            eig, _ = generalized_eigs(
+                field, _shifted_apply(field, op_cols, q), vectors
+            )
+            if eig:
+                parts.append((i, eig))
+                remaining -= len(eig)
+    if sum(len(eig) for _, eig in parts) != len(vectors):
+        raise ArithmeticError(
+            "non-integral eigenvalue: eigenspaces do not exhaust the module"
+        )
+    return parts
+
+
 def formal_character(M):
     """Word multiplicities from simultaneous generalized eigenspaces.
 
     For each word the multiplicity is the field dimension of the simultaneous
     generalized eigenspace at (q(w_1), .., q(w_n)), divided by the tower rank
     and by the word's intrinsic dimension factor; inexact divisions raise.
+    The eigenspaces of X_n + X_n^-1, .., X_1 + X_1^-1 are split off one level
+    at a time, which needs each span along the way to be invariant under the
+    next operator: this holds for any module, because the X's are even and
+    commute.
     """
     l = M.model.l
     field = M.field
     n = M.n
-    qs = [q_of(l, i) for i in range(l)]
+    qs = [q_of(l, i).raw for i in range(l)]
     ops = {k: _op_x_plus_xinv(M, k) for k in range(1, n + 1)}
     counts = {}
-
-    def split(k, vectors, word):
-        if not vectors:
-            return
-        if k == 0:
-            counts[word] = counts.get(word, 0) + len(vectors)
-            return
-        remaining = len(vectors)
-        for i in range(l):
-            eig, _ = generalized_eigs(
-                field, _shifted_apply(M, ops[k], qs[i].raw), vectors
-            )
-            if eig:
-                split(k - 1, eig, (i,) + word)
-                remaining -= len(eig)
-        if remaining != 0:
-            raise ArithmeticError(
-                "non-integral eigenvalue: eigenspaces do not exhaust the module"
-            )
-
-    for p in (0, 1):
+    stack = []
+    for p in (1, 0):
         basis = [
             M.unit_k_vector(t, mask)
             for t in range(M.dim)
             if M.parity[t] == p
             for mask in range(M.rank)
         ]
-        split(n, basis, ())
+        if basis:
+            stack.append((n, basis, ()))
+    while stack:
+        k, vectors, word = stack.pop()
+        if k == 0:
+            counts[word] = counts.get(word, 0) + len(vectors)
+            continue
+        parts = _split_level(field, ops[k], vectors, qs)
+        stack.extend((k - 1, eig, (i,) + word) for i, eig in reversed(parts))
     out = {}
     for word, kdim in counts.items():
         denom = M.rank * _word_d_factor(l, word)
@@ -1274,7 +1383,7 @@ def delta_im(M, i, m):
             if not vectors:
                 break
             vectors, _ = generalized_eigs(
-                field, _shifted_apply(M, _op_x_plus_xinv(M, k), lam), vectors
+                field, _shifted_apply(field, _op_x_plus_xinv(M, k), lam), vectors
             )
         spaces.extend(vectors)
     if not spaces:
@@ -1296,7 +1405,7 @@ def epsilon_i(M, i):
     ]
     for k in range(M.n, 0, -1):
         vectors, _ = generalized_eigs(
-            field, _shifted_apply(M, _op_x_plus_xinv(M, k), lam), vectors
+            field, _shifted_apply(field, _op_x_plus_xinv(M, k), lam), vectors
         )
         if not vectors:
             break
@@ -1645,7 +1754,7 @@ def discover_square_root(M, vectors):
     for i, lam in enumerate(lam_list):
         eig, _ = generalized_eigs(
             field,
-            _shifted_apply(M, _op_x_plus_xinv(M, M.n), lam.raw),
+            _shifted_apply(field, _op_x_plus_xinv(M, M.n), lam.raw),
             [M.unit_k_vector(t, m) for t in range(M.dim) for m in range(M.rank)],
         )
         if eig:

@@ -67,8 +67,9 @@ def test_parse_weight():
     w = parse_weight(3, "1,0,2")
     assert w.lam == (1, 0, 2)
     assert w.alpha == (0, 0, 0)
-    with pytest.raises(ValueError):
-        parse_weight(3, "1,0")
+    for bad in ("1,0", "1,x,2", "1,-1,2"):
+        with pytest.raises(ValueError):
+            parse_weight(3, bad)
 
 
 def test_f_lambda_fundamental_0():

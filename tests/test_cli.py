@@ -69,6 +69,13 @@ def test_blambda_requires_lambda(capsys):
     assert code == 2
 
 
+def test_blambda_bad_lambda_is_usage_error(capsys):
+    for lam in (["--lambda", "1,0,3"], ["--lambda", "x,1"], ["--lambda=-1,0"]):
+        code, out = run_cli(["crystal", "blambda", "--l", "2", *lam], capsys)
+        assert code == 2, lam
+        assert out == ""
+
+
 def test_usage_error_exit2():
     proc = subprocess.run(
         [sys.executable, "-m", "heckeclifford.cli", "relations"],

@@ -1,7 +1,11 @@
 """Builders, relation verification, characters, types, and the rank suites."""
 
-import pytest
+import gc
 
+import pytest
+from hypothesis import given, strategies as st
+
+from heckeclifford import linalg, supermodules
 from heckeclifford.grothendieck import WordSum, shuffle
 from heckeclifford.scalars import ScalarModel, q_of
 from heckeclifford.supermodules import (
@@ -20,6 +24,7 @@ from heckeclifford.supermodules import (
     discover_square_root,
     epsilon_i,
     formal_character,
+    generalized_eigs,
     induce,
     jordan_block_max,
     low_rank_suite,
@@ -30,7 +35,11 @@ from heckeclifford.supermodules import (
     tower_span,
     type_of,
     verify_relations,
+    _apply_factors,
+    _certified_split,
     _op_x_plus_xinv,
+    _shifted_apply,
+    _split_level,
 )
 
 
@@ -247,6 +256,105 @@ def test_formal_character_rejects_nonintegral():
     assert verify_relations(M) == []
     with pytest.raises(ArithmeticError, match="non-integral"):
         formal_character(M)
+
+
+def test_certified_characters_match_exhaustive_split(monkeypatch):
+    certified = [(low_rank_suite(l), shuffle_compat_suite(l)) for l in (2, 3)]
+    # a probe without candidates sends every level to the exhaustive split
+    monkeypatch.setattr(supermodules, "_probe_multiplicities", lambda *a: None)
+    exhaustive = [(low_rank_suite(l), shuffle_compat_suite(l)) for l in (2, 3)]
+    assert certified == exhaustive
+
+
+@pytest.mark.parametrize("build", [build_L01, build_L001])
+def test_formal_character_leaves_no_garbage_cycles(build):
+    M = build()
+    gc.collect()
+    gc.disable()
+    try:
+        formal_character(M)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+@st.composite
+def _conjugated_jordan(draw, off_q=False):
+    """(field, qs, A, blocks, certifiable): A = S J S^-1, S = I + c E_ab a shear.
+
+    J is upper triangular with Jordan blocks (eigenvalue index, size); with
+    off_q one extra block sits at 3, which is no q(i).  Every coordinate of
+    S^-1 (1, .., 1) is nonzero unless c = 1, so for c != 1 the sum of the unit
+    vectors reaches the full minimal polynomial of A.
+    """
+    l = draw(st.integers(2, 4))
+    block = st.tuples(st.integers(0, l - 1), st.integers(1, 3))
+    blocks = draw(st.lists(block, min_size=1, max_size=3))
+    field = q_of(l, 0).field
+    qs = [q_of(l, i).raw for i in range(l)]
+    lams = [qs[i] for i, _ in blocks]
+    sizes = [m for _, m in blocks]
+    if off_q:
+        lams.append(field.from_int(3).raw)
+        sizes.append(draw(st.integers(1, 2)))
+    J = []
+    for lam, m in zip(lams, sizes):
+        for r in range(m):
+            col = {len(J): lam}
+            if r:
+                col[len(J) - 1] = field.one.raw
+            J.append(col)
+    dim = len(J)
+    A = J
+    if dim > 1:
+        a, b = draw(st.permutations(range(dim)))[:2]
+        c = draw(st.sampled_from([-2, -1, 1, 2, 3]))
+        S = linalg.mat_identity(dim, field.one.raw)
+        S_inv = linalg.mat_identity(dim, field.one.raw)
+        S[b][a] = field.from_int(c).raw
+        S_inv[b][a] = field.from_int(-c).raw
+        A = linalg.mat_mul(S, linalg.mat_mul(J, S_inv, field.red), field.red)
+        certifiable = c != 1
+    else:
+        certifiable = True
+    return field, qs, A, blocks, certifiable
+
+
+def _unit_basis(dim, field):
+    return [{t: field.one.raw} for t in range(dim)]
+
+
+@given(_conjugated_jordan())
+def test_certified_split_matches_generalized_eigs(case):
+    field, qs, A, blocks, certifiable = case
+    basis = _unit_basis(len(A), field)
+    want = {}
+    for i, q in enumerate(qs):
+        eig, _ = generalized_eigs(field, _shifted_apply(field, A, q), basis)
+        if eig:
+            want[i] = len(eig)
+    assert want == {
+        i: sum(m for j, m in blocks if j == i) for i, _ in blocks
+    }
+    certified = _certified_split(field, A, basis, qs)
+    assert certified is not None or not certifiable
+    for parts in (certified, _split_level(field, A, basis, qs)):
+        if parts is None:
+            continue
+        assert [i for i, _ in parts] == sorted(want)
+        assert {i: len(vs) for i, vs in parts} == want
+        for i, vs in parts:
+            for v in vs:
+                assert not _apply_factors(field, A, [(qs[i], len(A))], v)
+
+
+@given(_conjugated_jordan(off_q=True))
+def test_certified_split_declines_off_q_eigenvalue(case):
+    field, qs, A, _, _ = case
+    basis = _unit_basis(len(A), field)
+    assert _certified_split(field, A, basis, qs) is None
+    with pytest.raises(ArithmeticError, match="non-integral"):
+        _split_level(field, A, basis, qs)
 
 
 def test_with_splitting_retries_and_rebuilds():
