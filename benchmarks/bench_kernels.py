@@ -1,7 +1,7 @@
 """Benchmark the compiled arithmetic kernels against the pure-Python fallback.
 
-Times the two hot paths: single field multiplications and a full echelon pass
-over random sparse vectors, which together dominate the verification suites.
+Times single field multiplications.  Whether the compiled backend earns its
+place is decided on the end-to-end benchmark (benchsuite/run.py), not here.
 
 Run:  python benchmarks/bench_kernels.py
 """
@@ -34,55 +34,6 @@ def bench_mul(impl, field, n=20000, seed=5):
     return time.perf_counter() - t0
 
 
-def bench_echelon(impl, field, dim=48, seed=7):
-    """Forward elimination over random sparse vectors, kernel calls only.
-
-    Random exact elimination grows coefficients quickly, so this leg mostly
-    measures arbitrary-precision arithmetic with the kernel loops around it;
-    the structured suite workloads sit closer to the mul microbenchmark.
-    """
-    rng = random.Random(seed)
-    rows = []
-    for _ in range(dim):
-        v = {}
-        for k in range(dim):
-            if rng.random() < 0.2:
-                nums = [rng.randint(-4, 4) for _ in range(field.degree)]
-                if any(nums):
-                    v[k] = impl.felem_normalize(nums, 1)
-        rows.append(v)
-    red = field.red
-    t0 = time.perf_counter()
-    pivots = {}
-    for v in rows:
-        v = dict(v)
-        while v:
-            p = min(v)
-            row = pivots.get(p)
-            if row is None:
-                inv = field.raw_inverse(v[p])
-                nrm = {
-                    k: impl.felem_mul(inv, x, red) for k, x in v.items() if k != p
-                }
-                nrm[p] = field.one.raw
-                pivots[p] = nrm
-                break
-            c = v.pop(p)
-            for k, x in row.items():
-                if k == p:
-                    continue
-                cur = v.get(k)
-                if cur is None:
-                    y = impl.felem_neg(impl.felem_mul(c, x, red))
-                else:
-                    y = impl.felem_submul(cur, c, x, red)
-                if impl.felem_is_zero(y):
-                    v.pop(k, None)
-                else:
-                    v[k] = y
-    return time.perf_counter() - t0
-
-
 def main():
     backends = [("python", _pykernels)]
     if _ckernels is not None:
@@ -90,16 +41,11 @@ def main():
     for l in (2, 5):
         field = CycField.for_l(l)
         print(f"-- field degree {field.degree} (l = {l})")
-        base = {}
+        base = None
         for name, impl in backends:
             tm = bench_mul(impl, field)
-            te = bench_echelon(impl, field)
-            base.setdefault("mul", tm)
-            base.setdefault("ech", te)
-            print(
-                f"  {name:7s} mul x20000: {tm:7.3f}s ({base['mul'] / tm:4.2f}x)   "
-                f"echelon 48x48: {te:7.3f}s ({base['ech'] / te:4.2f}x)"
-            )
+            base = base or tm
+            print(f"  {name:7s} mul x20000: {tm:7.3f}s ({base / tm:4.2f}x)")
     if _ckernels is None:
         print("compiled backend unavailable; only the fallback was timed")
 

@@ -3,16 +3,14 @@
 Vectors are dicts {index: raw}, matrices are column-major lists of such dicts,
 where raw is the kernel-level field element format.  Everything is exact;
 pivot normalization uses the field inverse.  Echelon bases keep the smallest
-nonzero index as pivot, which makes all reductions deterministic.
+nonzero index as pivot, which makes all reductions deterministic.  Echelon and
+Tracker share one elimination loop, _eliminate, over pivot rows stored without
+their unit pivot entry.
 """
 
 from __future__ import annotations
 
 from . import kernels
-
-
-def vec_is_zero(v):
-    return not v
 
 
 def vec_scale(v, c, red):
@@ -107,24 +105,6 @@ def mat_mul(a_cols, b_cols, red):
     return [mat_vec(a_cols, col, red) for col in b_cols]
 
 
-def mat_sub(a_cols, b_cols, red=None):
-    out = []
-    for ca, cb in zip(a_cols, b_cols):
-        col = dict(ca)
-        for i, x in cb.items():
-            cur = col.get(i)
-            if cur is None:
-                y = kernels.felem_neg(x)
-            else:
-                y = kernels.felem_sub(cur, x)
-            if kernels.felem_is_zero(y):
-                col.pop(i, None)
-            else:
-                col[i] = y
-        out.append(col)
-    return out
-
-
 def mat_is_zero(cols):
     return all(not c for c in cols)
 
@@ -133,8 +113,36 @@ def mat_identity(n, one_raw):
     return [{i: one_raw} for i in range(n)]
 
 
-def mat_scale(cols, c, red):
-    return [vec_scale(col, c, red) for col in cols]
+def _eliminate(pivots, v, red, combo=None):
+    """Reduce v in place against the pivot rows, and combo alongside it.
+
+    pivots maps each pivot index p to (row, cmb): row is the pivot row
+    without its unit entry at p, cmb its combination of the inserted vectors
+    (None where combinations are not tracked).  Elimination stops at the
+    first index without a pivot and returns it; returns None when v reduces
+    to zero.
+    """
+    while v:
+        p = min(v)
+        entry = pivots.get(p)
+        if entry is None:
+            return p
+        row, cmb = entry
+        c = v.pop(p)
+        vec_submul_into(v, row, c, red)
+        if combo is not None:
+            vec_submul_into(combo, cmb, c, red)
+    return None
+
+
+def _add_pivot(field, pivots, p, v, combo=None):
+    """Store the residual v (consumed) as the pivot row at p.
+
+    The row is scaled so that its entry at p is 1, and stored without it.
+    """
+    inv = field.raw_inverse(v.pop(p))
+    cmb = None if combo is None else vec_scale(combo, inv, field.red)
+    pivots[p] = (vec_scale(v, inv, field.red), cmb)
 
 
 class Echelon:
@@ -156,44 +164,24 @@ class Echelon:
         residuals must go through Tracker-based dependency computations.
         """
         v = dict(v)
-        red = self.field.red
-        while v:
-            p = min(v)
-            row = self.pivots.get(p)
-            if row is None:
-                return v
-            c = v.pop(p)
-            for k, x in row.items():
-                if k == p:
-                    continue
-                cur = v.get(k)
-                if cur is None:
-                    y = kernels.felem_neg(kernels.felem_mul(c, x, red))
-                else:
-                    y = kernels.felem_submul(cur, c, x, red)
-                if kernels.felem_is_zero(y):
-                    v.pop(k, None)
-                else:
-                    v[k] = y
+        _eliminate(self.pivots, v, self.field.red)
         return v
 
     def insert(self, v):
         """Add v to the span; True if the rank grew."""
-        r = self.reduce(v)
-        if not r:
+        v = dict(v)
+        p = _eliminate(self.pivots, v, self.field.red)
+        if p is None:
             return False
-        p = min(r)
-        inv = self.field.raw_inverse(r[p])
-        row = vec_scale(r, inv, self.field.red)
-        row[p] = self.field.one.raw
-        self.pivots[p] = row
+        _add_pivot(self.field, self.pivots, p, v)
         return True
 
     def contains(self, v):
-        return not self.reduce(v)
+        return _eliminate(self.pivots, dict(v), self.field.red) is None
 
     def basis(self):
-        return [dict(row) for _, row in sorted(self.pivots.items())]
+        one = self.field.one.raw
+        return [{p: one, **row} for p, (row, _) in sorted(self.pivots.items())]
 
 
 class Tracker:
@@ -202,7 +190,7 @@ class Tracker:
     Every stored row knows its expression as a combination of the inserted
     vectors (by tag).  Inserting a dependent vector returns the dependency
     {tag: coeff} with the new vector's own tag carrying coefficient 1; an
-    independent insert returns None.
+    independent insert returns None.  tags lists the independent inserts.
     """
 
     def __init__(self, field):
@@ -210,93 +198,33 @@ class Tracker:
         self.pivots = {}
         self.tags = []
 
+    @property
+    def dim(self):
+        return len(self.pivots)
+
     def insert(self, v, tag):
-        red = self.field.red
         v = dict(v)
         combo = {tag: self.field.one.raw}
-        while v:
-            p = min(v)
-            entry = self.pivots.get(p)
-            if entry is None:
-                inv = self.field.raw_inverse(v[p])
-                row = vec_scale(v, inv, red)
-                row[p] = self.field.one.raw
-                cmb = vec_scale(combo, inv, red)
-                self.pivots[p] = (row, cmb)
-                self.tags.append(tag)
-                return None
-            row, cmb = entry
-            c = v.pop(p)
-            for k, x in row.items():
-                if k == p:
-                    continue
-                cur = v.get(k)
-                if cur is None:
-                    y = kernels.felem_neg(kernels.felem_mul(c, x, red))
-                else:
-                    y = kernels.felem_submul(cur, c, x, red)
-                if kernels.felem_is_zero(y):
-                    v.pop(k, None)
-                else:
-                    v[k] = y
-            for k, x in cmb.items():
-                cur = combo.get(k)
-                if cur is None:
-                    y = kernels.felem_neg(kernels.felem_mul(c, x, red))
-                else:
-                    y = kernels.felem_submul(cur, c, x, red)
-                if kernels.felem_is_zero(y):
-                    combo.pop(k, None)
-                else:
-                    combo[k] = y
-        return combo
+        p = _eliminate(self.pivots, v, self.field.red, combo)
+        if p is None:
+            return combo
+        _add_pivot(self.field, self.pivots, p, v, combo)
+        self.tags.append(tag)
+        return None
 
-    def express(self, v, tag="__query__"):
+    def contains(self, v):
+        return _eliminate(self.pivots, dict(v), self.field.red) is None
+
+    def express(self, v):
         """Coordinates of v over the inserted vectors, or None if outside.
 
         Does not modify the basis.  Returns {tag: coeff} with v = sum of
         coeff * vector(tag).
         """
-        dep = self._probe(v, tag)
-        if dep is None:
+        combo = {}
+        if _eliminate(self.pivots, dict(v), self.field.red, combo) is not None:
             return None
-        dep.pop(tag)
-        return {k: kernels.felem_neg(c) for k, c in dep.items()}
-
-    def _probe(self, v, tag):
-        red = self.field.red
-        v = dict(v)
-        combo = {tag: self.field.one.raw}
-        while v:
-            p = min(v)
-            entry = self.pivots.get(p)
-            if entry is None:
-                return None
-            row, cmb = entry
-            c = v.pop(p)
-            for k, x in row.items():
-                if k == p:
-                    continue
-                cur = v.get(k)
-                if cur is None:
-                    y = kernels.felem_neg(kernels.felem_mul(c, x, red))
-                else:
-                    y = kernels.felem_submul(cur, c, x, red)
-                if kernels.felem_is_zero(y):
-                    v.pop(k, None)
-                else:
-                    v[k] = y
-            for k, x in cmb.items():
-                cur = combo.get(k)
-                if cur is None:
-                    y = kernels.felem_neg(kernels.felem_mul(c, x, red))
-                else:
-                    y = kernels.felem_submul(cur, c, x, red)
-                if kernels.felem_is_zero(y):
-                    combo.pop(k, None)
-                else:
-                    combo[k] = y
-        return combo
+        return {k: kernels.felem_neg(c) for k, c in combo.items()}
 
 
 def rank_of(field, vectors):

@@ -137,13 +137,7 @@ class MatrixSupermodule:
         return out
 
     def gen_keys(self):
-        keys = []
-        for k in range(1, self.n + 1):
-            keys.append(("X", k, 1))
-            keys.append(("X", k, -1))
-            keys.append(("C", k))
-        keys.extend(("T", j) for j in self.t_indices())
-        return keys
+        return _gen_keys(self.n, self.mu)
 
     def gen(self, key):
         return self.gens[key]
@@ -879,11 +873,7 @@ def induce(M):
     order = sorted(pairs, key=lambda p: (parity[p], p))
     pos = {p: k for k, p in enumerate(order)}
     gens = {}
-    keys = []
-    for k in range(1, n + 1):
-        keys += [("X", k, 1), ("X", k, -1), ("C", k)]
-    keys += [("T", j) for j in range(1, n)]
-    for key in keys:
+    for key in _gen_keys(n, (n,)):
         cols = [dict() for _ in pairs]
         for w, wk in rep_pos.items():
             decomp = _coset_action(field, n, M.mu, key, w)
@@ -951,34 +941,32 @@ def _gen_keys(n, mu):
 def tower_span(M, k_vectors):
     """T-basis of the T-span of the given K-vectors.
 
-    Returns (basis, tracker, echelon): basis is a list of parity-homogeneous
-    K-vectors whose r-monomial translates are inserted in the tracker under
-    tags (s, mask); raises InexactDivisionError if the span is not free.
+    Returns (basis, tracker): basis is a list of parity-homogeneous K-vectors
+    whose r-monomial translates are inserted in the tracker under tags
+    (s, mask); raises InexactDivisionError if the span is not free.
     """
     field = M.field
     masks = M.mask_matrices()
-    ech = linalg.Echelon(field)
     tracker = linalg.Tracker(field)
     basis = []
     for v in k_vectors:
         if not v:
             continue
-        if ech.contains(v):
+        if tracker.contains(v):
             continue
         s = len(basis)
         basis.append(v)
         for mask in range(M.rank):
             tv = linalg.mat_vec(masks[mask], v, field.red) if mask else v
-            ech.insert(tv)
             tracker.insert(tv, (s, mask))
-    if ech.dim != len(basis) * M.rank:
+    if tracker.dim != len(basis) * M.rank:
         raise InexactDivisionError(
             M,
             k_vectors,
-            f"span has field dimension {ech.dim}, not "
+            f"span has field dimension {tracker.dim}, not "
             f"{len(basis)} * {M.rank}; a discriminant must be a square",
         )
-    return basis, tracker, ech
+    return basis, tracker
 
 
 def _vector_parity(M, v):
@@ -996,7 +984,7 @@ def submodule(M, k_vectors, mu=None, gen_keys=None, extra_ops=None):
     """
     field = M.field
     mu = mu or M.mu
-    basis, tracker, _ = tower_span(M, k_vectors)
+    basis, tracker = tower_span(M, k_vectors)
     if not basis:
         raise ValueError("zero subspace has no module structure")
     pars = [_vector_parity(M, v) for v in basis]
@@ -1046,31 +1034,27 @@ def quotient(M, k_vectors, mu=None, extra_ops=None):
     field = M.field
     mu = mu or M.mu
     masks = M.mask_matrices()
-    ech = linalg.Echelon(field)
     tracker = linalg.Tracker(field)
     count = 0
     for v in k_vectors:
         if not v:
             continue
-        if ech.contains(v):
+        if tracker.contains(v):
             continue
         for mask in range(M.rank):
             tv = linalg.mat_vec(masks[mask], v, field.red) if mask else v
-            ech.insert(tv)
             tracker.insert(tv, ("n", count, mask))
         count += 1
-    n_kdim = ech.dim
+    n_kdim = tracker.dim
     reps = []
     for tt in range(M.dim):
         unit = M.unit_k_vector(tt, 0)
-        if ech.contains(unit):
+        if tracker.contains(unit):
             continue
         reps.append(tt)
         for mask in range(M.rank):
-            tv = M.unit_k_vector(tt, mask)
-            ech.insert(tv)
-            tracker.insert(tv, (tt, mask))
-    if ech.dim != M.k_dim():
+            tracker.insert(M.unit_k_vector(tt, mask), (tt, mask))
+    if tracker.dim != M.k_dim():
         raise InexactDivisionError(M, k_vectors, "quotient reps do not close")
     if n_kdim + len(reps) * M.rank != M.k_dim():
         raise InexactDivisionError(
@@ -1456,8 +1440,6 @@ def type_of(M):
             eqk = (a, b, out_mask)
             row = equations.setdefault(eqk, {})
             cur = row.get(u)
-            from . import kernels
-
             s = raw if cur is None else kernels.felem_add(cur, raw)
             if kernels.felem_is_zero(s):
                 row.pop(u, None)

@@ -1,6 +1,9 @@
 """Sparse exact linear algebra over the cyclotomic field."""
 
 import random
+from fractions import Fraction
+
+from hypothesis import given, strategies as st
 
 from heckeclifford import linalg
 from heckeclifford.scalars import CycField
@@ -16,39 +19,109 @@ def _rand_vec(rng, field, n, density=0.5):
     return v
 
 
-def test_echelon_rank_matches_dense_oracle():
-    # oracle: rank over Q by clearing the root via numeric-free expansion --
-    # build vectors with rational entries only, so fractions give exact rank
-    from fractions import Fraction
+def _dense_rank(rows):
+    """Rank over Q by Fraction Gaussian elimination (the dense oracle)."""
+    dense = [[Fraction(x) for x in row] for row in rows]
+    m = len(dense)
+    n = len(dense[0]) if dense else 0
+    rank = 0
+    for col in range(n):
+        piv = None
+        for r in range(rank, m):
+            if dense[r][col]:
+                piv = r
+                break
+        if piv is None:
+            continue
+        dense[rank], dense[piv] = dense[piv], dense[rank]
+        for r in range(m):
+            if r != rank and dense[r][col]:
+                f = dense[r][col] / dense[rank][col]
+                for c2 in range(n):
+                    dense[r][c2] -= f * dense[rank][c2]
+        rank += 1
+    return rank
 
+
+def test_echelon_rank_matches_dense_oracle():
+    # rational entries only, so Fraction elimination gives the exact rank
     rng = random.Random(3)
     field = CycField.for_l(2)
     for _ in range(10):
         n, m = 6, 4
-        rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)] for _ in range(m)]
-        # dense oracle: fraction gaussian elimination
-        dense = [row[:] for row in rows]
-        rank = 0
-        for col in range(n):
-            piv = None
-            for r in range(rank, m):
-                if dense[r][col]:
-                    piv = r
-                    break
-            if piv is None:
-                continue
-            dense[rank], dense[piv] = dense[piv], dense[rank]
-            for r in range(m):
-                if r != rank and dense[r][col]:
-                    f = dense[r][col] / dense[rank][col]
-                    for c2 in range(n):
-                        dense[r][c2] -= f * dense[rank][c2]
-            rank += 1
-        vs = [
-            {i: field.from_int(int(x)).raw for i, x in enumerate(row) if x}
-            for row in rows
-        ]
-        assert linalg.rank_of(field, vs) == rank
+        rows = [[rng.randint(-3, 3) for _ in range(n)] for _ in range(m)]
+        vs = [{i: field.from_int(x).raw for i, x in enumerate(row) if x} for row in rows]
+        assert linalg.rank_of(field, vs) == _dense_rank(rows)
+
+
+def _zeta_vec(field, row, j):
+    """The integer row as a sparse vector, scaled by zeta^j."""
+    v = {i: field.from_int(x).raw for i, x in enumerate(row) if x}
+    return linalg.vec_scale(v, field.zeta_pow(j).raw, field.red)
+
+
+def _combine(field, coeffs, vectors):
+    acc = {}
+    for tag, c in coeffs.items():
+        linalg.vec_add_into(acc, linalg.vec_scale(vectors[tag], c, field.red))
+    return acc
+
+
+_ENTRY = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+
+
+@st.composite
+def _family(draw):
+    """Small integer rows and queries, each with a power of zeta to scale by."""
+    l = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 6))
+    row = st.lists(_ENTRY, min_size=n, max_size=n)
+    rows = draw(st.lists(row, min_size=1, max_size=6))
+    queries = []
+    for _ in range(draw(st.integers(1, 3))):
+        if draw(st.booleans()):
+            cs = draw(st.lists(_ENTRY, min_size=len(rows), max_size=len(rows)))
+            q = [sum(c * r[i] for c, r in zip(cs, rows)) for i in range(n)]
+        else:
+            q = draw(row)
+        queries.append(q)
+    k = len(rows) + len(queries)
+    js = draw(st.lists(st.integers(0, 4 * l - 1), min_size=k, max_size=k))
+    return l, rows, queries, js
+
+
+@given(_family())
+def test_elimination_matches_dense_oracle(family):
+    # scaling a vector by a unit zeta^j moves neither ranks nor spans, and an
+    # integer matrix has the same rank over Q(zeta_4l) as over Q
+    l, rows, queries, js = family
+    field = CycField.for_l(l)
+    one = field.one.raw
+    vs = [_zeta_vec(field, r, j) for r, j in zip(rows, js)]
+    qs = [_zeta_vec(field, q, j) for q, j in zip(queries, js[len(rows):])]
+    rank = _dense_rank(rows)
+    ech, tracker = linalg.Echelon(field), linalg.Tracker(field)
+    for t, v in enumerate(vs):
+        ech.insert(v)
+        tracker.insert(v, t)
+    assert linalg.rank_of(field, vs) == rank
+    assert ech.dim == tracker.dim == len(tracker.tags) == rank
+    for q_row, q in zip(queries, qs):
+        inside = _dense_rank(rows + [q_row]) == rank
+        assert ech.contains(q) == tracker.contains(q) == inside
+        coords = tracker.express(q)
+        if inside:
+            assert _combine(field, coords, vs) == q
+        else:
+            assert coords is None
+    deps = linalg.nullspace_combinations(field, list(enumerate(vs)))
+    assert len(deps) == len(vs) - rank
+    for dep in deps:
+        assert dep and not _combine(field, dep, vs)
+    basis = ech.basis()
+    assert len(basis) == rank
+    for row in basis:
+        assert row[min(row)] == one
 
 
 def test_echelon_membership():
