@@ -156,17 +156,6 @@ class Echelon:
     def dim(self):
         return len(self.pivots)
 
-    def reduce(self, v):
-        """Residual of v: empty iff v lies in the span (fresh dict).
-
-        Elimination stops at the first index without a pivot, so this is a
-        membership test, not a linear projection; anything needing linear
-        residuals must go through Tracker-based dependency computations.
-        """
-        v = dict(v)
-        _eliminate(self.pivots, v, self.field.red)
-        return v
-
     def insert(self, v):
         """Add v to the span; True if the rank grew."""
         v = dict(v)

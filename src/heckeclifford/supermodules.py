@@ -807,20 +807,29 @@ def build_L_ij_star_L_i(l, i, j, model=None):
 # -- tensor, induction, twisting ------------------------------------------------
 
 
+def _product_basis(left, right):
+    """Even-first order of the basis pairs (a, b) of two graded bases.
+
+    left and right are the parity lists of the factors.  Returns (pos,
+    parity): pos maps each pair to its index in the order sorted by (parity,
+    pair), and parity lists the parities in that order.
+    """
+    pairs = [(a, b) for a in range(len(left)) for b in range(len(right))]
+    parity = {p: (left[p[0]] + right[p[1]]) & 1 for p in pairs}
+    order = sorted(pairs, key=lambda p: (parity[p], p))
+    return {p: k for k, p in enumerate(order)}, [parity[p] for p in order]
+
+
 def tensor_product(M, N):
     """Outer tensor product as a module over the concatenated parabolic."""
     if M.tower is not N.tower:
         raise ValueError("align the scalar models before tensoring")
-    t = M.tower
-    pairs = [(a, b) for a in range(M.dim) for b in range(N.dim)]
-    parity = {p: (M.parity[p[0]] + N.parity[p[1]]) & 1 for p in pairs}
-    order = sorted(pairs, key=lambda p: (parity[p], p))
-    pos = {p: k for k, p in enumerate(order)}
+    pos, parity = _product_basis(M.parity, N.parity)
     m = M.n
     gens = {}
     for key in M.gen_keys():
         G = M.gen(key)
-        cols = [dict() for _ in pairs]
+        cols = [dict() for _ in pos]
         for (a, b), k in pos.items():
             for a2, v in G[a].items():
                 cols[k][pos[(a2, b)]] = v
@@ -834,15 +843,13 @@ def tensor_product(M, N):
             new_key = ("T", key[1] + m)
         odd = key[0] == "C"
         G = N.gen(key)
-        cols = [dict() for _ in pairs]
+        cols = [dict() for _ in pos]
         for (a, b), k in pos.items():
             sign = -1 if (odd and M.parity[a]) else 1
             for b2, v in G[b].items():
                 cols[k][pos[(a, b2)]] = v if sign == 1 else -v
         gens[new_key] = cols
-    return MatrixSupermodule(
-        M.model, M.n + N.n, M.mu + N.mu, [parity[p] for p in order], gens
-    )
+    return MatrixSupermodule(M.model, M.n + N.n, M.mu + N.mu, parity, gens)
 
 
 _coset_action_cache = {}
@@ -868,13 +875,10 @@ def induce(M):
     alg = HeckeClifford(field, n)
     reps = alg.coset_representatives(M.mu)
     rep_pos = {w: k for k, w in enumerate(reps)}
-    pairs = [(k, b) for k in range(len(reps)) for b in range(M.dim)]
-    parity = {p: M.parity[p[1]] for p in pairs}
-    order = sorted(pairs, key=lambda p: (parity[p], p))
-    pos = {p: k for k, p in enumerate(order)}
+    pos, parity = _product_basis([0] * len(reps), M.parity)
     gens = {}
     for key in _gen_keys(n, (n,)):
-        cols = [dict() for _ in pairs]
+        cols = [dict() for _ in pos]
         for w, wk in rep_pos.items():
             decomp = _coset_action(field, n, M.mu, key, w)
             for w2, h in decomp.items():
@@ -890,9 +894,7 @@ def induce(M):
                         else:
                             col[pos[(w2k, b2)]] = s
         gens[key] = cols
-    return MatrixSupermodule(
-        M.model, n, (n,), [parity[p] for p in order], gens
-    )
+    return MatrixSupermodule(M.model, n, (n,), parity, gens)
 
 
 def sigma_twist(M):
@@ -1119,59 +1121,11 @@ def _op_x_plus_xinv(M, k):
     return out
 
 
-def _shifted_apply(field, op_cols, lam_raw):
-    red = field.red
-
-    def apply(v):
-        w = linalg.mat_vec(op_cols, v, red)
-        linalg.vec_submul_into(w, v, lam_raw, red)
-        return w
-
-    return apply
-
-
-def generalized_eigs(field, apply_op, basis):
-    """Generalized kernel inside span(basis): vectors and chain length.
-
-    Returns (vectors, depth) where depth is the smallest power at which the
-    kernel chain of the operator stabilizes (0 when the kernel is trivial).
-    Each chain step finds {v : op v in previous kernel} by seeding the
-    elimination with the previous kernel's vectors and reading off which
-    image combinations fall into their span.
-    """
-    red = field.red
-    images = [apply_op(b) for b in basis]
-    vectors = []
-    depth = 0
-    while True:
-        tagged = [(("p", k), v) for k, v in enumerate(vectors)]
-        tagged += [(s, images[s]) for s in range(len(basis))]
-        deps = linalg.nullspace_combinations(field, tagged)
-        new_vecs = []
-        for dep in deps:
-            v = {}
-            for s, c in dep.items():
-                if isinstance(s, tuple):
-                    continue
-                linalg.vec_add_into(v, linalg.vec_scale(basis[s], c, red))
-            v = linalg.vec_primitive(v)
-            if v:
-                new_vecs.append(v)
-        if len(new_vecs) == len(vectors):
-            return vectors, depth
-        vectors = new_vecs
-        depth += 1
-
-
-def jordan_block_max(M, op_cols, lam):
-    """Maximal Jordan block size of the expanded operator at the eigenvalue."""
-    basis = [
-        M.unit_k_vector(t, mask) for t in range(M.dim) for mask in range(M.rank)
-    ]
-    _, depth = generalized_eigs(
-        M.field, _shifted_apply(M.field, op_cols, lam.raw), basis
-    )
-    return depth
+def _shift(field, op_cols, lam, v):
+    """(A - lam) v for a raw field element lam."""
+    w = linalg.mat_vec(op_cols, v, field.red)
+    linalg.vec_submul_into(w, v, lam, field.red)
+    return w
 
 
 def _word_d_factor(l, word):
@@ -1191,103 +1145,133 @@ def _divide_by_root(poly, q_raw, red):
     return out, rem
 
 
-def _probe_multiplicities(field, op_cols, vectors, qs):
-    """Root multiplicities of the qs in the minimal polynomial of sum(vectors).
+def _krylov_min_poly(field, op_cols, v):
+    """Monic minimal polynomial of v under A, coefficients low degree first.
 
-    Inserts v, Av, A^2 v, .. into one Tracker until the first dependency,
-    which is the monic minimal polynomial of v.  Returns one multiplicity per
-    q, or None when that polynomial has a factor other than the x - q.
+    Inserts v, Av, A^2 v, .. into one Tracker until the first dependency.
     """
-    red = field.red
-    v = {}
-    for b in vectors:
-        linalg.vec_add_into(v, b)
     tracker = linalg.Tracker(field)
     degree = 0
     while True:
         dep = tracker.insert(v, degree)
         if dep is not None:
             break
-        v = linalg.mat_vec(op_cols, v, red)
+        v = linalg.mat_vec(op_cols, v, field.red)
         degree += 1
     zero = field.zero.raw
-    poly = [dep.get(j, zero) for j in range(degree + 1)]
-    mults = []
-    for q in qs:
-        e = 0
-        while len(poly) > 1:
-            quot, rem = _divide_by_root(poly, q, red)
-            if not kernels.felem_is_zero(rem):
-                break
-            poly = quot
-            e += 1
-        mults.append(e)
-    return mults if len(poly) == 1 else None
+    return [dep.get(j, zero) for j in range(degree + 1)]
 
 
-def _apply_factors(field, op_cols, factors, v):
-    """prod (A - q)^e v over the (q, e) factors, by mat_vec only."""
-    for q, e in factors:
-        apply = _shifted_apply(field, op_cols, q)
+def _apply_poly(field, op_cols, roots, mults, cofactors, v):
+    """f(A) v by mat_vec only.
+
+    f is the product of the cofactors and of the (x - roots[i])^mults[i];
+    each cofactor is monic, low degree first, and applied by Horner.
+    """
+    red = field.red
+    for poly in cofactors:
+        w = v
+        for a in reversed(poly[:-1]):
+            w = linalg.mat_vec(op_cols, w, red)
+            linalg.vec_add_into(w, linalg.vec_scale(v, a, red))
+        v = w
+    for q, e in zip(roots, mults):
         for _ in range(e):
             if not v:
                 return v
-            v = apply(v)
+            v = _shift(field, op_cols, q, v)
     return v
 
 
-def _certified_split(field, op_cols, vectors, qs):
-    """Generalized eigenspaces of A on span(vectors) from one Krylov probe.
+def _min_poly(field, op_cols, vectors, roots, integral):
+    """Minimal polynomial of A on the A-invariant span of the vectors.
 
-    The probe proposes multiplicities e_i; the split is certified by checking
-    that prod_i (A - q_i)^e_i kills every vector exactly.  Then span(vectors)
-    is the direct sum of the generalized eigenspaces at the q_i with e_i > 0,
-    and each one is the image of the product over the other factors.
-    Returns [(i, vectors_i)] in ascending i, or None when the probe finds a
-    root outside the qs or the certificate fails.  Requires span(vectors) to
-    be A-invariant.
+    Probes the sum of the vectors first, then the residual f(A) b of every
+    vector b that the product f so far does not kill, and multiplies the
+    residual's minimal polynomial into f.  Each factor divides mu / f, where
+    mu is the minimal polynomial, so f divides mu throughout; once f kills
+    every vector, f = mu, and that exactness is the certificate.  Returns
+    (mults, cofactors): mults[i] is the multiplicity of roots[i] in mu, and
+    the cofactors multiply to its root-free part.  With integral, a factor
+    without a root among the roots raises "non-integral eigenvalue" at once.
     """
-    mults = _probe_multiplicities(field, op_cols, vectors, qs)
-    if mults is None:
-        return None
-    present = [i for i, e in enumerate(mults) if e]
-    factors = [(qs[i], mults[i]) for i in present]
-    if any(_apply_factors(field, op_cols, factors, b) for b in vectors):
-        return None
-    if len(present) == 1:
-        return [(present[0], vectors)]
-    parts = []
-    for i in present:
-        others = [(qs[j], mults[j]) for j in present if j != i]
-        image = linalg.Echelon(field)
-        for b in vectors:
-            image.insert(_apply_factors(field, op_cols, others, b))
-        parts.append((i, [linalg.vec_primitive(r) for r in image.basis()]))
-    return parts
+    mults = [0] * len(roots)
+    cofactors = []
+    total = {}
+    for b in vectors:
+        linalg.vec_add_into(total, b)
+    for b in [total] + vectors:
+        r = _apply_poly(field, op_cols, roots, mults, cofactors, b)
+        if not r:
+            continue
+        poly = _krylov_min_poly(field, op_cols, r)
+        for i, q in enumerate(roots):
+            while len(poly) > 1:
+                quot, rem = _divide_by_root(poly, q, field.red)
+                if not kernels.felem_is_zero(rem):
+                    break
+                poly = quot
+                mults[i] += 1
+        if len(poly) > 1:
+            if integral:
+                raise ArithmeticError(
+                    "non-integral eigenvalue: a root of the minimal "
+                    "polynomial is no q(i)"
+                )
+            cofactors.append(poly)
+    return mults, cofactors
+
+
+def _image(field, op_cols, roots, mults, cofactors, vectors):
+    """Primitive echelon basis of f(A) span(vectors), f as in _apply_poly."""
+    image = linalg.Echelon(field)
+    for b in vectors:
+        image.insert(_apply_poly(field, op_cols, roots, mults, cofactors, b))
+    return [linalg.vec_primitive(r) for r in image.basis()]
+
+
+def generalized_eigs(field, op_cols, lam, basis):
+    """Generalized eigenspace of A at lam inside span(basis), and its depth.
+
+    Returns (vectors, depth): depth is the multiplicity of lam in the minimal
+    polynomial of A on the span, the size of its largest Jordan block at lam
+    (0 when lam is no eigenvalue), and the vectors are a basis of the image
+    of the polynomial's root-free cofactor, which is ker (A - lam)^depth.
+    Requires span(basis) to be A-invariant.
+    """
+    (depth,), cofactors = _min_poly(field, op_cols, basis, [lam], integral=False)
+    if not depth:
+        return [], 0
+    return _image(field, op_cols, [lam], [0], cofactors, basis), depth
+
+
+def jordan_block_max(M, op_cols, lam):
+    """Maximal Jordan block size of the expanded operator at the eigenvalue."""
+    basis = [
+        M.unit_k_vector(t, mask) for t in range(M.dim) for mask in range(M.rank)
+    ]
+    return generalized_eigs(M.field, op_cols, lam.raw, basis)[1]
 
 
 def _split_level(field, op_cols, vectors, qs):
     """Split span(vectors) into the generalized eigenspaces of A at the qs.
 
-    Tries the certified split, and otherwise runs one elimination per q until
-    the eigenspaces use up len(vectors): eigenspaces at distinct values are
-    independent, so the remaining ones are zero.  Returns [(i, vectors_i)]
-    for the nonzero eigenspaces in ascending i.  Requires span(vectors) to be
-    A-invariant; raises ArithmeticError when the eigenspaces do not exhaust it.
+    _min_poly certifies the minimal polynomial prod_i (x - q_i)^e_i of A on
+    the span, which is then the direct sum of the generalized eigenspaces at
+    the q_i with e_i > 0; each one is the image of the product over the other
+    factors.  Returns [(i, vectors_i)] in ascending i.  Requires
+    span(vectors) to be A-invariant and the vectors independent; raises
+    ArithmeticError when an eigenvalue is no q(i).
     """
-    parts = _certified_split(field, op_cols, vectors, qs)
-    if parts is None:
-        parts = []
-        remaining = len(vectors)
-        for i, q in enumerate(qs):
-            if not remaining:
-                break
-            eig, _ = generalized_eigs(
-                field, _shifted_apply(field, op_cols, q), vectors
-            )
-            if eig:
-                parts.append((i, eig))
-                remaining -= len(eig)
+    mults, _ = _min_poly(field, op_cols, vectors, qs, integral=True)
+    present = [i for i, e in enumerate(mults) if e]
+    if len(present) == 1:
+        return [(present[0], vectors)]
+    parts = []
+    for i in present:
+        others = list(mults)
+        others[i] = 0
+        parts.append((i, _image(field, op_cols, qs, others, [], vectors)))
     if sum(len(eig) for _, eig in parts) != len(vectors):
         raise ArithmeticError(
             "non-integral eigenvalue: eigenspaces do not exhaust the module"
@@ -1367,7 +1351,7 @@ def delta_im(M, i, m):
             if not vectors:
                 break
             vectors, _ = generalized_eigs(
-                field, _shifted_apply(field, _op_x_plus_xinv(M, k), lam), vectors
+                field, _op_x_plus_xinv(M, k), lam, vectors
             )
         spaces.extend(vectors)
     if not spaces:
@@ -1388,9 +1372,7 @@ def epsilon_i(M, i):
         for mask in range(M.rank)
     ]
     for k in range(M.n, 0, -1):
-        vectors, _ = generalized_eigs(
-            field, _shifted_apply(field, _op_x_plus_xinv(M, k), lam), vectors
-        )
+        vectors, _ = generalized_eigs(field, _op_x_plus_xinv(M, k), lam, vectors)
         if not vectors:
             break
         eps += 1
@@ -1498,10 +1480,7 @@ def circled_star(M, theta_M, N, theta_N):
         return R
     f = M.field
     rt = f.sqrt_minus1
-    pairs = [(a, b) for a in range(M.dim) for b in range(N.dim)]
-    parity = {p: (M.parity[p[0]] + N.parity[p[1]]) & 1 for p in pairs}
-    order = sorted(pairs, key=lambda p: (parity[p], p))
-    pos = {p: k for k, p in enumerate(order)}
+    pos, _ = _product_basis(M.parity, N.parity)
     vectors = []
     m_even = [a for a in range(M.dim) if M.parity[a] == 0]
     n_even = [b for b in range(N.dim) if N.parity[b] == 0]
@@ -1583,12 +1562,8 @@ def theta_for_end_letter(M_L):
 
 def ind_theta(M_factor, theta_factor, reps_count):
     """Induced odd involution: identity on cosets, theta on the factor."""
-    dim_f = M_factor.dim
-    pairs = [(k, b) for k in range(reps_count) for b in range(dim_f)]
-    parity = {p: M_factor.parity[p[1]] for p in pairs}
-    order = sorted(pairs, key=lambda p: (parity[p], p))
-    pos = {p: k for k, p in enumerate(order)}
-    cols = [dict() for _ in pairs]
+    pos, _ = _product_basis([0] * reps_count, M_factor.parity)
+    cols = [dict() for _ in pos]
     for (k, b), idx in pos.items():
         for b2, v in theta_factor[b].items():
             cols[idx][pos[(k, b2)]] = v
@@ -1597,11 +1572,8 @@ def ind_theta(M_factor, theta_factor, reps_count):
 
 def tensor_theta_right(M, N, theta_N):
     """(id (x) theta) with the odd-map sign on the left parity."""
-    pairs = [(a, b) for a in range(M.dim) for b in range(N.dim)]
-    parity = {p: (M.parity[p[0]] + N.parity[p[1]]) & 1 for p in pairs}
-    order = sorted(pairs, key=lambda p: (parity[p], p))
-    pos = {p: k for k, p in enumerate(order)}
-    cols = [dict() for _ in pairs]
+    pos, _ = _product_basis(M.parity, N.parity)
+    cols = [dict() for _ in pos]
     for (a, b), idx in pos.items():
         sign = -1 if M.parity[a] else 1
         for b2, v in theta_N[b].items():
@@ -1632,20 +1604,14 @@ def build_L_iij(l, i, j, model=None):
     f = M3.field
     alg = HeckeClifford(f, 3)
     reps = alg.coset_representatives((2, 1))
-    pairs = [(k, b) for k in range(len(reps)) for b in range(W.dim)]
-    parity = {p: W.parity[p[1]] for p in pairs}
-    order = sorted(pairs, key=lambda p: (parity[p], p))
-    pos = {p: k for k, p in enumerate(order)}
+    pos, _ = _product_basis([0] * len(reps), W.parity)
     idx_t2 = reps.index((1, 3, 2))
     idx_t1t2 = reps.index((2, 3, 1))
     op = _op_x_plus_xinv(M3, 3)
     lam = q_of(l, i).raw
 
     def defining_vector(t):
-        v = M3.unit_k_vector(t, 0)
-        w = linalg.mat_vec(op, v, f.red)
-        linalg.vec_submul_into(w, v, lam, f.red)
-        return w
+        return _shift(f, op, lam, M3.unit_k_vector(t, 0))
 
     ys = [
         defining_vector(pos[(idx_t2, 0)]),
@@ -1732,13 +1698,10 @@ def discover_square_root(M, vectors):
     witness_sets = []
     if vectors:
         witness_sets.append(vectors)
-    lam_list = [q_of(M.model.l, i) for i in range(M.model.l)]
-    for i, lam in enumerate(lam_list):
-        eig, _ = generalized_eigs(
-            field,
-            _shifted_apply(field, _op_x_plus_xinv(M, M.n), lam.raw),
-            [M.unit_k_vector(t, m) for t in range(M.dim) for m in range(M.rank)],
-        )
+    op = _op_x_plus_xinv(M, M.n)
+    basis = [M.unit_k_vector(t, m) for t in range(M.dim) for m in range(M.rank)]
+    for i in range(M.model.l):
+        eig, _ = generalized_eigs(field, op, q_of(M.model.l, i).raw, basis)
         if eig:
             witness_sets.append(eig)
     for k in range(len(M.tower.discs)):
@@ -1770,18 +1733,30 @@ def discover_square_root(M, vectors):
     raise RuntimeError("no discriminant square root could be discovered")
 
 
-def with_splitting(make, compute, attempts=4):
-    """Run compute(model), splitting the scalar ring on demand and retrying."""
+def with_splitting(make, compute):
+    """Run compute(model), splitting the scalar ring on demand and retrying.
+
+    Each retry splits one discriminant off the tower, so a tower of d
+    discriminants allows d retries; a failure with none left to split raises
+    RuntimeError.
+    """
     model = make()
-    for _ in range(attempts):
+    splits = []
+    while True:
         try:
             return compute(model)
-        except ZeroDivisorError as e:
-            model, _ = model.split(e.disc_index, e.root)
-        except InexactDivisionError as e:
-            k, root = discover_square_root(e.module, e.vectors)
+        except (ZeroDivisorError, InexactDivisionError) as e:
+            if not model.tower.discs:
+                raise RuntimeError(
+                    "ring splitting did not stabilize after splitting "
+                    f"{', '.join(splits) or 'nothing'}"
+                ) from e
+            if isinstance(e, ZeroDivisorError):
+                k, root = e.disc_index, e.root
+            else:
+                k, root = discover_square_root(e.module, e.vectors)
+            splits.append(f"sqrt({model.tower.discs[k]}) = {root}")
             model, _ = model.split(k, root)
-    raise RuntimeError("ring splitting did not stabilize")
 
 
 # -- the rank 2..4 verification suite -------------------------------------------
@@ -1794,9 +1769,7 @@ def eigen_image_vectors(M, k, i):
     out = []
     for t in range(M.dim):
         for mask in range(M.rank):
-            v = M.unit_k_vector(t, mask)
-            w = linalg.mat_vec(op, v, M.field.red)
-            linalg.vec_submul_into(w, v, lam, M.field.red)
+            w = _shift(M.field, op, lam, M.unit_k_vector(t, mask))
             if w:
                 out.append((t, mask, w))
     return out
@@ -2127,8 +2100,3 @@ def shuffle_compat_suite(l):
     out = list(checks.values())
     ok = all(c["status"] == "pass" for c in out)
     return {"l": l, "ok": ok, "checks": out}
-
-
-def induced_matrices(M):
-    """Generator matrices of the induced module (alias of induce)."""
-    return induce(M)

@@ -5,7 +5,7 @@ import gc
 import pytest
 from hypothesis import given, strategies as st
 
-from heckeclifford import linalg, supermodules
+from heckeclifford import linalg
 from heckeclifford.grothendieck import WordSum, shuffle
 from heckeclifford.scalars import ScalarModel, q_of
 from heckeclifford.supermodules import (
@@ -35,12 +35,82 @@ from heckeclifford.supermodules import (
     tower_span,
     type_of,
     verify_relations,
-    _apply_factors,
-    _certified_split,
+    with_splitting,
     _op_x_plus_xinv,
-    _shifted_apply,
     _split_level,
+    _word_d_factor,
 )
+
+
+def _shifted(field, A, lam, v):
+    """(A - lam) v, written out here so the oracles share no code with the split."""
+    w = linalg.mat_vec(A, v, field.red)
+    linalg.vec_submul_into(w, v, lam, field.red)
+    return w
+
+
+def kernel_chain_eigs(field, op_cols, lam, basis):
+    """Reference generalized eigenspace of A at lam in span(basis) by kernel chains.
+
+    Returns (vectors, depth), depth the step at which the chain stabilizes.
+    Each step finds {v : (A - lam) v in the previous kernel} by seeding the
+    elimination with the previous kernel's vectors and reading off which image
+    combinations fall into their span; every step is a fresh elimination.
+    """
+    red = field.red
+    images = [_shifted(field, op_cols, lam, b) for b in basis]
+    vectors = []
+    depth = 0
+    while True:
+        tagged = [(("p", k), v) for k, v in enumerate(vectors)]
+        tagged += [(s, images[s]) for s in range(len(basis))]
+        deps = linalg.nullspace_combinations(field, tagged)
+        new_vecs = []
+        for dep in deps:
+            v = {}
+            for s, c in dep.items():
+                if isinstance(s, tuple):
+                    continue
+                linalg.vec_add_into(v, linalg.vec_scale(basis[s], c, red))
+            v = linalg.vec_primitive(v)
+            if v:
+                new_vecs.append(v)
+        if len(new_vecs) == len(vectors):
+            return vectors, depth
+        vectors = new_vecs
+        depth += 1
+
+
+def kernel_chain_character(M):
+    """Reference formal character: one kernel chain per letter and level."""
+    l = M.model.l
+    basis = [M.unit_k_vector(t, m) for t in range(M.dim) for m in range(M.rank)]
+    stack = [(M.n, basis, ())]
+    counts = {}
+    while stack:
+        k, vectors, word = stack.pop()
+        if k == 0:
+            counts[word] = len(vectors)
+            continue
+        op = _op_x_plus_xinv(M, k)
+        for i in range(l):
+            eig, _ = kernel_chain_eigs(M.field, op, q_of(l, i).raw, vectors)
+            if eig:
+                stack.append((k - 1, eig, (i,) + word))
+    assert sum(counts.values()) == M.k_dim()
+    out = {}
+    for word, kdim in counts.items():
+        mult, rem = divmod(kdim, M.rank * _word_d_factor(l, word))
+        assert rem == 0
+        out[word] = mult
+    return WordSum(out)
+
+
+def _kills(field, A, lam, e, v):
+    """Whether (A - lam)^e v == 0."""
+    for _ in range(e):
+        v = _shifted(field, A, lam, v)
+    return not v
 
 
 def test_build_L_end_letter_shape():
@@ -258,12 +328,19 @@ def test_formal_character_rejects_nonintegral():
         formal_character(M)
 
 
-def test_certified_characters_match_exhaustive_split(monkeypatch):
-    certified = [(low_rank_suite(l), shuffle_compat_suite(l)) for l in (2, 3)]
-    # a probe without candidates sends every level to the exhaustive split
-    monkeypatch.setattr(supermodules, "_probe_multiplicities", lambda *a: None)
-    exhaustive = [(low_rank_suite(l), shuffle_compat_suite(l)) for l in (2, 3)]
-    assert certified == exhaustive
+@pytest.mark.parametrize(
+    "build",
+    [
+        build_L01,
+        build_L001,
+        lambda: build_L_iij(3, 0, 1),
+        lambda: induce(build_L_ij_star_L_i(3, 0, 1)),
+    ],
+    ids=["L01", "L001", "L_iij-3-0-1", "induced-L_ij_star_L_i-3-0-1"],
+)
+def test_formal_character_matches_kernel_chain_oracle(build):
+    M = build()
+    assert formal_character(M) == kernel_chain_character(M)
 
 
 @pytest.mark.parametrize("build", [build_L01, build_L001])
@@ -280,12 +357,13 @@ def test_formal_character_leaves_no_garbage_cycles(build):
 
 @st.composite
 def _conjugated_jordan(draw, off_q=False):
-    """(field, qs, A, blocks, certifiable): A = S J S^-1, S = I + c E_ab a shear.
+    """(field, qs, A, blocks, lams): A = S J S^-1, S = I + c E_ab a shear.
 
     J is upper triangular with Jordan blocks (eigenvalue index, size); with
-    off_q one extra block sits at 3, which is no q(i).  Every coordinate of
-    S^-1 (1, .., 1) is nonzero unless c = 1, so for c != 1 the sum of the unit
-    vectors reaches the full minimal polynomial of A.
+    off_q one extra block sits at 3, which is no q(i).  lams lists the qs and,
+    with off_q, the value 3.  For c = 1 some coordinate of S^-1 (1, .., 1) can
+    vanish, so the sum of the unit vectors need not reach the full minimal
+    polynomial of A and the split must probe a residual.
     """
     l = draw(st.integers(2, 4))
     block = st.tuples(st.integers(0, l - 1), st.integers(1, 3))
@@ -314,52 +392,54 @@ def _conjugated_jordan(draw, off_q=False):
         S[b][a] = field.from_int(c).raw
         S_inv[b][a] = field.from_int(-c).raw
         A = linalg.mat_mul(S, linalg.mat_mul(J, S_inv, field.red), field.red)
-        certifiable = c != 1
-    else:
-        certifiable = True
-    return field, qs, A, blocks, certifiable
+    return field, qs, A, blocks, qs + lams[len(blocks):]
 
 
 def _unit_basis(dim, field):
     return [{t: field.one.raw} for t in range(dim)]
 
 
+def _assert_eigs_match_oracle(field, A, lams):
+    """generalized_eigs spans the oracle's eigenspace with its depth."""
+    basis = _unit_basis(len(A), field)
+    for lam in lams:
+        vs, depth = generalized_eigs(field, A, lam, basis)
+        want, want_depth = kernel_chain_eigs(field, A, lam, basis)
+        assert (len(vs), depth) == (len(want), want_depth)
+        assert linalg.rank_of(field, vs + want) == len(want)
+        assert all(_kills(field, A, lam, depth, v) for v in vs)
+
+
 @given(_conjugated_jordan())
 def test_certified_split_matches_generalized_eigs(case):
-    field, qs, A, blocks, certifiable = case
+    field, qs, A, blocks, lams = case
+    _assert_eigs_match_oracle(field, A, lams)
     basis = _unit_basis(len(A), field)
-    want = {}
+    want = {i: sum(m for j, m in blocks if j == i) for i, _ in blocks}
+    oracle = {}
     for i, q in enumerate(qs):
-        eig, _ = generalized_eigs(field, _shifted_apply(field, A, q), basis)
+        eig, depth = kernel_chain_eigs(field, A, q, basis)
         if eig:
-            want[i] = len(eig)
-    assert want == {
-        i: sum(m for j, m in blocks if j == i) for i, _ in blocks
-    }
-    certified = _certified_split(field, A, basis, qs)
-    assert certified is not None or not certifiable
-    for parts in (certified, _split_level(field, A, basis, qs)):
-        if parts is None:
-            continue
-        assert [i for i, _ in parts] == sorted(want)
-        assert {i: len(vs) for i, vs in parts} == want
-        for i, vs in parts:
-            for v in vs:
-                assert not _apply_factors(field, A, [(qs[i], len(A))], v)
+            oracle[i] = len(eig)
+            assert depth == max(m for j, m in blocks if j == i)
+    assert oracle == want
+    parts = _split_level(field, A, basis, qs)
+    assert [i for i, _ in parts] == sorted(want)
+    assert {i: len(vs) for i, vs in parts} == want
+    for i, vs in parts:
+        assert all(_kills(field, A, qs[i], len(A), v) for v in vs)
 
 
 @given(_conjugated_jordan(off_q=True))
 def test_certified_split_declines_off_q_eigenvalue(case):
-    field, qs, A, _, _ = case
-    basis = _unit_basis(len(A), field)
-    assert _certified_split(field, A, basis, qs) is None
+    field, qs, A, _, lams = case
+    _assert_eigs_match_oracle(field, A, lams)
     with pytest.raises(ArithmeticError, match="non-integral"):
-        _split_level(field, A, basis, qs)
+        _split_level(field, A, _unit_basis(len(A), field), qs)
 
 
 def test_with_splitting_retries_and_rebuilds():
-    from heckeclifford.scalars import ZeroDivisorError, tower_invert
-    from heckeclifford.supermodules import with_splitting
+    from heckeclifford.scalars import tower_invert
 
     attempts = []
 
@@ -378,6 +458,21 @@ def test_with_splitting_retries_and_rebuilds():
 
     out = with_splitting(lambda: ScalarModel.for_indices(3, [1]), compute)
     assert out == "done"
+    assert attempts == [2, 1]
+
+
+def test_with_splitting_stops_when_no_discriminant_is_left():
+    from heckeclifford.scalars import ZeroDivisorError
+
+    attempts = []
+
+    def compute(model):
+        # a zero divisor that splitting does not remove
+        attempts.append(model.tower.rank)
+        raise ZeroDivisorError(None, 0, model.field.zeta_pow(3))
+
+    with pytest.raises(RuntimeError, match=r"not stabilize after .*sqrt\(-1\)"):
+        with_splitting(lambda: ScalarModel.for_indices(3, [1]), compute)
     assert attempts == [2, 1]
 
 
