@@ -33,6 +33,9 @@ class PathCrystal:
         self.l = l
         self.start = start
         self._cd = cartan_matrix(l)
+        # the last (i, a, record): eps, phi, f and e of one (path, color)
+        # share one pass; a single slot never grows with the crystal
+        self._last = (None, None, None)
 
     def colors(self):
         return range(self.l)
@@ -50,69 +53,70 @@ class PathCrystal:
             alpha[self.color_at(k)] -= v
         return Weight(self.l, (0,) * self.l, tuple(alpha))
 
-    def _window(self, a, i):
-        """Suffix string data for the color i over a stable truncation.
+    def _string(self, a, i):
+        """String data of the color i: (eps, phi, f_pos, e_pos).
 
-        Returns (N, eps_list, phi_list) where eps_list[k] and phi_list[k] are
-        the string values of the suffix b_k (x) .. (x) b_1 (index 0 encodes
-        the empty suffix with values -inf).
+        One forward pass of the signature rule over the stable truncation
+        b_n (x) .. (x) b_1, n = len(a) + 2l, folding each factor onto the
+        suffix b_{k-1} (x) .. (x) b_1 with the tensor rule.  eps and phi are
+        the string values of the whole truncation; f_pos is the largest k
+        with k == 1 or phi(b_k) > eps(suffix k-1), and e_pos the largest
+        with >=, the positions where f and e act.
         """
-        n = len(a) + 2 * self.l
-        eps = [NEG_INF] * (n + 1)
-        phi = [NEG_INF] * (n + 1)
-        wt_i = [0] * (n + 1)
+        last = self._last
+        if last[0] == i and last[1] == a:
+            return last[2]
         row = self._cd.a[i]
-        for k in range(1, n + 1):
-            c = self.color_at(k)
-            ak = a[k - 1] if k <= len(a) else 0
-            w_factor = -ak * row[c]
+        l = self.l
+        n = len(a)
+        eps = phi = NEG_INF
+        wt = 0
+        f_pos = e_pos = 1
+        c = self.start
+        for k in range(1, n + 2 * l + 1):
+            ak = a[k - 1] if k <= n else 0
             if c == i:
-                e_f, p_f = ak, -ak
-            else:
-                e_f, p_f = NEG_INF, NEG_INF
-            eps[k] = max(e_f, eps[k - 1] - w_factor)
-            phi[k] = max(p_f + wt_i[k - 1], phi[k - 1])
-            wt_i[k] = wt_i[k - 1] + w_factor
-        return n, eps, phi
+                if -ak > eps:
+                    f_pos = k
+                if -ak >= eps:
+                    e_pos = k
+                eps = max(ak, eps + 2 * ak)
+                if wt - ak >= phi:
+                    phi = wt - ak
+                wt -= 2 * ak
+            elif ak:
+                eps += ak * row[c]
+                wt -= ak * row[c]
+            c += 1
+            if c == l:
+                c = 0
+        record = (eps, phi, f_pos, e_pos)
+        self._last = (i, a, record)
+        return record
 
     def eps(self, a, i):
-        _, eps, _ = self._window(a, i)
-        return eps[-1]
+        return self._string(a, i)[0]
 
     def phi(self, a, i):
-        _, _, phi = self._window(a, i)
-        return phi[-1]
+        return self._string(a, i)[1]
 
     def f(self, a, i):
-        n, eps, _ = self._window(a, i)
-        # descend: act at the first position whose phi beats the suffix eps
-        for k in range(n, 0, -1):
-            c = self.color_at(k)
-            ak = a[k - 1] if k <= len(a) else 0
-            p_f = -ak if c == i else NEG_INF
-            if k == 1 or p_f > eps[k - 1]:
-                if c != i:
-                    raise ConsistencyFailure("lowering fell on a wrong color")
-                out = list(a) + [0] * (k - len(a))
-                out[k - 1] += 1
-                return trim(out)
-        raise ConsistencyFailure("no lowering position found")
+        k = self._string(a, i)[2]
+        if self.color_at(k) != i:
+            raise ConsistencyFailure("lowering fell on a wrong color")
+        out = list(a) + [0] * (k - len(a))
+        out[k - 1] += 1
+        return trim(out)
 
     def e(self, a, i):
-        n, eps, _ = self._window(a, i)
-        if eps[-1] <= 0:
+        eps, _, _, k = self._string(a, i)
+        if eps <= 0:
             return None
-        for k in range(n, 0, -1):
-            c = self.color_at(k)
-            ak = a[k - 1] if k <= len(a) else 0
-            p_f = -ak if c == i else NEG_INF
-            if k == 1 or p_f >= eps[k - 1]:
-                if c != i or ak == 0:
-                    raise ConsistencyFailure("raising fell on a wrong position")
-                out = list(a)
-                out[k - 1] -= 1
-                return trim(out)
-        raise ConsistencyFailure("no raising position found")
+        if self.color_at(k) != i or k > len(a) or a[k - 1] == 0:
+            raise ConsistencyFailure("raising fell on a wrong position")
+        out = list(a)
+        out[k - 1] -= 1
+        return trim(out)
 
 
 class PathFamily:

@@ -14,8 +14,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-import mpmath
-
 from . import kernels
 
 
@@ -185,16 +183,6 @@ class FieldElem:
         """Rational coefficients with respect to 1, zeta, zeta^2, ..."""
         nums, den = self.raw
         return [Fraction(x, den) for x in nums]
-
-    def numeric(self, dps=40):
-        """Complex value at zeta = exp(2*pi*i/4l); diagnostic use only."""
-        with mpmath.workdps(dps):
-            z = mpmath.exp(2j * mpmath.pi / self.field.root_order)
-            nums, den = self.raw
-            acc = mpmath.mpc(0)
-            for k in range(len(nums) - 1, -1, -1):
-                acc = acc * z + nums[k]
-            return acc / den
 
     def __repr__(self):
         nums, den = self.raw
@@ -451,18 +439,6 @@ class TowerElem:
     def invert(self):
         """Multiplicative inverse; raises ZeroDivisorError on a zero divisor."""
         return self.tower.invert(self)
-
-    def numeric(self, dps=40):
-        with mpmath.workdps(dps):
-            roots = [mpmath.sqrt(d.numeric(dps)) for d in self.tower.discs]
-            acc = mpmath.mpc(0)
-            for b, a in enumerate(self.coords):
-                term = a.numeric(dps)
-                for k in range(len(roots)):
-                    if b >> k & 1:
-                        term *= roots[k]
-                acc += term
-            return acc
 
     def __repr__(self):
         names = {0: "", 1: "r1", 2: "r2", 3: "r1*r2"}
@@ -764,12 +740,6 @@ class ScalarModel:
         roots2 = {raw: mapper(v) for raw, v in self.roots.items()}
         roots2[old.raw] = root2
         return ScalarModel(self.l, tower2, roots2), mapper
-
-
-def numeric_is_zero(x, tol=1e-20, dps=40):
-    """Secondary numeric diagnostic at zeta = exp(2*pi*i/4l); never a proof."""
-    with mpmath.workdps(dps):
-        return abs(x.numeric(dps)) < tol
 
 
 def adjacent_pair_vanishing(a, b, xi, qi, qj):

@@ -1,8 +1,11 @@
 """Path realization: generation, rotations, star strings, dominant cuts."""
 
 import pytest
+from hypothesis import given, strategies as st
 
-from heckeclifford.cartan import Weight, pairing, weight_of_c
+from heckeclifford.cartan import Weight, cartan_matrix, pairing, weight_of_c
+from heckeclifford.cli import main
+from heckeclifford.crystal import NEG_INF
 from heckeclifford.realizations import (
     ConsistencyFailure,
     PathCrystal,
@@ -131,45 +134,178 @@ def test_axioms_on_generated_nodes():
                     assert child.e(i) == fam
 
 
+class WindowOracle:
+    """List-based string window: the reference for PathCrystal's one-pass record.
+
+    For the color i it folds b_n (x) .. (x) b_1, n = len(a) + extra * l, with
+    the tensor rule into suffix lists (index 0 is the empty suffix, -inf),
+    then descends from n to find where f and e act.  It shares no code with
+    PathCrystal beyond the Cartan matrix and trim.
+    """
+
+    def __init__(self, l, start, extra=2):
+        self.l = l
+        self.start = start
+        self.extra = extra
+        self._cd = cartan_matrix(l)
+
+    def color_at(self, k):
+        return (self.start + k - 1) % self.l
+
+    def window(self, a, i):
+        n = len(a) + self.extra * self.l
+        eps = [NEG_INF] * (n + 1)
+        phi = [NEG_INF] * (n + 1)
+        wt_i = [0] * (n + 1)
+        row = self._cd.a[i]
+        for k in range(1, n + 1):
+            c = self.color_at(k)
+            ak = a[k - 1] if k <= len(a) else 0
+            w_factor = -ak * row[c]
+            if c == i:
+                e_f, p_f = ak, -ak
+            else:
+                e_f, p_f = NEG_INF, NEG_INF
+            eps[k] = max(e_f, eps[k - 1] - w_factor)
+            phi[k] = max(p_f + wt_i[k - 1], phi[k - 1])
+            wt_i[k] = wt_i[k - 1] + w_factor
+        return n, eps, phi
+
+    def position(self, a, i, strict):
+        """Largest k with k == 1 or phi(b_k) beating eps(b_{k-1} .. b_1)."""
+        n, eps, _ = self.window(a, i)
+        for k in range(n, 0, -1):
+            ak = a[k - 1] if k <= len(a) else 0
+            p_f = -ak if self.color_at(k) == i else NEG_INF
+            if k == 1 or (p_f > eps[k - 1] if strict else p_f >= eps[k - 1]):
+                return k
+        raise AssertionError("unreachable: k == 1 always qualifies")
+
+    def record(self, a, i):
+        _, eps, phi = self.window(a, i)
+        return eps[-1], phi[-1], self.position(a, i, True), self.position(a, i, False)
+
+    def eps(self, a, i):
+        return self.window(a, i)[1][-1]
+
+    def phi(self, a, i):
+        return self.window(a, i)[2][-1]
+
+    def f(self, a, i):
+        k = self.position(a, i, True)
+        if self.color_at(k) != i:
+            raise ConsistencyFailure("lowering fell on a wrong color")
+        out = list(a) + [0] * (k - len(a))
+        out[k - 1] += 1
+        return trim(out)
+
+    def e(self, a, i):
+        if self.eps(a, i) <= 0:
+            return None
+        k = self.position(a, i, False)
+        ak = a[k - 1] if k <= len(a) else 0
+        if self.color_at(k) != i or ak == 0:
+            raise ConsistencyFailure("raising fell on a wrong position")
+        out = list(a)
+        out[k - 1] -= 1
+        return trim(out)
+
+
+def outcome(op, a, i):
+    """The value of op(a, i), or the marker "raises" for a ConsistencyFailure."""
+    try:
+        return op(a, i)
+    except ConsistencyFailure:
+        return "raises"
+
+
 def test_window_stability():
-    # extending the truncation window never changes string data
+    # extending the truncation window never changes string data, and the
+    # one-pass record agrees with both widths
     pc = PathCrystal(3, 0)
     p = (2, 0, 1, 1)
+    narrow, wide = WindowOracle(3, 0, extra=2), WindowOracle(3, 0, extra=3)
     for i in range(3):
-        n, eps, phi = pc._window(p, i)
-        # manual longer fold
-        import heckeclifford.realizations as rz
+        assert wide.eps(p, i) == narrow.eps(p, i) == pc.eps(p, i)
+        assert wide.phi(p, i) == narrow.phi(p, i) == pc.phi(p, i)
+        assert wide.f(p, i) == narrow.f(p, i) == pc.f(p, i)
+        assert wide.e(p, i) == narrow.e(p, i) == pc.e(p, i)
 
-        class Wider(PathCrystal):
-            def _window(self, a, i):
-                keep = rz.PathCrystal._window
-                self_l = self.l
-                # widen by one extra cycle
-                n2 = len(a) + 3 * self_l
-                from heckeclifford.crystal import NEG_INF
 
-                eps2 = [NEG_INF] * (n2 + 1)
-                phi2 = [NEG_INF] * (n2 + 1)
-                wt_i = [0] * (n2 + 1)
-                row = self._cd.a[i]
-                for k in range(1, n2 + 1):
-                    c = self.color_at(k)
-                    ak = a[k - 1] if k <= len(a) else 0
-                    w_factor = -ak * row[c]
-                    if c == i:
-                        e_f, p_f = ak, -ak
-                    else:
-                        e_f, p_f = NEG_INF, NEG_INF
-                    eps2[k] = max(e_f, eps2[k - 1] - w_factor)
-                    phi2[k] = max(p_f + wt_i[k - 1], phi2[k - 1])
-                    wt_i[k] = wt_i[k - 1] + w_factor
-                return n2, eps2, phi2
+def lowered(l, start, word):
+    """The path reached from the vacuum of one rotation by a lowering word."""
+    pc = PathCrystal(l, start)
+    a = ()
+    for i in word:
+        a = pc.f(a, i)
+    return a
 
-        w = Wider(3, 0)
-        assert w.eps(p, i) == pc.eps(p, i)
-        assert w.phi(p, i) == pc.phi(p, i)
-        assert w.f(p, i) == pc.f(p, i)
-        assert w.e(p, i) == pc.e(p, i)
+
+@st.composite
+def path_cases(draw):
+    l = draw(st.integers(2, 5))
+    raw = trim(draw(st.lists(st.integers(0, 3), max_size=3 * l)))
+    word = draw(st.lists(st.integers(0, l - 1), max_size=8))
+    return l, raw, word, draw(st.randoms(use_true_random=False))
+
+
+@given(path_cases())
+def test_string_record_matches_window_oracle(case):
+    l, raw, word, rng = case
+    for start in range(l):
+        oracle = WindowOracle(l, start)
+        reached = lowered(l, start, word)
+        for a, is_reached in ((raw, False), (reached, True)):
+            for i in range(l):
+                pc = PathCrystal(l, start)
+                assert pc._string(a, i) == oracle.record(a, i)
+                for name in ("eps", "phi", "f", "e"):
+                    assert outcome(getattr(pc, name), a, i) == outcome(
+                        getattr(oracle, name), a, i
+                    )
+                eps, phi = pc.eps(a, i), pc.phi(a, i)
+                assert phi - eps == pairing(i, pc.wt(a))
+                down = pc.f(a, i)
+                assert pc.e(down, i) == a
+                up = outcome(pc.e, a, i)
+                if is_reached:
+                    assert up != "raises"  # a path of the realization
+                if up not in (None, "raises"):
+                    assert pc.f(up, i) == a
+        # one instance serving interleaved queries answers like fresh ones
+        queries = [(a, i, name) for a in (raw, reached) for i in range(l)
+                   for name in ("eps", "phi", "f", "e")]
+        rng.shuffle(queries)
+        shared = PathCrystal(l, start)
+        for a, i, name in queries:
+            fresh = PathCrystal(l, start)
+            assert outcome(getattr(shared, name), a, i) == outcome(
+                getattr(fresh, name), a, i
+            )
+
+
+@pytest.mark.parametrize(
+    "corrupt, kinds",
+    [
+        (None, set()),
+        ("eps", {"eps mismatch"}),
+        ("phi", {"phi mismatch", "lowering mismatch"}),
+    ],
+)
+def test_strictness_report_catches_corrupted_string(monkeypatch, tmp_path, corrupt, kinds):
+    # negative control: a string value off by one on color 1 (and, through
+    # phi, the tensor rule's choice of lowering) must show in the report
+    # and fail the CLI; unpatched, the same checks pass
+    if corrupt is not None:
+        honest = getattr(PathCrystal, corrupt)
+        monkeypatch.setattr(
+            PathCrystal, corrupt, lambda self, a, i: honest(self, a, i) + (i == 1)
+        )
+    g = generate_binfty(3, 4)
+    issues = [m for fam in g.nodes for m in splitting_strictness_report(fam, 3)]
+    assert {m.split(" at color")[0] for m in issues} == kinds
+    code = main(["all", "--l", "2", "--depth", "3", "--out", str(tmp_path / "all.json")])
+    assert code == (1 if corrupt else 0)
 
 
 def test_blambda_membership_and_expulsion():
