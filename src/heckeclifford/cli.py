@@ -35,14 +35,13 @@ def _graph_json(graph, lam=None):
     nodes = []
     for nid, fam in enumerate(graph.nodes):
         w = fam.wt() if lam is None else lam + fam.wt()
+        eps = [fam.eps(i) for i in range(graph.l)]
         nodes.append(
             {
                 "id": nid,
                 "wt": {"lam": list(w.lam), "alpha": list(w.alpha)},
-                "eps": [fam.eps(i) for i in range(graph.l)],
-                "phi": [
-                    fam.eps(i) + pairing(i, w) for i in range(graph.l)
-                ],
+                "eps": eps,
+                "phi": [e + pairing(i, w) for i, e in enumerate(eps)],
             }
         )
     edges = [

@@ -1,9 +1,12 @@
 """Z/2-graded exact matrix representations over the scalar tower.
 
-Modules are column-sparse matrices with TowerElem entries, one per generator
-X_k^{+-1}, C_k, T_j (T indices restricted to the parabolic shape).  All rank,
-kernel and membership computations expand scalars to the base field through
-the regular representation, so pivoting only ever happens over the genuine
+A module keeps one matrix per generator X_k^{+-1}, C_k, T_j (T indices
+restricted to the parabolic shape) on a graded basis over the tower
+F[r_1, r_2]/(r_k^2 - d_k), F = Q(zeta_4l).  The matrices are stored only after
+restriction of scalars to F, as K-matrices: column-major lists of sparse raw
+columns in the format of linalg, where index t * rank + mask is basis vector t
+times the r-monomial mask, so a tower entry is its rank x rank regular block.
+All rank, kernel and membership computations therefore pivot over the genuine
 field; module-level dimensions are field dimensions divided by the tower
 rank, and an inexact division is reported so the caller can split the ring
 and rebuild.
@@ -42,69 +45,65 @@ class NotInvariantError(ValueError):
     """A subspace was not closed under a generator it must be closed under."""
 
 
-def _omat_from_rows(tower, rows):
-    """Dense row-major lists (TowerElem/FieldElem/int) to sparse columns."""
-    dim = len(rows)
-    cols = [dict() for _ in range(dim)]
+def _zero_kmat(dim, rank):
+    return [dict() for _ in range(dim * rank)]
+
+
+def _put_block(cols, rank, i, j, rr):
+    """Write the regular block rr (Tower.regular_rows) at block (i, j)."""
+    for cin in range(rank):
+        col = cols[j * rank + cin]
+        for rout in range(rank):
+            v = rr[rout][cin]
+            if not v.is_zero():
+                col[i * rank + rout] = v.raw
+
+
+def _kmat_from_rows(tower, rows):
+    """Dense row-major lists (TowerElem/FieldElem/int) to a K-matrix."""
+    cols = _zero_kmat(len(rows), tower.rank)
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
-            if isinstance(v, int):
-                if v == 0:
-                    continue
-                v = tower.scalar(tower.field.from_int(v))
-            elif isinstance(v, FieldElem):
-                if v.is_zero():
-                    continue
+            if isinstance(v, (int, FieldElem)):
                 v = tower.scalar(v)
-            if v.is_zero():
-                continue
-            cols[j][i] = v
+            if not v.is_zero():
+                _put_block(cols, tower.rank, i, j, tower.regular_rows(v))
     return cols
 
 
-def _omat_identity(tower, dim):
-    return [{i: tower.one} for i in range(dim)]
+def _put_coords(tower, cols, j, coords):
+    """Write column j from the coordinates {(i, mask): raw} of its entries."""
+    field = tower.field
+    entries = {}
+    for (i, mask), raw in coords.items():
+        entries.setdefault(i, [field.zero] * tower.rank)[mask] = FieldElem(field, raw)
+    for i, cs in entries.items():
+        _put_block(cols, tower.rank, i, j, tower.regular_rows(tower.elem(cs)))
 
 
-def _omat_mul(a_cols, b_cols):
-    out = []
-    for col in b_cols:
-        acc = {}
-        for j, c in col.items():
-            for i, a in a_cols[j].items():
-                term = a * c
-                cur = acc.get(i)
-                s = term if cur is None else cur + term
-                if s.is_zero():
-                    acc.pop(i, None)
-                else:
-                    acc[i] = s
-        out.append(acc)
+def _k_positions(rank, positions):
+    """K-index map of the tower index map t -> positions[t]."""
+    return [p * rank + m for p in positions for m in range(rank)]
+
+
+def _scatter(out, mat, rows, cols, scale=None, red=None):
+    """out += scale * mat, with row k of mat on row rows[k], column k on cols[k].
+
+    scale is a raw base-field element, such as an odd sign; None means one.
+    """
+    for k, col in enumerate(mat):
+        if col:
+            if scale is not None:
+                col = linalg.vec_scale(col, scale, red)
+            linalg.vec_add_into(out[cols[k]], {rows[i]: v for i, v in col.items()})
     return out
 
 
-def _omat_addmul(acc_cols, cols, scalar):
-    for j, col in enumerate(cols):
-        for i, v in col.items():
-            term = v * scalar
-            cur = acc_cols[j].get(i)
-            s = term if cur is None else cur + term
-            if s.is_zero():
-                acc_cols[j].pop(i, None)
-            else:
-                acc_cols[j][i] = s
-    return acc_cols
-
-
-def _omat_copy(cols):
-    return [dict(c) for c in cols]
-
-
 class MatrixSupermodule:
-    """Matrices of all generators of a parabolic on a graded basis.
+    """K-matrices of all generators of a parabolic on a graded basis.
 
     parity is even-block-first; mu is the parabolic composition (the full
-    algebra is mu = (n,)).
+    algebra is mu = (n,)).  gens maps each generator key to its K-matrix.
     """
 
     def __init__(self, model, n, mu, parity, gens):
@@ -122,7 +121,6 @@ class MatrixSupermodule:
         if any(self.parity[k] > self.parity[k + 1] for k in range(self.dim - 1)):
             raise ValueError("basis must be even-block-first")
         self.gens = gens
-        self._expanded = {}
         self._mask_mats = None
         self._rho_cache = {}
 
@@ -154,13 +152,6 @@ class MatrixSupermodule:
 
     # -- scalar expansion ----------------------------------------------------
 
-    def expanded(self, key):
-        cached = self._expanded.get(key)
-        if cached is None:
-            cached = expand_cols(self.tower, self.gens[key], self.dim)
-            self._expanded[key] = cached
-        return cached
-
     def mask_matrices(self):
         """K-matrices of multiplication by each r-monomial basis element."""
         if self._mask_mats is None:
@@ -168,16 +159,10 @@ class MatrixSupermodule:
             for mask in range(self.rank):
                 coords = [self.field.zero] * self.rank
                 coords[mask] = self.field.one
-                x = self.tower.elem(coords)
-                rr = self.tower.regular_rows(x)
-                cols = [dict() for _ in range(self.k_dim())]
+                rr = self.tower.regular_rows(self.tower.elem(coords))
+                cols = _zero_kmat(self.dim, self.rank)
                 for t in range(self.dim):
-                    for cin in range(self.rank):
-                        col = cols[t * self.rank + cin]
-                        for rout in range(self.rank):
-                            v = rr[rout][cin]
-                            if not v.is_zero():
-                                col[t * self.rank + rout] = v.raw
+                    _put_block(cols, self.rank, t, t, rr)
                 mats.append(cols)
             self._mask_mats = mats
         return self._mask_mats
@@ -205,52 +190,25 @@ class MatrixSupermodule:
 
     # -- algebra-element action ----------------------------------------------
 
-    def rho(self, element):
-        """Matrix (sparse object columns) of an algebra element."""
-        acc = [dict() for _ in range(self.dim)]
-        for mono, coeff in element.terms.items():
-            mat = self._rho_mono(mono)
-            if isinstance(coeff, FieldElem):
-                coeff = self.tower.scalar(coeff)
-            _omat_addmul(acc, mat, coeff)
-        return acc
-
-    def _rho_mono(self, mono):
+    def rho(self, mono):
+        """K-matrix of a normal monomial: the product of its generators'."""
         cached = self._rho_cache.get(mono)
-        if cached is not None:
-            return cached
-        cols = _omat_identity(self.tower, self.dim)
-        for genkey in mono.generator_sequence():
-            cols = _omat_mul(cols, self.gen(genkey))
-        self._rho_cache[mono] = cols
-        return cols
+        if cached is None:
+            seq = mono.generator_sequence()
+            if not seq:
+                cached = linalg.mat_identity(self.k_dim(), self.field.one.raw)
+            else:
+                cached = self.gen(seq[0])
+                for genkey in seq[1:]:
+                    cached = linalg.mat_mul(cached, self.gen(genkey), self.field.red)
+            self._rho_cache[mono] = cached
+        return cached
 
     def __repr__(self):
         return (
             f"MatrixSupermodule(n={self.n}, mu={self.mu}, dim={self.dim}, "
             f"tower_rank={self.rank})"
         )
-
-
-def expand_cols(tower, cols, dim):
-    """Restriction of scalars: TowerElem columns to raw base-field columns."""
-    rank = tower.rank
-    out = [dict() for _ in range(dim * rank)]
-    rr_cache = {}
-    for j, col in enumerate(cols):
-        for i, x in col.items():
-            key = x.coords
-            rr = rr_cache.get(key)
-            if rr is None:
-                rr = tower.regular_rows(x)
-                rr_cache[key] = rr
-            for cin in range(rank):
-                kcol = out[j * rank + cin]
-                for rout in range(rank):
-                    v = rr[rout][cin]
-                    if not v.is_zero():
-                        kcol[i * rank + rout] = v.raw
-    return out
 
 
 # -- relation verification ----------------------------------------------------
@@ -403,13 +361,11 @@ def verify_relations(M):
     # parity block structure
     for key in M.gen_keys():
         odd = key[0] == "C"
-        good = True
-        for j, col in enumerate(M.gen(key)):
-            pj = M.parity[j]
-            if any((M.parity[i] != pj) != odd for i in col):
-                good = False
-                break
-        if not good:
+        if any(
+            (M.k_parity(i) != M.k_parity(j)) != odd
+            for j, col in enumerate(M.gen(key))
+            for i in col
+        ):
             violations.append(f"parity structure of {key}")
     eye = linalg.mat_identity(M.k_dim(), field.one.raw)
 
@@ -423,7 +379,7 @@ def verify_relations(M):
     def term_cols(spec):
         if spec[0] == "id":
             return eye
-        mats = [M.expanded(k) for k in spec[1]]
+        mats = [M.gen(k) for k in spec[1]]
         acc = mats[0]
         for mt in mats[1:]:
             acc = linalg.mat_mul(acc, mt, red)
@@ -498,9 +454,9 @@ def build_L_m(l, i, m, sign=1, model=None):
 
     eye = [[t.one if r == c else t.zero for c in range(m)] for r in range(m)]
     gens = {
-        ("X", 1, 1): _omat_from_rows(t, block(J, zero, zero, Jinv)),
-        ("X", 1, -1): _omat_from_rows(t, block(Jinv, zero, zero, J)),
-        ("C", 1): _omat_from_rows(t, block(zero, eye, eye, zero)),
+        ("X", 1, 1): _kmat_from_rows(t, block(J, zero, zero, Jinv)),
+        ("X", 1, -1): _kmat_from_rows(t, block(Jinv, zero, zero, J)),
+        ("C", 1): _kmat_from_rows(t, block(zero, eye, eye, zero)),
     }
     parity = (0,) * m + (1,) * m
     return MatrixSupermodule(model, 1, (1,), parity, gens)
@@ -538,17 +494,13 @@ def direct_sum(M, N):
                 parity.append(p)
                 index.append((1, b))
     pos = {key: k for k, key in enumerate(index)}
+    place_m = _k_positions(M.rank, [pos[(0, a)] for a in range(M.dim)])
+    place_n = _k_positions(M.rank, [pos[(1, b)] for b in range(N.dim)])
     gens = {}
     for key in M.gen_keys():
-        GA, GB = M.gen(key), N.gen(key)
-        cols = [dict() for _ in range(len(parity))]
-        for j, col in enumerate(GA):
-            for ii, v in col.items():
-                cols[pos[(0, j)]][pos[(0, ii)]] = v
-        for j, col in enumerate(GB):
-            for ii, v in col.items():
-                cols[pos[(1, j)]][pos[(1, ii)]] = v
-        gens[key] = cols
+        cols = _zero_kmat(len(parity), M.rank)
+        _scatter(cols, M.gen(key), place_m, place_m)
+        gens[key] = _scatter(cols, N.gen(key), place_n, place_n)
     return MatrixSupermodule(M.model, M.n, M.mu, parity, gens)
 
 
@@ -570,29 +522,29 @@ def build_L_ij(l, i, j, model=None):
     # The odd-block diagonal of the first X is forced by C1 X1 = X1^-1 C1:
     # the Clifford pairing swaps the eigenvalues on {C1 X, C1 Y}.
     gens = {
-        ("X", 1, 1): _omat_from_rows(
+        ("X", 1, 1): _kmat_from_rows(
             t,
             [[bpi, z, z, z], [z, bmi, z, z], [z, z, bmi, z], [z, z, z, bpi]],
         ),
-        ("X", 1, -1): _omat_from_rows(
+        ("X", 1, -1): _kmat_from_rows(
             t,
             [[bmi, z, z, z], [z, bpi, z, z], [z, z, bpi, z], [z, z, z, bmi]],
         ),
-        ("X", 2, 1): _omat_from_rows(
+        ("X", 2, 1): _kmat_from_rows(
             t,
             [[bpj, z, z, z], [z, bmj, z, z], [z, z, bpj, z], [z, z, z, bmj]],
         ),
-        ("X", 2, -1): _omat_from_rows(
+        ("X", 2, -1): _kmat_from_rows(
             t,
             [[bmj, z, z, z], [z, bpj, z, z], [z, z, bmj, z], [z, z, z, bpj]],
         ),
-        ("C", 1): _omat_from_rows(
+        ("C", 1): _kmat_from_rows(
             t, [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
         ),
-        ("C", 2): _omat_from_rows(
+        ("C", 2): _kmat_from_rows(
             t, [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]
         ),
-        ("T", 1): _omat_from_rows(
+        ("T", 1): _kmat_from_rows(
             t,
             [
                 [(bpj - bmi) * s, (bmi - bmj) * s, z, z],
@@ -615,13 +567,13 @@ def build_L01(model=None):
     q = f.q
     q2, q3 = f.zeta_pow(2), f.zeta_pow(3)
     gens = {
-        ("X", 1, 1): _omat_from_rows(t, [[1, 0], [0, 1]]),
-        ("X", 1, -1): _omat_from_rows(t, [[1, 0], [0, 1]]),
-        ("X", 2, 1): _omat_from_rows(t, [[-1, 0], [0, -1]]),
-        ("X", 2, -1): _omat_from_rows(t, [[-1, 0], [0, -1]]),
-        ("C", 1): _omat_from_rows(t, [[0, 1], [1, 0]]),
-        ("C", 2): _omat_from_rows(t, [[f.zero, -q2], [q2, f.zero]]),
-        ("T", 1): _omat_from_rows(t, [[q, f.zero], [f.zero, q3]]),
+        ("X", 1, 1): _kmat_from_rows(t, [[1, 0], [0, 1]]),
+        ("X", 1, -1): _kmat_from_rows(t, [[1, 0], [0, 1]]),
+        ("X", 2, 1): _kmat_from_rows(t, [[-1, 0], [0, -1]]),
+        ("X", 2, -1): _kmat_from_rows(t, [[-1, 0], [0, -1]]),
+        ("C", 1): _kmat_from_rows(t, [[0, 1], [1, 0]]),
+        ("C", 2): _kmat_from_rows(t, [[f.zero, -q2], [q2, f.zero]]),
+        ("T", 1): _kmat_from_rows(t, [[q, f.zero], [f.zero, q3]]),
     }
     return MatrixSupermodule(model, 2, (2,), (0, 1), gens)
 
@@ -712,17 +664,17 @@ def build_L001(model=None):
                 t2rows[2 * b + r][2 * b + c] = mt2[r][c]
     neg_e8 = [[-one if r == c else zero for c in range(8)] for r in range(8)]
     gens = {
-        ("X", 1, 1): _omat_from_rows(t, x1),
-        ("X", 1, -1): _omat_from_rows(t, x1_inv),
-        ("X", 2, 1): _omat_from_rows(t, x2),
-        ("X", 2, -1): _omat_from_rows(t, x2_inv),
-        ("X", 3, 1): _omat_from_rows(t, neg_e8),
-        ("X", 3, -1): _omat_from_rows(t, neg_e8),
-        ("C", 1): _omat_from_rows(t, cmat(mc1)),
-        ("C", 2): _omat_from_rows(t, cmat(mc2)),
-        ("C", 3): _omat_from_rows(t, cmat(mc3)),
-        ("T", 1): _omat_from_rows(t, t1),
-        ("T", 2): _omat_from_rows(t, t2rows),
+        ("X", 1, 1): _kmat_from_rows(t, x1),
+        ("X", 1, -1): _kmat_from_rows(t, x1_inv),
+        ("X", 2, 1): _kmat_from_rows(t, x2),
+        ("X", 2, -1): _kmat_from_rows(t, x2_inv),
+        ("X", 3, 1): _kmat_from_rows(t, neg_e8),
+        ("X", 3, -1): _kmat_from_rows(t, neg_e8),
+        ("C", 1): _kmat_from_rows(t, cmat(mc1)),
+        ("C", 2): _kmat_from_rows(t, cmat(mc2)),
+        ("C", 3): _kmat_from_rows(t, cmat(mc3)),
+        ("T", 1): _kmat_from_rows(t, t1),
+        ("T", 2): _kmat_from_rows(t, t2rows),
     }
     return MatrixSupermodule(model, 3, (3,), (0, 0, 0, 0, 1, 1, 1, 1), gens)
 
@@ -739,9 +691,9 @@ def build_L001_star_L0(model=None):
         c4[r][4 + r] = -one
         c4[4 + r][r] = -one
     gens = dict(base.gens)
-    gens[("X", 4, 1)] = _omat_from_rows(t, eye)
-    gens[("X", 4, -1)] = _omat_from_rows(t, eye)
-    gens[("C", 4)] = _omat_from_rows(t, c4)
+    gens[("X", 4, 1)] = _kmat_from_rows(t, eye)
+    gens[("X", 4, -1)] = _kmat_from_rows(t, eye)
+    gens[("C", 4)] = _kmat_from_rows(t, c4)
     return MatrixSupermodule(base.model, 4, (3, 1), base.parity, gens)
 
 
@@ -766,23 +718,23 @@ def build_L_ij_star_L_i(l, i, j, model=None):
     z = t.zero
     aeye = [[at, z, z, z], [z, at, z, z], [z, z, at, z], [z, z, z, at]]
     gens = {
-        ("X", 1, 1): _omat_from_rows(t, aeye),
-        ("X", 1, -1): _omat_from_rows(t, aeye),
-        ("X", 3, 1): _omat_from_rows(t, aeye),
-        ("X", 3, -1): _omat_from_rows(t, aeye),
-        ("X", 2, 1): _omat_from_rows(
+        ("X", 1, 1): _kmat_from_rows(t, aeye),
+        ("X", 1, -1): _kmat_from_rows(t, aeye),
+        ("X", 3, 1): _kmat_from_rows(t, aeye),
+        ("X", 3, -1): _kmat_from_rows(t, aeye),
+        ("X", 2, 1): _kmat_from_rows(
             t, [[bpj, z, z, z], [z, bmj, z, z], [z, z, bpj, z], [z, z, z, bmj]]
         ),
-        ("X", 2, -1): _omat_from_rows(
+        ("X", 2, -1): _kmat_from_rows(
             t, [[bmj, z, z, z], [z, bpj, z, z], [z, z, bmj, z], [z, z, z, bpj]]
         ),
-        ("C", 1): _omat_from_rows(
+        ("C", 1): _kmat_from_rows(
             t, [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
         ),
-        ("C", 2): _omat_from_rows(
+        ("C", 2): _kmat_from_rows(
             t, [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]
         ),
-        ("C", 3): _omat_from_rows(
+        ("C", 3): _kmat_from_rows(
             t,
             [
                 [z, z, rt, z],
@@ -791,7 +743,7 @@ def build_L_ij_star_L_i(l, i, j, model=None):
                 [z, rt, z, z],
             ],
         ),
-        ("T", 1): _omat_from_rows(
+        ("T", 1): _kmat_from_rows(
             t,
             [
                 [(bpj - at) * s, (at - bmj) * s, z, z],
@@ -820,6 +772,25 @@ def _product_basis(left, right):
     return {p: k for k, p in enumerate(order)}, [parity[p] for p in order]
 
 
+def _tensor_one(G, rank, pos, left_dim, right_dim):
+    """G (x) 1 on the tensor basis pos, for a K-matrix G of the left factor."""
+    out = _zero_kmat(len(pos), rank)
+    for b in range(right_dim):
+        place = _k_positions(rank, [pos[(a, b)] for a in range(left_dim)])
+        _scatter(out, G, place, place)
+    return out
+
+
+def _one_tensor(G, field, rank, pos, left_parity, right_dim, odd):
+    """1 (x) G on the tensor basis pos, with the sign (-1)^|a| of an odd G."""
+    minus = (-field.one).raw
+    out = _zero_kmat(len(pos), rank)
+    for a, p in enumerate(left_parity):
+        place = _k_positions(rank, [pos[(a, b)] for b in range(right_dim)])
+        _scatter(out, G, place, place, minus if odd and p else None, field.red)
+    return out
+
+
 def tensor_product(M, N):
     """Outer tensor product as a module over the concatenated parabolic."""
     if M.tower is not N.tower:
@@ -828,43 +799,25 @@ def tensor_product(M, N):
     m = M.n
     gens = {}
     for key in M.gen_keys():
-        G = M.gen(key)
-        cols = [dict() for _ in pos]
-        for (a, b), k in pos.items():
-            for a2, v in G[a].items():
-                cols[k][pos[(a2, b)]] = v
-        gens[key] = cols
+        gens[key] = _tensor_one(M.gen(key), M.rank, pos, M.dim, N.dim)
     for key in N.gen_keys():
-        if key[0] == "X":
-            new_key = ("X", key[1] + m, key[2])
-        elif key[0] == "C":
-            new_key = ("C", key[1] + m)
-        else:
-            new_key = ("T", key[1] + m)
-        odd = key[0] == "C"
-        G = N.gen(key)
-        cols = [dict() for _ in pos]
-        for (a, b), k in pos.items():
-            sign = -1 if (odd and M.parity[a]) else 1
-            for b2, v in G[b].items():
-                cols[k][pos[(a, b2)]] = v if sign == 1 else -v
-        gens[new_key] = cols
+        new_key = (key[0], key[1] + m) + key[2:]
+        gens[new_key] = _one_tensor(
+            N.gen(key), M.field, M.rank, pos, M.parity, N.dim, key[0] == "C"
+        )
     return MatrixSupermodule(M.model, M.n + N.n, M.mu + N.mu, parity, gens)
 
 
-_coset_action_cache = {}
-
-
-def _coset_action(field, n, mu, genkey, w):
+def _coset_action(alg, mu, genkey, w):
     """Decomposition of (generator * T_w) over minimal coset representatives."""
-    key = (id(field), n, mu, genkey, w)
-    cached = _coset_action_cache.get(key)
+    key = (mu, genkey, w)
+    cached = alg._coset_cache.get(key)
     if cached is None:
-        alg = HeckeClifford(field, n)
+        n = alg.n
         tw = alg.monomial_elem(NormalMonomial((0,) * n, (0,) * n, w))
         prod = alg.multiply(alg.gen_elem(genkey), tw)
         cached = alg.coset_decompose(prod, mu)
-        _coset_action_cache[key] = cached
+        alg._coset_cache[key] = cached
     return cached
 
 
@@ -876,23 +829,22 @@ def induce(M):
     reps = alg.coset_representatives(M.mu)
     rep_pos = {w: k for k, w in enumerate(reps)}
     pos, parity = _product_basis([0] * len(reps), M.parity)
+    place = [
+        _k_positions(M.rank, [pos[(wk, b)] for b in range(M.dim)])
+        for wk in range(len(reps))
+    ]
+    one = field.one
     gens = {}
     for key in _gen_keys(n, (n,)):
-        cols = [dict() for _ in pos]
-        for w, wk in rep_pos.items():
-            decomp = _coset_action(field, n, M.mu, key, w)
-            for w2, h in decomp.items():
-                mat = M.rho(h)
-                w2k = rep_pos[w2]
-                for b in range(M.dim):
-                    col = cols[pos[(wk, b)]]
-                    for b2, v in mat[b].items():
-                        cur = col.get(pos[(w2k, b2)])
-                        s = v if cur is None else cur + v
-                        if s.is_zero():
-                            col.pop(pos[(w2k, b2)], None)
-                        else:
-                            col[pos[(w2k, b2)]] = s
+        cols = _zero_kmat(len(pos), M.rank)
+        for wk, w in enumerate(reps):
+            for w2, h in _coset_action(alg, M.mu, key, w).items():
+                rows = place[rep_pos[w2]]
+                for mono, coeff in h.terms.items():
+                    # most coefficients are one; scaling by it would cost
+                    # a multiplication per entry
+                    scale = None if coeff == one else coeff.raw
+                    _scatter(cols, M.rho(mono), rows, place[wk], scale, field.red)
         gens[key] = cols
     return MatrixSupermodule(M.model, n, (n,), parity, gens)
 
@@ -905,20 +857,15 @@ def sigma_twist(M):
     f = M.field
     gens = {}
     for k in range(1, n + 1):
-        gens[("X", k, 1)] = _omat_copy(M.gen(("X", n + 1 - k, 1)))
-        gens[("X", k, -1)] = _omat_copy(M.gen(("X", n + 1 - k, -1)))
-        gens[("C", k)] = _omat_copy(M.gen(("C", n + 1 - k)))
-    xi = M.tower.scalar(f.xi)
+        for key in (("X", k, 1), ("X", k, -1), ("C", k)):
+            mirror = (key[0], n + 1 - k) + key[2:]
+            gens[key] = [dict(c) for c in M.gen(mirror)]
+    minus = (-f.one).raw
     for j in range(1, n):
-        cols = [dict() for _ in range(M.dim)]
-        _omat_addmul(cols, M.gen(("T", n - j)), -M.tower.one)
-        for d in range(M.dim):
-            cur = cols[d].get(d)
-            s = xi if cur is None else cur + xi
-            if s.is_zero():
-                cols[d].pop(d, None)
-            else:
-                cols[d][d] = s
+        # T_j = xi - T_(n-j)
+        cols = [linalg.vec_scale(c, minus, f.red) for c in M.gen(("T", n - j))]
+        for k, col in enumerate(cols):
+            linalg.vec_add_into(col, {k: f.xi.raw})
         gens[("T", j)] = cols
     return MatrixSupermodule(M.model, n, (n,), M.parity, gens)
 
@@ -981,8 +928,8 @@ def _vector_parity(M, v):
 def submodule(M, k_vectors, mu=None, gen_keys=None, extra_ops=None):
     """Sub-supermodule on the T-span of the K-vectors (invariance required).
 
-    extra_ops maps names to object-matrix columns on M to be restricted
-    alongside the generators; the results land in the output's .extra dict.
+    extra_ops maps names to K-matrices on M to be restricted alongside the
+    generators; the results land in the output's .extra dict.
     """
     field = M.field
     mu = mu or M.mu
@@ -996,35 +943,26 @@ def submodule(M, k_vectors, mu=None, gen_keys=None, extra_ops=None):
         gen_keys = _gen_keys(M.n, mu)
 
     def restrict(G):
-        cols = [dict() for _ in basis]
-        for s in range(len(basis)):
-            w = linalg.mat_vec(G, basis[s], field.red)
-            coords = tracker.express(w)
+        cols = _zero_kmat(len(basis), M.rank)
+        for s, v in enumerate(basis):
+            coords = tracker.express(linalg.mat_vec(G, v, field.red))
             if coords is None:
                 return None
-            per_t = {}
-            for (tt, mask), raw in coords.items():
-                per_t.setdefault(tt, [field.zero] * M.rank)[mask] = FieldElem(
-                    field, raw
-                )
-            col = cols[pos[s]]
-            for tt, cs in per_t.items():
-                val = M.tower.elem(cs)
-                if not val.is_zero():
-                    col[pos[tt]] = val
+            placed = {(pos[tt], mask): raw for (tt, mask), raw in coords.items()}
+            _put_coords(M.tower, cols, pos[s], placed)
         return cols
 
     gens = {}
     for key in gen_keys:
-        cols = restrict(M.expanded(key))
+        cols = restrict(M.gen(key))
         if cols is None:
             raise NotInvariantError(f"span not closed under {key}")
         gens[key] = cols
     out = MatrixSupermodule(M.model, M.n, mu, [pars[s] for s in order], gens)
     out.extra = {}
     if extra_ops:
-        for name, obj_cols in extra_ops.items():
-            cols = restrict(expand_cols(M.tower, obj_cols, M.dim))
+        for name, op in extra_ops.items():
+            cols = restrict(op)
             if cols is None:
                 raise NotInvariantError(f"span not closed under extra op {name}")
             out.extra[name] = cols
@@ -1068,38 +1006,31 @@ def quotient(M, k_vectors, mu=None, extra_ops=None):
     rep_pos = {tt: s for s, tt in enumerate(reps)}
 
     def project(G):
-        cols = [dict() for _ in reps]
+        cols = _zero_kmat(len(reps), M.rank)
         for s, tt in enumerate(reps):
             w = linalg.mat_vec(G, M.unit_k_vector(tt, 0), field.red)
             coords = tracker.express(w)
             if coords is None:
                 return None
-            per_t = {}
-            for tag, raw in coords.items():
-                if tag[0] == "n":
-                    continue
-                t2, mask = tag
-                per_t.setdefault(t2, [field.zero] * M.rank)[mask] = FieldElem(
-                    field, raw
-                )
-            col = cols[pos[s]]
-            for t2, cs in per_t.items():
-                val = M.tower.elem(cs)
-                if not val.is_zero():
-                    col[pos[rep_pos[t2]]] = val
+            placed = {
+                (pos[rep_pos[tag[0]]], tag[1]): raw
+                for tag, raw in coords.items()
+                if tag[0] != "n"
+            }
+            _put_coords(M.tower, cols, pos[s], placed)
         return cols
 
     gens = {}
     for key in _gen_keys(M.n, mu):
-        cols = project(M.expanded(key))
+        cols = project(M.gen(key))
         if cols is None:
             raise NotInvariantError(f"quotient not closed under {key}")
         gens[key] = cols
     out = MatrixSupermodule(M.model, M.n, mu, [pars[s] for s in order], gens)
     out.extra = {}
     if extra_ops:
-        for name, obj_cols in extra_ops.items():
-            cols = project(expand_cols(M.tower, obj_cols, M.dim))
+        for name, op in extra_ops.items():
+            cols = project(op)
             if cols is None:
                 raise NotInvariantError(f"quotient not closed under {name}")
             out.extra[name] = cols
@@ -1110,9 +1041,9 @@ def quotient(M, k_vectors, mu=None, extra_ops=None):
 
 
 def _op_x_plus_xinv(M, k):
-    """Expanded matrix of X_k + X_k^-1."""
-    a = M.expanded(("X", k, 1))
-    b = M.expanded(("X", k, -1))
+    """K-matrix of X_k + X_k^-1."""
+    a = M.gen(("X", k, 1))
+    b = M.gen(("X", k, -1))
     out = []
     for ca, cb in zip(a, b):
         col = dict(ca)
@@ -1246,7 +1177,7 @@ def generalized_eigs(field, op_cols, lam, basis):
 
 
 def jordan_block_max(M, op_cols, lam):
-    """Maximal Jordan block size of the expanded operator at the eigenvalue."""
+    """Maximal Jordan block size of a K-matrix operator at the eigenvalue."""
     basis = [
         M.unit_k_vector(t, mask) for t in range(M.dim) for mask in range(M.rank)
     ]
@@ -1398,23 +1329,12 @@ def type_of(M):
             uidx[(a, b, mask)] = len(uidx)
     if not uidx:
         return "M"
-    rr_cache = {}
-
-    def rr_of(val):
-        key = val.coords
-        got = rr_cache.get(key)
-        if got is None:
-            got = M.tower.regular_rows(val)
-            rr_cache[key] = got
-        return got
-
     ech = linalg.Echelon(field)
     gen_list = [("X", k, 1) for k in range(1, M.n + 1)]
     gen_list += [("C", k) for k in range(1, M.n + 1)]
     gen_list += [("T", j) for j in M.t_indices()]
-    nontrivial = 0
     for key in gen_list:
-        sign = -1 if key[0] == "C" else 1
+        odd = key[0] == "C"
         G = M.gen(key)
         equations = {}
 
@@ -1428,37 +1348,24 @@ def type_of(M):
             else:
                 row[u] = s
 
-        for b in range(M.dim):
-            for c, val in G[b].items():
-                rr = rr_of(val)
-                # term (J G)[a][b] involves unknowns J[a][c]
+        # K-entry (x, out) of column (y, mask) is the r^out-coordinate of
+        # G[x][y] * r^mask
+        for ky, col in enumerate(G):
+            y, mask = divmod(ky, rank)
+            for kx, raw in col.items():
+                x, out = divmod(kx, rank)
+                # term (J G)[a][y] involves unknowns J[a][x]
                 for a in range(M.dim):
-                    if M.parity[a] == M.parity[c]:
-                        continue
-                    for mask in range(rank):
-                        u = uidx[(a, c, mask)]
-                        for out in range(rank):
-                            v = rr[out][mask]
-                            if not v.is_zero():
-                                eq_add(a, b, out, u, v.raw)
-        for c in range(M.dim):
-            for a, val in G[c].items():
-                rr = rr_of(val)
-                # term -s (G J)[a][b] involves unknowns J[c][b]
+                    if M.parity[a] != M.parity[x]:
+                        eq_add(a, y, out, uidx[(a, x, mask)], raw)
+                # term -s (G J)[x][b] involves unknowns J[y][b]
+                neg = raw if odd else kernels.felem_neg(raw)
                 for b in range(M.dim):
-                    if M.parity[c] == M.parity[b]:
-                        continue
-                    for mask in range(rank):
-                        u = uidx[(c, b, mask)]
-                        for out in range(rank):
-                            v = rr[out][mask]
-                            if not v.is_zero():
-                                w = -v if sign == 1 else v
-                                eq_add(a, b, out, u, w.raw)
+                    if M.parity[y] != M.parity[b]:
+                        eq_add(x, b, out, uidx[(y, b, mask)], neg)
         for row in equations.values():
             if row:
                 ech.insert(row)
-                nontrivial += 1
     null_dim = len(uidx) - ech.dim
     if null_dim % rank:
         raise InexactDivisionError(M, None, "intertwiner space dimension inexact")
@@ -1470,7 +1377,10 @@ def circled_star(M, theta_M, N, theta_N):
 
     With at most one odd involution this is the plain graded tensor product;
     with two, the +sqrt(-1) eigenspace of their product, presented on the
-    closed-form paired basis (no elimination over the tower is needed).
+    closed-form paired basis (no elimination over the tower is needed): for
+    even basis vectors e_a, u_b and the unit u = e_a (x) u_b, the vectors
+    u - sqrt(-1) theta_L theta_R u and theta_R u - sqrt(-1) theta_L u, with
+    theta_L = theta_M (x) 1 and theta_R = tensor_theta_right.
     """
     for mod, th in ((M, theta_M), (N, theta_N)):
         if th is not None:
@@ -1478,107 +1388,79 @@ def circled_star(M, theta_M, N, theta_N):
     R = tensor_product(M, N)
     if theta_M is None or theta_N is None:
         return R
-    f = M.field
-    rt = f.sqrt_minus1
+    red = M.field.red
+    rt = M.field.sqrt_minus1.raw
     pos, _ = _product_basis(M.parity, N.parity)
+    theta_l = _tensor_one(theta_M, R.rank, pos, M.dim, N.dim)
+    theta_r = tensor_theta_right(M, N, theta_N)
+    units = [
+        R.unit_k_vector(pos[(a, b)])
+        for a in range(M.dim)
+        if M.parity[a] == 0
+        for b in range(N.dim)
+        if N.parity[b] == 0
+    ]
     vectors = []
-    m_even = [a for a in range(M.dim) if M.parity[a] == 0]
-    n_even = [b for b in range(N.dim) if N.parity[b] == 0]
-    for a in m_even:
-        fa = theta_M[a]  # column a: theta(e_a), odd vector
-        for b in n_even:
-            zb = theta_N[b]
-            # e_a (x) u_b - sqrt(-1) theta(e_a) (x) theta(u_b)
-            coords = {pos[(a, b)]: R.tower.one}
-            for a2, va in fa.items():
-                for b2, vb in zb.items():
-                    val = -(va * vb * rt)
-                    key = pos[(a2, b2)]
-                    cur = coords.get(key)
-                    s = val if cur is None else cur + val
-                    if not s.is_zero():
-                        coords[key] = s
-                    else:
-                        coords.pop(key, None)
-            vectors.append(R.t_vector_to_k(coords))
-    for a in m_even:
-        fa = theta_M[a]
-        for b in n_even:
-            zb = theta_N[b]
-            # e_a (x) theta(u_b) - sqrt(-1) theta(e_a) (x) u_b
-            coords = {}
-            for b2, vb in zb.items():
-                coords[pos[(a, b2)]] = vb
-            for a2, va in fa.items():
-                val = -(va * rt)
-                key = pos[(a2, b)]
-                cur = coords.get(key)
-                s = val if cur is None else cur + val
-                if not s.is_zero():
-                    coords[key] = s
-                else:
-                    coords.pop(key, None)
-            vectors.append(R.t_vector_to_k(coords))
+    for u in units:
+        v = dict(u)
+        w = linalg.mat_vec(theta_l, linalg.mat_vec(theta_r, u, red), red)
+        linalg.vec_submul_into(v, w, rt, red)
+        vectors.append(v)
+    for u in units:
+        v = linalg.mat_vec(theta_r, u, red)
+        linalg.vec_submul_into(v, linalg.mat_vec(theta_l, u, red), rt, red)
+        vectors.append(v)
     return submodule(R, vectors, mu=R.mu)
 
 
 def _check_odd_involution(M, theta):
-    """theta: sparse object columns; must be odd, square to one, intertwine."""
+    """theta: a K-matrix; must be odd, square to one, intertwine."""
     for j, col in enumerate(theta):
-        for i in col:
-            if M.parity[i] == M.parity[j]:
-                raise ValueError("declared involution is not odd")
-    sq = _omat_mul(theta, theta)
-    eye = _omat_identity(M.tower, M.dim)
-    for j in range(M.dim):
-        if set(sq[j]) != set(eye[j]) or any(
-            sq[j][i] != eye[j][i] for i in sq[j]
-        ):
-            raise ValueError("declared involution does not square to one")
+        if any(M.k_parity(i) == M.k_parity(j) for i in col):
+            raise ValueError("declared involution is not odd")
+    red = M.field.red
+    minus = (-M.field.one).raw
+    sq = linalg.mat_mul(theta, theta, red)
+    for k, col in enumerate(sq):
+        linalg.vec_add_into(col, {k: minus})
+    if not linalg.mat_is_zero(sq):
+        raise ValueError("declared involution does not square to one")
     for key in M.gen_keys():
-        sign = -1 if key[0] == "C" else 1
-        lhs = _omat_mul(theta, M.gen(key))
-        rhs = _omat_mul(M.gen(key), theta)
-        for j in range(M.dim):
-            items = dict(lhs[j])
-            for i, v in rhs[j].items():
-                w = v if sign == -1 else -v
-                cur = items.get(i)
-                s = w if cur is None else cur + w
-                if s.is_zero():
-                    items.pop(i, None)
-                else:
-                    items[i] = s
-            if items:
-                raise ValueError(f"declared involution fails to intertwine {key}")
+        G = M.gen(key)
+        # theta G = (-1)^|G| G theta
+        diff = linalg.mat_mul(theta, G, red)
+        sign = M.field.one.raw if key[0] == "C" else minus
+        for col, other in zip(diff, linalg.mat_mul(G, theta, red)):
+            linalg.vec_add_into(col, linalg.vec_scale(other, sign, red))
+        if not linalg.mat_is_zero(diff):
+            raise ValueError(f"declared involution fails to intertwine {key}")
 
 
 def theta_for_end_letter(M_L):
     """Canonical odd involution of the 2-dimensional end-letter module."""
     t = M_L.tower
     rt = t.scalar(M_L.field.sqrt_minus1)
-    return [{1: rt}, {0: -rt}]
+    return _kmat_from_rows(t, [[0, -rt], [rt, 0]])
 
 
 def ind_theta(M_factor, theta_factor, reps_count):
     """Induced odd involution: identity on cosets, theta on the factor."""
     pos, _ = _product_basis([0] * reps_count, M_factor.parity)
-    cols = [dict() for _ in pos]
-    for (k, b), idx in pos.items():
-        for b2, v in theta_factor[b].items():
-            cols[idx][pos[(k, b2)]] = v
-    return cols
+    return _one_tensor(
+        theta_factor,
+        M_factor.field,
+        M_factor.rank,
+        pos,
+        [0] * reps_count,
+        M_factor.dim,
+        True,
+    )
 
 
 def tensor_theta_right(M, N, theta_N):
     """(id (x) theta) with the odd-map sign on the left parity."""
     pos, _ = _product_basis(M.parity, N.parity)
-    cols = [dict() for _ in pos]
-    for (a, b), idx in pos.items():
-        sign = -1 if M.parity[a] else 1
-        for b2, v in theta_N[b].items():
-            cols[idx][pos[(a, b2)]] = v if sign == 1 else -v
-    return cols
+    return _one_tensor(theta_N, M.field, M.rank, pos, M.parity, N.dim, True)
 
 
 # -- the 8-dimensional type-(Q, M) block module ---------------------------------
@@ -1619,7 +1501,7 @@ def build_L_iij(l, i, j, model=None):
         defining_vector(pos[(idx_t1t2, 0)]),
         defining_vector(pos[(idx_t1t2, 1)]),
     ]
-    c1 = M3.expanded(("C", 1))
+    c1 = M3.gen(("C", 1))
     cys = [linalg.mat_vec(c1, y, f.red) for y in ys]
     M = submodule(M3, ys + cys, mu=(3,))
     bad = verify_relations(M)
@@ -1640,9 +1522,8 @@ def _assert_iij_defining_equations(M, l, i, j):
     xi_t = t.scalar(f.xi)
 
     def col_equals(key, c, expected):
-        col = M.gen(key)[c]
-        exp = {k: v for k, v in expected.items() if not v.is_zero()}
-        if set(col) != set(exp) or any(col[k] != exp[k] for k in col):
+        # a tower-linear map is fixed by its mask-0 columns
+        if M.gen(key)[c * M.rank] != M.t_vector_to_k(expected):
             raise ArithmeticError(f"action-equation mismatch for {key} on basis {c}")
 
     # Y_3 = T_1 Y_1, Y_4 = T_1 Y_2
@@ -1780,7 +1661,7 @@ def invariance_witness(M, image, gen_key):
     ech = linalg.Echelon(M.field)
     for _, _, w in image:
         ech.insert(w)
-    G = M.expanded(gen_key)
+    G = M.gen(gen_key)
     for t, mask, w in image:
         out = linalg.mat_vec(G, w, M.field.red)
         if not ech.contains(out):

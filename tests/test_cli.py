@@ -1,8 +1,10 @@
 """CLI driver: exit codes, formats, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from heckeclifford.cli import main
 
@@ -104,3 +106,20 @@ def test_out_file(tmp_path, capsys):
     assert code == 0
     assert out == ""
     assert json.loads(path.read_text())["ok"] is True
+
+
+def test_verify_l3_reports_match_benchmark_reference(tmp_path, capsys):
+    # the digests the benchmark's verify-l3 workload checks, read from its file
+    ref = Path(__file__).resolve().parent.parent / "benchsuite" / "reference.json"
+    want = json.loads(ref.read_text())["verify-l3"]["sha256"]
+    commands = {
+        "relations": ["relations", "--l", "3", "--suite", "all"],
+        "serre": ["serre", "--l", "3"],
+        "char": ["char", "--l", "3"],
+    }
+    assert set(commands) == set(want)
+    for name, argv in commands.items():
+        path = tmp_path / f"{name}.json"
+        code, out = run_cli(argv + ["--out", str(path)], capsys)
+        assert (code, out) == (0, "")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == want[name], name

@@ -21,21 +21,28 @@ from heckeclifford.supermodules import (
     build_L_ij_star_L_i,
     circled_star,
     delta_im,
+    direct_sum,
     discover_square_root,
+    eigen_image_vectors,
     epsilon_i,
     formal_character,
     generalized_eigs,
+    ind_theta,
     induce,
     jordan_block_max,
     low_rank_suite,
+    quotient,
     shuffle_compat_suite,
     sigma_twist,
+    submodule,
     tensor_product,
+    tensor_theta_right,
     theta_for_end_letter,
     tower_span,
     type_of,
     verify_relations,
     with_splitting,
+    _kmat_from_rows,
     _op_x_plus_xinv,
     _split_level,
     _word_d_factor,
@@ -113,15 +120,20 @@ def _kills(field, A, lam, e, v):
     return not v
 
 
+def _column(M, key, c):
+    """Column c of a generator as {row: TowerElem}, read off its mask-0 K-column."""
+    return M.k_vector_to_t(M.gen(key)[c * M.rank])
+
+
 def test_build_L_end_letter_shape():
     M = build_L(2, 0)
     # X_1 acts by 1 on both graded pieces, C_1 swaps them
     assert M.even_dim == 1 and M.odd_dim == 1
-    x = M.gen(("X", 1, 1))
+    x = ("X", 1, 1)
     one = M.tower.one
-    assert x[0] == {0: one} and x[1] == {1: one}
-    c = M.gen(("C", 1))
-    assert c[0] == {1: one} and c[1] == {0: one}
+    assert _column(M, x, 0) == {0: one} and _column(M, x, 1) == {1: one}
+    c = ("C", 1)
+    assert _column(M, c, 0) == {1: one} and _column(M, c, 1) == {0: one}
     assert verify_relations(M) == []
 
 
@@ -153,16 +165,15 @@ def test_explicit_builders_pass_relations():
 def test_L001_matrix_entries():
     M = build_L001()
     f = M.field
-    t2 = M.gen(("T", 2))
+    t2 = [_column(M, ("T", 2), c) for c in range(M.dim)]
     q3_plus_q = f.zeta_pow(3) + f.q
     # leading 2x2 block of the third-T action
     assert t2[0][0] == M.tower.scalar(q3_plus_q)
     assert t2[0][1] == M.tower.one
     assert t2[1][0] == M.tower.one
     assert 1 not in t2[1]
-    x3 = M.gen(("X", 3, 1))
     for k in range(8):
-        assert x3[k] == {k: -M.tower.one}
+        assert _column(M, ("X", 3, 1), k) == {k: -M.tower.one}
 
 
 def test_perturbed_module_fails_relations():
@@ -170,10 +181,10 @@ def test_perturbed_module_fails_relations():
     # X-exchange relation
     M = build_L01()
     f = M.field
-    bad = {k: dict(v) for k, v in enumerate(M.gen(("T", 1)))}
-    bad[0][0] = M.tower.scalar(f.zeta_pow(2))
-    M.gens[("T", 1)] = [bad[0], bad[1]]
-    M._expanded.clear()
+    z = M.tower.zero
+    rows = [[_column(M, ("T", 1), c).get(r, z) for c in range(M.dim)] for r in range(M.dim)]
+    rows[0][0] = M.tower.scalar(f.zeta_pow(2))
+    M.gens[("T", 1)] = _kmat_from_rows(M.tower, rows)
     report = verify_relations(M)
     assert "(T1 + xi C1C2) X1 T1 = X2" in report
 
@@ -185,12 +196,12 @@ def test_build_L_ij_entries():
     s = f.xi * (q_of(l, j) - q_of(l, i)).inverse()
     bpi, bmi = M.model.b(i, 1), M.model.b(i, -1)
     bpj, bmj = M.model.b(j, 1), M.model.b(j, -1)
-    t1 = M.gen(("T", 1))  # column-major sparse
+    t1 = [_column(M, ("T", 1), c) for c in range(M.dim)]  # column-major
     assert t1[0][0] == (bpj - bmi) * s
     assert t1[0][1] == (bpj - bpi) * s
     assert t1[1][0] == (bmi - bmj) * s
     # X_1 even-part eigenvalues are the two conjugate roots
-    x1 = M.gen(("X", 1, 1))
+    x1 = [_column(M, ("X", 1, 1), c) for c in range(M.dim)]
     assert x1[0][0] == bpi and x1[1][1] == bmi
     assert formal_character(M) == WordSum.word((i, j))
 
@@ -240,6 +251,8 @@ def test_circled_star_with_trivial_factor():
     assert R.dim == L1.dim
     for key in L1.gen_keys():
         assert R.gen(key) == L1.gen(key)
+        for c in range(L1.dim):
+            assert _column(R, key, c) == _column(L1, key, c)
 
 
 def test_delta_and_epsilon():
@@ -257,7 +270,7 @@ def test_epsilon_matches_jordan_blocks():
     M = build_L001()
     f = M.field
     lam = -f.one  # b(1) = -1 at the end letter 1
-    assert epsilon_i(M, 1) == jordan_block_max(M, M.expanded(("X", 3, 1)), lam)
+    assert epsilon_i(M, 1) == jordan_block_max(M, M.gen(("X", 3, 1)), lam)
     # middle letter: epsilon equals the Jordan size of X + X^-1 at q(i)
     Liij = build_L_iij(4, 0, 1)
     jm = jordan_block_max(Liij, _op_x_plus_xinv(Liij, 3), q_of(4, 1))
@@ -311,16 +324,16 @@ def test_shuffle_compat_suite_small():
 
 
 def test_formal_character_rejects_nonintegral():
-    from heckeclifford.supermodules import MatrixSupermodule, _omat_from_rows
+    from heckeclifford.supermodules import MatrixSupermodule
 
     model = ScalarModel.for_indices(2, [])
     t = model.tower
     f = model.field
     third = f.rational(1, 3)
     gens = {
-        ("X", 1, 1): _omat_from_rows(t, [[3 * f.one, f.zero], [f.zero, third]]),
-        ("X", 1, -1): _omat_from_rows(t, [[third, f.zero], [f.zero, 3 * f.one]]),
-        ("C", 1): _omat_from_rows(t, [[0, 1], [1, 0]]),
+        ("X", 1, 1): _kmat_from_rows(t, [[3 * f.one, f.zero], [f.zero, third]]),
+        ("X", 1, -1): _kmat_from_rows(t, [[third, f.zero], [f.zero, 3 * f.one]]),
+        ("C", 1): _kmat_from_rows(t, [[0, 1], [1, 0]]),
     }
     M = MatrixSupermodule(model, 1, (1,), (0, 1), gens)
     assert verify_relations(M) == []
@@ -494,3 +507,79 @@ def test_model_split_keeps_module_builders_usable():
     Lij = build_L_ij(3, 0, 1, model2)
     assert verify_relations(Lij) == []
     assert formal_character(Lij) == WordSum.word((0, 1))
+
+
+def _tower_linear(M, mats):
+    """Whether every K-matrix commutes with multiplication by each r-monomial."""
+    red = M.field.red
+    return all(
+        linalg.mat_mul(G, R, red) == linalg.mat_mul(R, G, red)
+        for G in mats
+        for R in M.mask_matrices()[1:]
+    )
+
+
+def _assert_tower_linear(M):
+    mats = [M.gen(key) for key in M.gen_keys()]
+    mats += list(getattr(M, "extra", {}).values())
+    assert _tower_linear(M, mats), M
+
+
+def test_generators_are_tower_linear_rank2():
+    model = ScalarModel.for_indices(3, [0, 1])
+    assert model.tower.rank == 2
+    L0, L1 = build_L(3, 0, model), build_L(3, 1, model)
+    Lij = build_L_ij(3, 0, 1, model)
+    W = build_L_ij_star_L_i(3, 0, 1, model)
+    for M in (L0, L1, Lij, W, build_L_m(3, 1, 2, 1, model), build_R_m(3, 1, 2, model)):
+        _assert_tower_linear(M)
+    _assert_tower_linear(direct_sum(L1, L0))
+    T = tensor_product(L1, L0)
+    _assert_tower_linear(T)
+    M = induce(T)
+    _assert_tower_linear(M)
+    _assert_tower_linear(sigma_twist(M))
+    th0 = theta_for_end_letter(L0)
+    theta = ind_theta(T, tensor_theta_right(L1, L0, th0), 2)
+    assert _tower_linear(M, [theta])
+    image = [w for _, _, w in eigen_image_vectors(M, 2, 0)]
+    N = submodule(M, image, mu=(2,), extra_ops={"theta": theta})
+    Q = quotient(M, image, mu=(2,), extra_ops={"theta": theta})
+    assert N.dim and Q.dim and N.dim + Q.dim == M.dim
+    _assert_tower_linear(N)
+    _assert_tower_linear(Q)
+    L2 = build_L(3, 2, model)
+    S = circled_star(L0, th0, L2, theta_for_end_letter(L2))
+    assert S.dim == 2 and verify_relations(S) == []
+    _assert_tower_linear(S)
+
+
+def test_generators_are_tower_linear_rank4():
+    model = ScalarModel.for_indices(5, [2, 3])
+    assert model.tower.rank == 4
+    Lij, Li = build_L_ij(5, 2, 3, model), build_L(5, 2, model)
+    for M in (Lij, Li, tensor_product(Lij, Li)):
+        _assert_tower_linear(M)
+    M = induce(tensor_product(Lij, Li))
+    _assert_tower_linear(M)
+    _assert_tower_linear(sigma_twist(M))
+    L0, L4 = build_L(5, 0, model), build_L(5, 4, model)
+    _assert_tower_linear(direct_sum(L0, L4))
+    S = circled_star(L0, theta_for_end_letter(L0), L4, theta_for_end_letter(L4))
+    assert S.dim == 2 and verify_relations(S) == []
+    _assert_tower_linear(S)
+
+
+def test_tower_linearity_check_catches_a_non_regular_block():
+    model = ScalarModel.for_indices(3, [0, 1])
+    M = build_L(3, 1, model)
+    f, rank = M.field, M.rank
+    G = [dict(c) for c in M.gen(("X", 1, 1))]
+    assert _tower_linear(M, [G])
+    # block (0, 0) becomes diag(1, 2), which is no multiplication operator
+    for mask in range(rank):
+        for rout in range(rank):
+            G[mask].pop(rout, None)
+    G[0][0] = f.one.raw
+    G[1][1] = f.from_int(2).raw
+    assert not _tower_linear(M, [G])
