@@ -197,7 +197,7 @@ class HeckeClifford:
     _registry = {}
 
     def __new__(cls, field, n):
-        key = (id(field), n)
+        key = (field, n)
         inst = cls._registry.get(key)
         if inst is None:
             inst = super().__new__(cls)

@@ -471,7 +471,7 @@ class Tower:
             raise ValueError("duplicate discriminants")
         if len(discs) > 2:
             raise ThirdDiscriminantError("at most two discriminants may coexist")
-        key = (id(field), tuple(d.raw for d in discs))
+        key = (field, tuple(d.raw for d in discs))
         inst = cls._registry.get(key)
         if inst is None:
             inst = super().__new__(cls)

@@ -99,6 +99,39 @@ def _scatter(out, mat, rows, cols, scale=None, red=None):
     return out
 
 
+def _r_translate(tower, v, mask):
+    """The K-vector v times the r-monomial mask, by the regular representation.
+
+    r^a r^mask = d r^(a ^ mask) with d = disc_of_mask(a & mask), so the entry
+    x at index t * rank + a moves to t * rank + (a ^ mask), times d when
+    a & mask is not 0 and unscaled otherwise.
+    """
+    low = tower.rank - 1
+    red = tower.field.red
+    out = {}
+    for k, x in v.items():
+        common = k & low & mask
+        if common:
+            x = kernels.felem_mul(x, tower.disc_of_mask(common).raw, red)
+        out[k ^ mask] = x
+    return out
+
+
+def _translates(tower, v):
+    """The r-translates v r^mask of a K-vector, mask = 0 (v itself) first."""
+    return [v] + [_r_translate(tower, v, mask) for mask in range(1, tower.rank)]
+
+
+def _derive_translates(tower, cols):
+    """Fill the columns of a tower-linear K-matrix from its mask-0 columns.
+
+    Column t * rank + mask is G(e_t r^mask) = G(e_t) r^mask.
+    """
+    for c in range(0, len(cols), tower.rank):
+        cols[c : c + tower.rank] = _translates(tower, cols[c])
+    return cols
+
+
 class MatrixSupermodule:
     """K-matrices of all generators of a parabolic on a graded basis.
 
@@ -121,7 +154,6 @@ class MatrixSupermodule:
         if any(self.parity[k] > self.parity[k + 1] for k in range(self.dim - 1)):
             raise ValueError("basis must be even-block-first")
         self.gens = gens
-        self._mask_mats = None
         self._rho_cache = {}
 
     # -- structure ---------------------------------------------------------
@@ -152,21 +184,6 @@ class MatrixSupermodule:
 
     # -- scalar expansion ----------------------------------------------------
 
-    def mask_matrices(self):
-        """K-matrices of multiplication by each r-monomial basis element."""
-        if self._mask_mats is None:
-            mats = []
-            for mask in range(self.rank):
-                coords = [self.field.zero] * self.rank
-                coords[mask] = self.field.one
-                rr = self.tower.regular_rows(self.tower.elem(coords))
-                cols = _zero_kmat(self.dim, self.rank)
-                for t in range(self.dim):
-                    _put_block(cols, self.rank, t, t, rr)
-                mats.append(cols)
-            self._mask_mats = mats
-        return self._mask_mats
-
     def t_vector_to_k(self, coords):
         """T-coordinate dict {index: TowerElem} to a K-vector."""
         out = {}
@@ -191,17 +208,25 @@ class MatrixSupermodule:
     # -- algebra-element action ----------------------------------------------
 
     def rho(self, mono):
-        """K-matrix of a normal monomial: the product of its generators'."""
-        cached = self._rho_cache.get(mono)
+        """Mask-0 K-columns of a normal monomial's matrix, one per basis vector.
+
+        Column t is the image of e_t under the product of the monomial's
+        generators, built as a chain of mat_vecs from the right; the chain of
+        every suffix is cached, so monomials that end alike share it.  The
+        product is tower-linear, so these columns fix it (_derive_translates).
+        """
+        return self._chain(tuple(mono.generator_sequence()))
+
+    def _chain(self, seq):
+        cached = self._rho_cache.get(seq)
         if cached is None:
-            seq = mono.generator_sequence()
-            if not seq:
-                cached = linalg.mat_identity(self.k_dim(), self.field.one.raw)
+            if seq:
+                G = self.gen(seq[0])
+                red = self.field.red
+                cached = [linalg.mat_vec(G, v, red) for v in self._chain(seq[1:])]
             else:
-                cached = self.gen(seq[0])
-                for genkey in seq[1:]:
-                    cached = linalg.mat_mul(cached, self.gen(genkey), self.field.red)
-            self._rho_cache[mono] = cached
+                cached = [self.unit_k_vector(t) for t in range(self.dim)]
+            self._rho_cache[seq] = cached
         return cached
 
     def __repr__(self):
@@ -822,21 +847,26 @@ def _coset_action(alg, mu, genkey, w):
 
 
 def induce(M):
-    """Induction from the parabolic of shape M.mu to the full algebra."""
+    """Induction from the parabolic of shape M.mu to the full algebra.
+
+    Requires M's generators to be tower-linear, as every module built here
+    is: only the mask-0 columns of each coset block are computed, from the
+    mask-0 columns of M.rho, and the others are derived from them.
+    """
     field = M.field
     n = M.n
+    rank = M.rank
     alg = HeckeClifford(field, n)
     reps = alg.coset_representatives(M.mu)
     rep_pos = {w: k for k, w in enumerate(reps)}
     pos, parity = _product_basis([0] * len(reps), M.parity)
-    place = [
-        _k_positions(M.rank, [pos[(wk, b)] for b in range(M.dim)])
-        for wk in range(len(reps))
-    ]
+    blocks = [[pos[(wk, b)] for b in range(M.dim)] for wk in range(len(reps))]
+    place = [_k_positions(rank, block) for block in blocks]
+    heads = [[p * rank for p in block] for block in blocks]
     one = field.one
     gens = {}
     for key in _gen_keys(n, (n,)):
-        cols = _zero_kmat(len(pos), M.rank)
+        cols = _zero_kmat(len(pos), rank)
         for wk, w in enumerate(reps):
             for w2, h in _coset_action(alg, M.mu, key, w).items():
                 rows = place[rep_pos[w2]]
@@ -844,8 +874,8 @@ def induce(M):
                     # most coefficients are one; scaling by it would cost
                     # a multiplication per entry
                     scale = None if coeff == one else coeff.raw
-                    _scatter(cols, M.rho(mono), rows, place[wk], scale, field.red)
-        gens[key] = cols
+                    _scatter(cols, M.rho(mono), rows, heads[wk], scale, field.red)
+        gens[key] = _derive_translates(M.tower, cols)
     return MatrixSupermodule(M.model, n, (n,), parity, gens)
 
 
@@ -894,9 +924,7 @@ def tower_span(M, k_vectors):
     whose r-monomial translates are inserted in the tracker under tags
     (s, mask); raises InexactDivisionError if the span is not free.
     """
-    field = M.field
-    masks = M.mask_matrices()
-    tracker = linalg.Tracker(field)
+    tracker = linalg.Tracker(M.field)
     basis = []
     for v in k_vectors:
         if not v:
@@ -905,8 +933,7 @@ def tower_span(M, k_vectors):
             continue
         s = len(basis)
         basis.append(v)
-        for mask in range(M.rank):
-            tv = linalg.mat_vec(masks[mask], v, field.red) if mask else v
+        for mask, tv in enumerate(_translates(M.tower, v)):
             tracker.insert(tv, (s, mask))
     if tracker.dim != len(basis) * M.rank:
         raise InexactDivisionError(
@@ -973,7 +1000,6 @@ def quotient(M, k_vectors, mu=None, extra_ops=None):
     """Quotient supermodule by the T-span of the K-vectors."""
     field = M.field
     mu = mu or M.mu
-    masks = M.mask_matrices()
     tracker = linalg.Tracker(field)
     count = 0
     for v in k_vectors:
@@ -981,8 +1007,7 @@ def quotient(M, k_vectors, mu=None, extra_ops=None):
             continue
         if tracker.contains(v):
             continue
-        for mask in range(M.rank):
-            tv = linalg.mat_vec(masks[mask], v, field.red) if mask else v
+        for mask, tv in enumerate(_translates(M.tower, v)):
             tracker.insert(tv, ("n", count, mask))
         count += 1
     n_kdim = tracker.dim
@@ -1125,6 +1150,11 @@ def _min_poly(field, op_cols, vectors, roots, integral):
     (mults, cofactors): mults[i] is the multiplicity of roots[i] in mu, and
     the cofactors multiply to its root-free part.  With integral, a factor
     without a root among the roots raises "non-integral eigenvalue" at once.
+
+    The vectors may be T-generators of a T-span instead of a K-basis when A
+    is tower-linear: then f(A)(g r) = (f(A) g) r and r is invertible, so f
+    kills the T-span exactly when it kills the generators, and mu on the
+    T-span is certified the same way.
     """
     mults = [0] * len(roots)
     cofactors = []
@@ -1153,12 +1183,25 @@ def _min_poly(field, op_cols, vectors, roots, integral):
     return mults, cofactors
 
 
-def _image(field, op_cols, roots, mults, cofactors, vectors):
-    """Primitive echelon basis of f(A) span(vectors), f as in _apply_poly."""
+def _image(field, op_cols, roots, mults, cofactors, gens, tower=None):
+    """T-generators and K-dimension of f(A) applied to the T-span of gens.
+
+    f is as in _apply_poly.  With a tower, A must be tower-linear, so the
+    image is the T-span of the f(A) g: each goes into one Echelon with its
+    r-translates, and the Echelon's rank is the exact K-dimension.  Without
+    one the gens span over the field and no translate is taken.  Returns
+    (images, kdim), the images that raised the rank in primitive form.
+    """
     image = linalg.Echelon(field)
-    for b in vectors:
-        image.insert(_apply_poly(field, op_cols, roots, mults, cofactors, b))
-    return [linalg.vec_primitive(r) for r in image.basis()]
+    out = []
+    for g in gens:
+        w = _apply_poly(field, op_cols, roots, mults, cofactors, g)
+        if image.insert(w):
+            out.append(linalg.vec_primitive(w))
+            if tower is not None:
+                for tw in _translates(tower, w)[1:]:
+                    image.insert(tw)
+    return out, image.dim
 
 
 def generalized_eigs(field, op_cols, lam, basis):
@@ -1173,7 +1216,7 @@ def generalized_eigs(field, op_cols, lam, basis):
     (depth,), cofactors = _min_poly(field, op_cols, basis, [lam], integral=False)
     if not depth:
         return [], 0
-    return _image(field, op_cols, [lam], [0], cofactors, basis), depth
+    return _image(field, op_cols, [lam], [0], cofactors, basis)[0], depth
 
 
 def jordan_block_max(M, op_cols, lam):
@@ -1184,26 +1227,28 @@ def jordan_block_max(M, op_cols, lam):
     return generalized_eigs(M.field, op_cols, lam.raw, basis)[1]
 
 
-def _split_level(field, op_cols, vectors, qs):
-    """Split span(vectors) into the generalized eigenspaces of A at the qs.
+def _split_level(field, op_cols, gens, kdim, qs, tower=None):
+    """Split a level into the generalized eigenspaces of A at the qs.
 
-    _min_poly certifies the minimal polynomial prod_i (x - q_i)^e_i of A on
-    the span, which is then the direct sum of the generalized eigenspaces at
-    the q_i with e_i > 0; each one is the image of the product over the other
-    factors.  Returns [(i, vectors_i)] in ascending i.  Requires
-    span(vectors) to be A-invariant and the vectors independent; raises
-    ArithmeticError when an eigenvalue is no q(i).
+    A level is the T-span of gens, of K-dimension kdim; without a tower the
+    gens are a K-basis and kdim = len(gens), the rank-1 case.  _min_poly
+    certifies the minimal polynomial prod_i (x - q_i)^e_i of A on the level,
+    which is then the direct sum of the generalized eigenspaces at the q_i
+    with e_i > 0; each one is the image of the product over the other
+    factors (see _image).  Returns [(i, gens_i, kdim_i)] in ascending i.
+    Requires the level to be A-invariant, and A tower-linear when a tower is
+    given; raises ArithmeticError when an eigenvalue is no q(i).
     """
-    mults, _ = _min_poly(field, op_cols, vectors, qs, integral=True)
+    mults, _ = _min_poly(field, op_cols, gens, qs, integral=True)
     present = [i for i, e in enumerate(mults) if e]
     if len(present) == 1:
-        return [(present[0], vectors)]
+        return [(present[0], gens, kdim)]
     parts = []
     for i in present:
         others = list(mults)
         others[i] = 0
-        parts.append((i, _image(field, op_cols, qs, others, [], vectors)))
-    if sum(len(eig) for _, eig in parts) != len(vectors):
+        parts.append((i, *_image(field, op_cols, qs, others, [], gens, tower)))
+    if sum(d for _, _, d in parts) != kdim:
         raise ArithmeticError(
             "non-integral eigenvalue: eigenspaces do not exhaust the module"
         )
@@ -1219,7 +1264,9 @@ def formal_character(M):
     The eigenspaces of X_n + X_n^-1, .., X_1 + X_1^-1 are split off one level
     at a time, which needs each span along the way to be invariant under the
     next operator: this holds for any module, because the X's are even and
-    commute.
+    commute.  Each level is carried as T-generators and its K-dimension,
+    starting from the mask-0 unit vectors, which requires the generators to
+    be tower-linear, as every module built here is (see _split_level).
     """
     l = M.model.l
     field = M.field
@@ -1229,21 +1276,16 @@ def formal_character(M):
     counts = {}
     stack = []
     for p in (1, 0):
-        basis = [
-            M.unit_k_vector(t, mask)
-            for t in range(M.dim)
-            if M.parity[t] == p
-            for mask in range(M.rank)
-        ]
-        if basis:
-            stack.append((n, basis, ()))
+        gens = [M.unit_k_vector(t) for t in range(M.dim) if M.parity[t] == p]
+        if gens:
+            stack.append((n, gens, len(gens) * M.rank, ()))
     while stack:
-        k, vectors, word = stack.pop()
+        k, gens, kdim, word = stack.pop()
         if k == 0:
-            counts[word] = counts.get(word, 0) + len(vectors)
+            counts[word] = counts.get(word, 0) + kdim
             continue
-        parts = _split_level(field, ops[k], vectors, qs)
-        stack.extend((k - 1, eig, (i,) + word) for i, eig in reversed(parts))
+        parts = _split_level(field, ops[k], gens, kdim, qs, M.tower)
+        stack.extend((k - 1, g, d, (i,) + word) for i, g, d in reversed(parts))
     out = {}
     for word, kdim in counts.items():
         denom = M.rank * _word_d_factor(l, word)
@@ -1587,7 +1629,6 @@ def discover_square_root(M, vectors):
             witness_sets.append(eig)
     for k in range(len(M.tower.discs)):
         d = M.tower.discs[k]
-        R = M.mask_matrices()[1 << k]
         for vs in witness_sets:
             tracker = linalg.Tracker(field)
             basis = []
@@ -1596,8 +1637,7 @@ def discover_square_root(M, vectors):
                     basis.append(v)
             trace = field.zero
             for s, v in enumerate(basis):
-                w = linalg.mat_vec(R, v, field.red)
-                coords = tracker.express(w)
+                coords = tracker.express(_r_translate(M.tower, v, 1 << k))
                 if coords is None:
                     break
                 raw = coords.get(s)

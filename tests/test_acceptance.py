@@ -5,6 +5,9 @@ prints a single PASS/FAIL line so the suite doubles as a report when run with
 pytest -s.
 """
 
+import hashlib
+import json
+
 import pytest
 
 from heckeclifford.cartan import Weight, cartan_matrix, f_lambda, weight_of_c
@@ -122,6 +125,22 @@ def test_criterion_3_low_rank_replication(s5_reports):
         if c["check"] in ("rank4-l2-noninvariance", "rank4-l2-scalar"):
             ok &= c["status"] == "pass"
     report(3, "low-rank-replication", ok)
+
+
+# sha256 of json.dumps(low_rank_suite(l), sort_keys=True), recorded at commit
+# 08d0d2a, before characters and induction moved to T-generators
+LOW_RANK_DIGESTS = {
+    2: "0df483dcb06c3990f014813fe0133f6db89e7ec482ebf8ff02e8db178ca870b4",
+    3: "b9c009b0fd341c74e573a965084880bb92bb35a4e667a21b0cd6e44d01713bd3",
+    4: "27b7f6314efc4a8bb44a869dbb9984a1e173ba7bfcd76da916eb5d2b0df0787b",
+    5: "ef5d4e1888f126fd50abac0e85f0f659e64981bda9291ba0c3e1e62774b8457d",
+}
+
+
+def test_low_rank_reports_are_byte_stable(s5_reports):
+    for l, want in LOW_RANK_DIGESTS.items():
+        text = json.dumps(s5_reports[l], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == want, l
 
 
 def test_criterion_4_characters(s5_reports):

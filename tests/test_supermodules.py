@@ -6,8 +6,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heckeclifford import linalg
+from heckeclifford.algebra import HeckeClifford
 from heckeclifford.grothendieck import WordSum, shuffle
-from heckeclifford.scalars import ScalarModel, q_of
+from heckeclifford.scalars import ScalarModel, Tower, q_of
 from heckeclifford.supermodules import (
     InexactDivisionError,
     build_L,
@@ -42,8 +43,12 @@ from heckeclifford.supermodules import (
     type_of,
     verify_relations,
     with_splitting,
+    _coset_action,
+    _gen_keys,
+    _k_positions,
     _kmat_from_rows,
     _op_x_plus_xinv,
+    _product_basis,
     _split_level,
     _word_d_factor,
 )
@@ -436,10 +441,11 @@ def test_certified_split_matches_generalized_eigs(case):
             oracle[i] = len(eig)
             assert depth == max(m for j, m in blocks if j == i)
     assert oracle == want
-    parts = _split_level(field, A, basis, qs)
-    assert [i for i, _ in parts] == sorted(want)
-    assert {i: len(vs) for i, vs in parts} == want
-    for i, vs in parts:
+    parts = _split_level(field, A, basis, len(basis), qs)
+    assert [i for i, _, _ in parts] == sorted(want)
+    assert {i: len(vs) for i, vs, _ in parts} == want
+    for i, vs, kdim in parts:
+        assert kdim == len(vs)
         assert all(_kills(field, A, qs[i], len(A), v) for v in vs)
 
 
@@ -448,7 +454,7 @@ def test_certified_split_declines_off_q_eigenvalue(case):
     field, qs, A, _, lams = case
     _assert_eigs_match_oracle(field, A, lams)
     with pytest.raises(ArithmeticError, match="non-integral"):
-        _split_level(field, A, _unit_basis(len(A), field), qs)
+        _split_level(field, A, _unit_basis(len(A), field), len(A), qs)
 
 
 def test_with_splitting_retries_and_rebuilds():
@@ -509,13 +515,25 @@ def test_model_split_keeps_module_builders_usable():
     assert formal_character(Lij) == WordSum.word((0, 1))
 
 
+def _mask_matrices(tower, dim):
+    """K-matrices of multiplication by each r-monomial, from Tower.regular_rows."""
+    out = []
+    for mask in range(tower.rank):
+        coords = [tower.field.zero] * tower.rank
+        coords[mask] = tower.field.one
+        r = tower.elem(coords)
+        rows = [[r if a == b else tower.zero for b in range(dim)] for a in range(dim)]
+        out.append(_kmat_from_rows(tower, rows))
+    return out
+
+
 def _tower_linear(M, mats):
     """Whether every K-matrix commutes with multiplication by each r-monomial."""
     red = M.field.red
     return all(
         linalg.mat_mul(G, R, red) == linalg.mat_mul(R, G, red)
         for G in mats
-        for R in M.mask_matrices()[1:]
+        for R in _mask_matrices(M.tower, M.dim)[1:]
     )
 
 
@@ -525,49 +543,72 @@ def _assert_tower_linear(M):
     assert _tower_linear(M, mats), M
 
 
-def test_generators_are_tower_linear_rank2():
+def _rank2_modules():
+    """The rank-2 modules of every construction, and the induced theta."""
     model = ScalarModel.for_indices(3, [0, 1])
     assert model.tower.rank == 2
     L0, L1 = build_L(3, 0, model), build_L(3, 1, model)
-    Lij = build_L_ij(3, 0, 1, model)
-    W = build_L_ij_star_L_i(3, 0, 1, model)
-    for M in (L0, L1, Lij, W, build_L_m(3, 1, 2, 1, model), build_R_m(3, 1, 2, model)):
-        _assert_tower_linear(M)
-    _assert_tower_linear(direct_sum(L1, L0))
     T = tensor_product(L1, L0)
-    _assert_tower_linear(T)
     M = induce(T)
-    _assert_tower_linear(M)
-    _assert_tower_linear(sigma_twist(M))
     th0 = theta_for_end_letter(L0)
     theta = ind_theta(T, tensor_theta_right(L1, L0, th0), 2)
-    assert _tower_linear(M, [theta])
     image = [w for _, _, w in eigen_image_vectors(M, 2, 0)]
-    N = submodule(M, image, mu=(2,), extra_ops={"theta": theta})
-    Q = quotient(M, image, mu=(2,), extra_ops={"theta": theta})
-    assert N.dim and Q.dim and N.dim + Q.dim == M.dim
-    _assert_tower_linear(N)
-    _assert_tower_linear(Q)
     L2 = build_L(3, 2, model)
-    S = circled_star(L0, th0, L2, theta_for_end_letter(L2))
-    assert S.dim == 2 and verify_relations(S) == []
-    _assert_tower_linear(S)
+    mods = {
+        "L0": L0,
+        "L1": L1,
+        "Lij": build_L_ij(3, 0, 1, model),
+        "W": build_L_ij_star_L_i(3, 0, 1, model),
+        "L_m": build_L_m(3, 1, 2, 1, model),
+        "R_m": build_R_m(3, 1, 2, model),
+        "direct_sum": direct_sum(L1, L0),
+        "tensor": T,
+        "induced": M,
+        "sigma": sigma_twist(M),
+        "N": submodule(M, image, mu=(2,), extra_ops={"theta": theta}),
+        "Q": quotient(M, image, mu=(2,), extra_ops={"theta": theta}),
+        "star": circled_star(L0, th0, L2, theta_for_end_letter(L2)),
+    }
+    return mods, theta
 
 
-def test_generators_are_tower_linear_rank4():
+def _rank4_modules():
+    """The rank-4 modules of every construction."""
     model = ScalarModel.for_indices(5, [2, 3])
     assert model.tower.rank == 4
     Lij, Li = build_L_ij(5, 2, 3, model), build_L(5, 2, model)
-    for M in (Lij, Li, tensor_product(Lij, Li)):
-        _assert_tower_linear(M)
-    M = induce(tensor_product(Lij, Li))
-    _assert_tower_linear(M)
-    _assert_tower_linear(sigma_twist(M))
+    T = tensor_product(Lij, Li)
+    M = induce(T)
     L0, L4 = build_L(5, 0, model), build_L(5, 4, model)
-    _assert_tower_linear(direct_sum(L0, L4))
-    S = circled_star(L0, theta_for_end_letter(L0), L4, theta_for_end_letter(L4))
+    return {
+        "Lij": Lij,
+        "Li": Li,
+        "tensor": T,
+        "induced": M,
+        "sigma": sigma_twist(M),
+        "direct_sum": direct_sum(L0, L4),
+        "star": circled_star(
+            L0, theta_for_end_letter(L0), L4, theta_for_end_letter(L4)
+        ),
+    }
+
+
+def test_generators_are_tower_linear_rank2():
+    mods, theta = _rank2_modules()
+    for M in mods.values():
+        _assert_tower_linear(M)
+    M, N, Q, S = mods["induced"], mods["N"], mods["Q"], mods["star"]
+    assert _tower_linear(M, [theta])
+    assert N.dim and Q.dim and N.dim + Q.dim == M.dim
     assert S.dim == 2 and verify_relations(S) == []
-    _assert_tower_linear(S)
+
+
+def test_generators_are_tower_linear_rank4():
+    mods = _rank4_modules()
+    for M in mods.values():
+        _assert_tower_linear(M)
+    S = mods["star"]
+    assert S.dim == 2 and verify_relations(S) == []
 
 
 def test_tower_linearity_check_catches_a_non_regular_block():
@@ -583,3 +624,206 @@ def test_tower_linearity_check_catches_a_non_regular_block():
     G[0][0] = f.one.raw
     G[1][1] = f.from_int(2).raw
     assert not _tower_linear(M, [G])
+
+
+# -- T-generator levels and induction against their K-basis oracles -----------
+
+
+def k_basis_character(M):
+    """Reference formal character on the restriction of scalars.
+
+    Every level is a K-basis, split by _split_level without a tower, so no
+    r-translate is taken and every count is a number of vectors.
+    """
+    l = M.model.l
+    qs = [q_of(l, i).raw for i in range(l)]
+    stack = []
+    for p in (1, 0):
+        basis = [
+            M.unit_k_vector(t, m)
+            for t in range(M.dim)
+            if M.parity[t] == p
+            for m in range(M.rank)
+        ]
+        if basis:
+            stack.append((M.n, basis, ()))
+    counts = {}
+    while stack:
+        k, vectors, word = stack.pop()
+        if k == 0:
+            counts[word] = counts.get(word, 0) + len(vectors)
+            continue
+        op = _op_x_plus_xinv(M, k)
+        for i, eig, kdim in _split_level(M.field, op, vectors, len(vectors), qs):
+            assert kdim == len(eig)
+            stack.append((k - 1, eig, (i,) + word))
+    out = {}
+    for word, kdim in counts.items():
+        mult, rem = divmod(kdim, M.rank * _word_d_factor(l, word))
+        assert rem == 0
+        out[word] = mult
+    return WordSum(out)
+
+
+@pytest.mark.parametrize(
+    "modules", [lambda: _rank2_modules()[0], _rank4_modules], ids=["rank2", "rank4"]
+)
+def test_formal_character_matches_k_basis_character(modules):
+    for name, M in modules().items():
+        assert formal_character(M) == k_basis_character(M), name
+
+
+# discriminants d = s^2 that are squares in every Q(zeta_4l), with s
+_SQUARE_DISCS = {4: lambda f: f.from_int(2), -1: lambda f: f.sqrt_minus1}
+
+
+@st.composite
+def _tower_operator(draw, off_q=False):
+    """(field, tower, A, dim, qs): a tower-linear K-matrix A = S J S^-1.
+
+    The tower has one or two discriminants among 2, 3, 4 and -1; 4 and -1
+    are squares, so the tower may split.  J is lower bidiagonal over the
+    tower with Jordan blocks at a q(a) or, over a square discriminant
+    d = s^2, at (q(a) + q(b))/2 + (q(a) - q(b))/(2s) r, which is q(a) on
+    one idempotent half of the tower and q(b) on the other, so that its
+    eigenspaces are no free modules.  With off_q one extra block sits at 3,
+    which is no q(i).  S = I + c E_ab is a shear by a tower element c.
+    """
+    l = draw(st.sampled_from([3, 5]))
+    field = q_of(l, 0).field
+    discs = draw(
+        st.lists(st.sampled_from([2, 3, 4, -1]), min_size=1, max_size=2, unique=True)
+    )
+    tower = Tower(field, [field.from_int(d) for d in discs])
+    split = [(k, d) for k, d in enumerate(discs) if d in _SQUARE_DISCS]
+    half = field.rational(1, 2)
+
+    def eigenvalue():
+        a = draw(st.integers(0, l - 1))
+        if not split or not draw(st.booleans()):
+            return tower.scalar(q_of(l, a))
+        k, d = draw(st.sampled_from(split))
+        s = _SQUARE_DISCS[d](field)
+        qa, qb = q_of(l, a), q_of(l, draw(st.integers(0, l - 1)))
+        return tower.scalar((qa + qb) * half) + tower.gen(k) * tower.scalar(
+            (qa - qb) * half * s.inverse()
+        )
+
+    blocks = draw(st.integers(1, 3))
+    lams = [(eigenvalue(), draw(st.integers(1, 2))) for _ in range(blocks)]
+    if off_q:
+        lams.append((tower.scalar(3), 1))
+    dim = sum(m for _, m in lams)
+    J = [[tower.zero] * dim for _ in range(dim)]
+    start = 0
+    for lam, m in lams:
+        for r in range(start, start + m):
+            J[r][r] = lam
+            if r > start:
+                J[r][r - 1] = tower.one
+        start += m
+    A = _kmat_from_rows(tower, J)
+    if dim > 1:
+        a, b = draw(st.permutations(range(dim)))[:2]
+        coord = st.integers(-2, 2)
+        coords = draw(st.lists(coord, min_size=tower.rank, max_size=tower.rank))
+        c = tower.elem([field.from_int(x) for x in coords])
+        S = [[int(r == k) for k in range(dim)] for r in range(dim)]
+        S_inv = [list(row) for row in S]
+        S[a][b], S_inv[a][b] = c, -c
+        S, S_inv = _kmat_from_rows(tower, S), _kmat_from_rows(tower, S_inv)
+        A = linalg.mat_mul(S, linalg.mat_mul(A, S_inv, field.red), field.red)
+    return field, tower, A, dim, [q_of(l, i).raw for i in range(l)]
+
+
+def _heads(field, tower, dim):
+    """The mask-0 unit vectors: T-generators of the whole K-space."""
+    return [{t * tower.rank: field.one.raw} for t in range(dim)]
+
+
+@given(_tower_operator())
+def test_tower_generator_split_matches_k_basis_split(case):
+    field, tower, A, dim, qs = case
+    kdim = dim * tower.rank
+    got = _split_level(field, A, _heads(field, tower, dim), kdim, qs, tower)
+    want = _split_level(field, A, _unit_basis(kdim, field), kdim, qs)
+    assert [(i, d) for i, _, d in got] == [(i, d) for i, _, d in want]
+    masks = _mask_matrices(tower, dim)
+    for (i, gens, d), (_, vectors, _) in zip(got, want):
+        translates = [linalg.mat_vec(R, g, field.red) for g in gens for R in masks]
+        assert linalg.rank_of(field, translates) == d
+        assert linalg.rank_of(field, translates + vectors) == d
+        assert all(_kills(field, A, qs[i], kdim, v) for v in gens)
+
+
+@given(_tower_operator(off_q=True))
+def test_tower_generator_split_declines_off_q_eigenvalue(case):
+    field, tower, A, dim, qs = case
+    kdim = dim * tower.rank
+    with pytest.raises(ArithmeticError, match="non-integral"):
+        _split_level(field, A, _heads(field, tower, dim), kdim, qs, tower)
+    with pytest.raises(ArithmeticError, match="non-integral"):
+        _split_level(field, A, _unit_basis(kdim, field), kdim, qs)
+
+
+def test_tower_generator_split_counts_a_non_free_eigenspace():
+    # over d = 4 = 2^2 this element is q(0) on one idempotent half of the
+    # tower and q(1) on the other: one generator, K-dimension 1 per eigenspace
+    field = q_of(3, 0).field
+    tower = Tower(field, [field.from_int(4)])
+    q0, q1 = q_of(3, 0), q_of(3, 1)
+    lam = tower.scalar((q0 + q1) * field.rational(1, 2)) + tower.gen(0) * tower.scalar(
+        (q0 - q1) * field.rational(1, 4)
+    )
+    A = _kmat_from_rows(tower, [[lam]])
+    qs = [q_of(3, i).raw for i in range(3)]
+    parts = _split_level(field, A, _heads(field, tower, 1), 2, qs, tower)
+    assert [(i, len(gens), d) for i, gens, d in parts] == [(0, 1, 1), (1, 1, 1)]
+
+
+def full_rho(M, mono):
+    """Reference monomial matrix: the product of its generators' K-matrices."""
+    acc = linalg.mat_identity(M.k_dim(), M.field.one.raw)
+    for key in mono.generator_sequence():
+        acc = linalg.mat_mul(acc, M.gen(key), M.field.red)
+    return acc
+
+
+def full_induce_gens(M):
+    """Reference induced generators: every K-column from the full monomial matrices."""
+    field, n, rank = M.field, M.n, M.rank
+    alg = HeckeClifford(field, n)
+    reps = alg.coset_representatives(M.mu)
+    rep_pos = {w: k for k, w in enumerate(reps)}
+    pos, _ = _product_basis([0] * len(reps), M.parity)
+    place = [
+        _k_positions(rank, [pos[(wk, b)] for b in range(M.dim)])
+        for wk in range(len(reps))
+    ]
+    gens = {}
+    for key in _gen_keys(n, (n,)):
+        cols = [dict() for _ in range(len(pos) * rank)]
+        for wk, w in enumerate(reps):
+            for w2, h in _coset_action(alg, M.mu, key, w).items():
+                for mono, coeff in h.terms.items():
+                    mat = full_rho(M, mono)
+                    for c, col in enumerate(mat):
+                        scaled = linalg.vec_scale(col, coeff.raw, field.red)
+                        moved = {place[rep_pos[w2]][i]: x for i, x in scaled.items()}
+                        linalg.vec_add_into(cols[place[wk][c]], moved)
+        gens[key] = cols
+    return gens
+
+
+@pytest.mark.parametrize("rank", [2, 4])
+def test_induce_derived_translates_match_full_chain(rank):
+    if rank == 2:
+        model = ScalarModel.for_indices(3, [0, 1])
+        L0, L1 = build_L(3, 0, model), build_L(3, 1, model)
+        inputs = [tensor_product(L1, L0), build_L_ij_star_L_i(3, 0, 1, model)]
+    else:
+        model = ScalarModel.for_indices(5, [2, 3])
+        inputs = [tensor_product(build_L_ij(5, 2, 3, model), build_L(5, 2, model))]
+    assert model.tower.rank == rank
+    for M in inputs:
+        assert induce(M).gens == full_induce_gens(M)
