@@ -14,12 +14,13 @@ import sys
 from .cartan import parse_weight, pairing
 from .grothendieck import character_library, divided_power_integrality, serre_verify
 from .realizations import (
+    ConsistencyFailure,
     generate_binfty,
     generate_blambda,
     splitting_strictness_report,
     star_commutation_report,
 )
-from .supermodules import low_rank_suite, shuffle_compat_suite
+from .supermodules import relation_suites
 
 
 def _emit(payload, args):
@@ -64,8 +65,7 @@ def cmd_relations(args):
     reports = []
     ok = True
     suites = ("s5", "shuffle") if args.suite == "all" else (args.suite,)
-    for name in suites:
-        rep = low_rank_suite(args.l) if name == "s5" else shuffle_compat_suite(args.l)
+    for name, rep in relation_suites(args.l, suites).items():
         rep["suite"] = name
         reports.append(rep)
         ok &= rep["ok"]
@@ -124,14 +124,8 @@ def cmd_crystal(args):
 
 
 def cmd_all(args):
-    ok = True
-    parts = {}
-    s5 = low_rank_suite(args.l)
-    parts["s5"] = s5
-    ok &= s5["ok"]
-    sh = shuffle_compat_suite(args.l)
-    parts["shuffle"] = sh
-    ok &= sh["ok"]
+    parts = relation_suites(args.l)
+    ok = parts["s5"]["ok"] and parts["shuffle"]["ok"]
     sr = serre_verify(args.l)
     parts["serre"] = sr
     ok &= sr["ok"]
@@ -200,7 +194,7 @@ def main(argv=None):
         ap.error("--depth must be nonnegative")
     try:
         return args.func(args)
-    except (ArithmeticError, ValueError) as exc:
+    except (ArithmeticError, ValueError, ConsistencyFailure) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1
 

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import kernels, linalg
 from .algebra import HeckeClifford, NormalMonomial
-from .grothendieck import WordSum
+from .grothendieck import WordSum, shuffle
 from .scalars import (
     FieldElem,
     ScalarModel,
@@ -1727,13 +1727,26 @@ def _pair_kinds(l):
     return out
 
 
-def low_rank_suite(l):
-    """Every rank 2..4 construction and invariance statement, with witnesses."""
-    checks = {}
+def relation_suites(l, suites=("s5", "shuffle")):
+    """The s5 and shuffle suites named in `suites`, in one pass over the pairs.
 
-    def record(check, i, j, ok, witness=None):
+    s5: every rank 2..4 construction and invariance statement, with
+    witnesses.  shuffle: ch(Ind M (*) N) = shuffle(ch M, ch N) over the built
+    pair library.  Each pair's modules and characters are built once, in one
+    with_splitting compute, and serve both suites; a suite left out costs
+    nothing.  Two invariants keep the reports those of the suites run alone:
+    within each compute the s5 part runs first and in its own order, so a
+    ring split falls where the s5 suite alone would meet it; and each suite's
+    records go into its own report in that suite's order.
+
+    Returns {name: {"l", "ok", "checks"}} for the names in `suites`.
+    """
+    s5, sh = "s5" in suites, "shuffle" in suites
+    checks = {name: {} for name in suites}
+
+    def record(suite, check, i, j, ok, witness=None):
         # keyed so a ring-splitting retry overwrites its partial records
-        checks[(check, i, j)] = {
+        checks[suite][(check, i, j)] = {
             "check": check,
             "l": l,
             "i": i,
@@ -1742,6 +1755,9 @@ def low_rank_suite(l):
             "witness": witness,
         }
 
+    def match(suite, check, i, j, got, want):
+        record(suite, check, i, j, got == want, repr(got))
+
     pairs = _pair_kinds(l)
 
     for i, j in pairs["not_QQ"]:
@@ -1749,227 +1765,55 @@ def low_rank_suite(l):
             Li = build_L(l, i, model)
             Lj = build_L(l, j, model)
             M = induce(tensor_product(Lj, Li))
-            image = eigen_image_vectors(M, 2, i)
-            ok_inv, wit = invariance_witness(M, image, ("T", 1))
-            record("rank2-invariance", i, j, ok_inv, wit)
-            if ok_inv:
-                N = submodule(M, [w for _, _, w in image], mu=(2,))
-                chn = formal_character(N)
-                record(
-                    "rank2-N-character",
-                    i,
-                    j,
-                    chn == WordSum.word((i, j)),
-                    repr(chn),
-                )
+            if s5:
+                image = eigen_image_vectors(M, 2, i)
+                ok_inv, wit = invariance_witness(M, image, ("T", 1))
+                record("s5", "rank2-invariance", i, j, ok_inv, wit)
+                if ok_inv:
+                    N = submodule(M, [w for _, _, w in image], mu=(2,))
+                    chn = formal_character(N)
+                    match("s5", "rank2-N-character", i, j, chn, WordSum.word((i, j)))
             Lij = build_L_ij(l, i, j, model)
-            record("block-ij-relations", i, j, not verify_relations(Lij))
+            if s5:
+                record("s5", "block-ij-relations", i, j, not verify_relations(Lij))
             chij = formal_character(Lij)
-            record("block-ij-character", i, j, chij == WordSum.word((i, j)), repr(chij))
+            if s5:
+                match("s5", "block-ij-character", i, j, chij, WordSum.word((i, j)))
+            if sh:
+                got = formal_character(M)
+                want = shuffle(WordSum.word((j,)), WordSum.word((i,)))
+                match("shuffle", "shuffle-Lj-Li", i, j, got, want)
+                got3 = formal_character(induce(tensor_product(Lij, Li)))
+                want3 = shuffle(chij, WordSum.word((i,)))
+                if type_of_letter(l, i) == "Q":
+                    # both factors type Q (j is not, in a not-QQ pair): the
+                    # plain tensor doubles the half tensor, so its induced
+                    # character is twice the shuffle
+                    match("shuffle", "shuffle-Lij-Li-doubled", i, j, got3, 2 * want3)
+                else:
+                    match("shuffle", "shuffle-Lij-Li", i, j, got3, want3)
 
         with_splitting(lambda i=i, j=j: ScalarModel.for_indices(l, [i, j]), compute)
 
-    for i, j in pairs["MM"]:
+    for i, j in pairs["MM"] if s5 else ():
         def compute(model, i=i, j=j):
             qi, qj = q_of(l, i), q_of(l, j)
             cond = qi * qj + qj * qj - 8
-            record("rank3-MM-scalar", i, j, not cond.is_zero(), repr(cond))
+            record("s5", "rank3-MM-scalar", i, j, not cond.is_zero(), repr(cond))
             Li = build_L(l, i, model)
             Lij = build_L_ij(l, i, j, model)
             M3 = induce(tensor_product(Lij, Li))
             image = eigen_image_vectors(M3, 3, i)
             closed, wit = invariance_witness(M3, image, ("T", 2))
-            record("rank3-MM-noninvariance", i, j, not closed, wit)
-            ch = formal_character(M3)
+            record("s5", "rank3-MM-noninvariance", i, j, not closed, wit)
             expect = WordSum({(i, i, j): 2, (i, j, i): 1})
-            record("rank3-MM-character", i, j, ch == expect, repr(ch))
+            match("s5", "rank3-MM-character", i, j, formal_character(M3), expect)
             chs = formal_character(sigma_twist(M3))
-            record(
-                "rank3-MM-sigma-character",
-                i,
-                j,
-                chs == expect.reversed_words(),
-                repr(chs),
-            )
+            match("s5", "rank3-MM-sigma-character", i, j, chs, expect.reversed_words())
 
         with_splitting(lambda i=i, j=j: ScalarModel.for_indices(l, [i, j]), compute)
 
-    for i, j in pairs["QM"]:
-        def compute(model, i=i, j=j):
-            W = build_L_ij_star_L_i(l, i, j, model)
-            record("half-tensor-relations", i, j, not verify_relations(W))
-            M3 = induce(W)
-            image = eigen_image_vectors(M3, 3, i)
-            ok_inv, wit = invariance_witness(M3, image, ("T", 2))
-            record("rank3-QM-invariance", i, j, ok_inv, wit)
-            vecs = [w for _, _, w in image]
-            N = submodule(M3, vecs, mu=(3,))
-            chn = formal_character(N)
-            record(
-                "rank3-QM-N-character",
-                i,
-                j,
-                chn == WordSum.word((i, i, j), 2),
-                repr(chn),
-            )
-            Liji = quotient(M3, vecs, mu=(3,))
-            chq = formal_character(Liji)
-            record(
-                "rank3-QM-quotient-character",
-                i,
-                j,
-                chq == WordSum.word((i, j, i)),
-                repr(chq),
-            )
-            Liij = build_L_iij(l, i, j, model)
-            record("block-iij-relations", i, j, True)
-            chiij = formal_character(Liij)
-            record(
-                "block-iij-character",
-                i,
-                j,
-                chiij == WordSum.word((i, i, j), 2),
-                repr(chiij),
-            )
-            # rank 4
-            qi, qj = q_of(l, i), q_of(l, j)
-            cond = qj + 2 * qi
-            record("rank4-QM-scalar", i, j, not cond.is_zero(), repr(cond))
-            Li = build_L(l, i, model)
-            M4 = induce(tensor_product(Liij, Li))
-            image4 = eigen_image_vectors(M4, 4, i)
-            closed, wit = invariance_witness(M4, image4, ("T", 3))
-            record("rank4-QM-noninvariance", i, j, not closed, wit)
-            ch4 = formal_character(M4)
-            expect4 = WordSum({(i, i, i, j): 6, (i, i, j, i): 2})
-            record("rank4-QM-character", i, j, ch4 == expect4, repr(ch4))
-            chs4 = formal_character(sigma_twist(M4))
-            record(
-                "rank4-QM-sigma-character",
-                i,
-                j,
-                chs4 == expect4.reversed_words(),
-                repr(chs4),
-            )
-            Mijii = induce(tensor_product(Liji, Li))
-            chm = formal_character(Mijii)
-            expectm = WordSum({(i, j, i, i): 2, (i, i, j, i): 2})
-            record("block-ijii-character", i, j, chm == expectm, repr(chm))
-
-        with_splitting(lambda i=i, j=j: ScalarModel.for_indices(l, [i, j]), compute)
-
-    if l == 2:
-        def compute(model):
-            L01 = build_L01(model)
-            record("L01-relations", 0, 1, not verify_relations(L01))
-            ch01 = formal_character(L01)
-            record("L01-character", 0, 1, ch01 == WordSum.word((0, 1)), repr(ch01))
-            L001 = build_L001(model)
-            record("L001-relations", 0, 1, not verify_relations(L001))
-            ch001 = formal_character(L001)
-            record(
-                "L001-character", 0, 1, ch001 == WordSum.word((0, 0, 1), 2), repr(ch001)
-            )
-            ext = build_L001_star_L0(model)
-            record("L001*L0-relations", 0, 1, not verify_relations(ext))
-            # the quarter-turn scalar step of the rank-4 irreducibility witness
-            f = model.field
-            record(
-                "rank4-l2-scalar",
-                0,
-                1,
-                2 * f.xi != f.from_int(-4),
-                repr(2 * f.xi),
-            )
-            M4 = induce(ext)
-            image4 = eigen_image_vectors(M4, 4, 0)
-            closed, wit = invariance_witness(M4, image4, ("T", 3))
-            record("rank4-l2-noninvariance", 0, 1, not closed, wit)
-            ch4 = formal_character(M4)
-            expect4 = WordSum({(0, 0, 0, 1): 6, (0, 0, 1, 0): 2})
-            record("block-0010-character", 0, 1, ch4 == expect4, repr(ch4))
-            chs4 = formal_character(sigma_twist(M4))
-            record(
-                "block-1000-character",
-                0,
-                1,
-                chs4 == expect4.reversed_words(),
-                repr(chs4),
-            )
-            # L(010) as the head of the induced module, then the 4-letter block
-            L0 = build_L(2, 0, model)
-            th0 = theta_for_end_letter(L0)
-            M3 = induce(tensor_product(L01, L0))
-            theta3 = ind_theta(
-                tensor_product(L01, L0),
-                tensor_theta_right(L01, L0, th0),
-                3,
-            )
-            image3 = eigen_image_vectors(M3, 3, 0)
-            ok_inv, wit = invariance_witness(M3, image3, ("T", 2))
-            record("block-010-invariance", 0, 1, ok_inv, wit)
-            L010 = quotient(
-                M3, [w for _, _, w in image3], mu=(3,), extra_ops={"theta": theta3}
-            )
-            ch010 = formal_character(L010)
-            record(
-                "block-010-character", 0, 1, ch010 == WordSum.word((0, 1, 0)), repr(ch010)
-            )
-            star = circled_star(L010, L010.extra["theta"], L0, th0)
-            M0100 = induce(star)
-            ch0100 = formal_character(M0100)
-            expect0100 = WordSum({(0, 1, 0, 0): 2, (0, 0, 1, 0): 2})
-            record("block-0100-character", 0, 1, ch0100 == expect0100, repr(ch0100))
-
-        with_splitting(lambda: ScalarModel.for_indices(2, []), compute)
-
-    out = list(checks.values())
-    ok = all(c["status"] == "pass" for c in out)
-    return {"l": l, "ok": ok, "checks": out}
-
-
-def shuffle_compat_suite(l):
-    """ch(Ind M (*) N) = shuffle(ch M, ch N) over the built pair library."""
-    from .grothendieck import shuffle
-
-    checks = {}
-
-    def record(name, i, j, ok, detail=None):
-        checks[(name, i, j)] = {
-            "check": name,
-            "l": l,
-            "i": i,
-            "j": j,
-            "status": "pass" if ok else "fail",
-            "witness": detail,
-        }
-
-    pairs = _pair_kinds(l)
-    for i, j in pairs["not_QQ"]:
-        def compute(model, i=i, j=j):
-            Li, Lj = build_L(l, i, model), build_L(l, j, model)
-            M = induce(tensor_product(Lj, Li))
-            got = formal_character(M)
-            want = shuffle(WordSum.word((j,)), WordSum.word((i,)))
-            record("shuffle-Lj-Li", i, j, got == want, repr(got))
-            ti, tj = type_of_letter(l, i), type_of_letter(l, j)
-            lij_q = (ti == "Q") != (tj == "Q")
-            Lij = build_L_ij(l, i, j, model)
-            M3 = induce(tensor_product(Lij, Li))
-            got3 = formal_character(M3)
-            want3 = shuffle(formal_character(Lij), WordSum.word((i,)))
-            if lij_q and ti == "Q":
-                # both factors type Q: the plain tensor doubles the half
-                # tensor, so its induced character is twice the shuffle
-                record(
-                    "shuffle-Lij-Li-doubled", i, j, got3 == 2 * want3, repr(got3)
-                )
-            else:
-                record("shuffle-Lij-Li", i, j, got3 == want3, repr(got3))
-
-        with_splitting(lambda i=i, j=j: ScalarModel.for_indices(l, [i, j]), compute)
-
-    for i in range(l):
+    for i in range(l) if sh else ():
         def compute(model, i=i):
             Li = build_L(l, i, model)
             if type_of_letter(l, i) == "Q":
@@ -1977,47 +1821,141 @@ def shuffle_compat_suite(l):
                 pair = circled_star(Li, th, Li, th)
             else:
                 pair = tensor_product(Li, Li)
-            M = induce(pair)
-            got = formal_character(M)
+            got = formal_character(induce(pair))
             want = shuffle(WordSum.word((i,)), WordSum.word((i,)))
-            record("shuffle-Li-Li", i, i, got == want, repr(got))
+            match("shuffle", "shuffle-Li-Li", i, i, got, want)
 
         with_splitting(lambda i=i: ScalarModel.for_indices(l, [i]), compute)
 
     for i, j in pairs["QM"]:
         def compute(model, i=i, j=j):
             W = build_L_ij_star_L_i(l, i, j, model)
+            if s5:
+                record("s5", "half-tensor-relations", i, j, not verify_relations(W))
             M3 = induce(W)
-            got = formal_character(M3)
-            want = shuffle(WordSum.word((i, j)), WordSum.word((i,)))
-            record("shuffle-W-star", i, j, got == want, repr(got))
+            if s5:
+                image = eigen_image_vectors(M3, 3, i)
+                ok_inv, wit = invariance_witness(M3, image, ("T", 2))
+                record("s5", "rank3-QM-invariance", i, j, ok_inv, wit)
+                vecs = [w for _, _, w in image]
+                chn = formal_character(submodule(M3, vecs, mu=(3,)))
+                want = WordSum.word((i, i, j), 2)
+                match("s5", "rank3-QM-N-character", i, j, chn, want)
+                Liji = quotient(M3, vecs, mu=(3,))
+                chq = formal_character(Liji)
+                want = WordSum.word((i, j, i))
+                match("s5", "rank3-QM-quotient-character", i, j, chq, want)
             Liij = build_L_iij(l, i, j, model)
+            if s5:
+                record("s5", "block-iij-relations", i, j, True)
+            chiij = formal_character(Liij)
+            if s5:
+                want = WordSum.word((i, i, j), 2)
+                match("s5", "block-iij-character", i, j, chiij, want)
+                # rank 4
+                cond = q_of(l, j) + 2 * q_of(l, i)
+                record("s5", "rank4-QM-scalar", i, j, not cond.is_zero(), repr(cond))
             Li = build_L(l, i, model)
             M4 = induce(tensor_product(Liij, Li))
-            got4 = formal_character(M4)
-            want4 = shuffle(formal_character(Liij), WordSum.word((i,)))
-            record("shuffle-Liij-Li", i, j, got4 == want4, repr(got4))
+            if s5:
+                image4 = eigen_image_vectors(M4, 4, i)
+                closed, wit = invariance_witness(M4, image4, ("T", 3))
+                record("s5", "rank4-QM-noninvariance", i, j, not closed, wit)
+            ch4 = formal_character(M4)
+            if s5:
+                expect4 = WordSum({(i, i, i, j): 6, (i, i, j, i): 2})
+                match("s5", "rank4-QM-character", i, j, ch4, expect4)
+                chs4 = formal_character(sigma_twist(M4))
+                want = expect4.reversed_words()
+                match("s5", "rank4-QM-sigma-character", i, j, chs4, want)
+                chm = formal_character(induce(tensor_product(Liji, Li)))
+                expectm = WordSum({(i, j, i, i): 2, (i, i, j, i): 2})
+                match("s5", "block-ijii-character", i, j, chm, expectm)
+            if sh:
+                got = formal_character(M3)
+                want = shuffle(WordSum.word((i, j)), WordSum.word((i,)))
+                match("shuffle", "shuffle-W-star", i, j, got, want)
+                want4 = shuffle(chiij, WordSum.word((i,)))
+                match("shuffle", "shuffle-Liij-Li", i, j, ch4, want4)
 
         with_splitting(lambda i=i, j=j: ScalarModel.for_indices(l, [i, j]), compute)
 
     if l == 2:
         def compute(model):
-            L0 = build_L(2, 0, model)
-            L1 = build_L(2, 1, model)
-            th0, th1 = theta_for_end_letter(L0), theta_for_end_letter(L1)
-            star = circled_star(L0, th0, L1, th1)
-            M = induce(star)
-            got = formal_character(M)
-            want = shuffle(WordSum.word((0,)), WordSum.word((1,)))
-            record("shuffle-L0-star-L1", 0, 1, got == want, repr(got))
+            if s5:
+                L01 = build_L01(model)
+                record("s5", "L01-relations", 0, 1, not verify_relations(L01))
+                ch01 = formal_character(L01)
+                match("s5", "L01-character", 0, 1, ch01, WordSum.word((0, 1)))
+                L001 = build_L001(model)
+                record("s5", "L001-relations", 0, 1, not verify_relations(L001))
+                ch001 = formal_character(L001)
+                match("s5", "L001-character", 0, 1, ch001, WordSum.word((0, 0, 1), 2))
             ext = build_L001_star_L0(model)
+            if s5:
+                record("s5", "L001*L0-relations", 0, 1, not verify_relations(ext))
+                # the quarter-turn scalar step of the rank-4 irreducibility witness
+                f = model.field
+                ok = 2 * f.xi != f.from_int(-4)
+                record("s5", "rank4-l2-scalar", 0, 1, ok, repr(2 * f.xi))
             M4 = induce(ext)
-            got4 = formal_character(M4)
-            want4 = shuffle(WordSum.word((0, 0, 1), 2), WordSum.word((0,)))
-            record("shuffle-L001-star-L0", 0, 1, got4 == want4, repr(got4))
+            if s5:
+                image4 = eigen_image_vectors(M4, 4, 0)
+                closed, wit = invariance_witness(M4, image4, ("T", 3))
+                record("s5", "rank4-l2-noninvariance", 0, 1, not closed, wit)
+            ch4 = formal_character(M4)
+            if s5:
+                expect4 = WordSum({(0, 0, 0, 1): 6, (0, 0, 1, 0): 2})
+                match("s5", "block-0010-character", 0, 1, ch4, expect4)
+                chs4 = formal_character(sigma_twist(M4))
+                want = expect4.reversed_words()
+                match("s5", "block-1000-character", 0, 1, chs4, want)
+            L0 = build_L(2, 0, model)
+            th0 = theta_for_end_letter(L0)
+            if s5:
+                # L(010) as the head of the induced module, then the 4-letter block
+                M3 = induce(tensor_product(L01, L0))
+                theta3 = ind_theta(
+                    tensor_product(L01, L0),
+                    tensor_theta_right(L01, L0, th0),
+                    3,
+                )
+                image3 = eigen_image_vectors(M3, 3, 0)
+                ok_inv, wit = invariance_witness(M3, image3, ("T", 2))
+                record("s5", "block-010-invariance", 0, 1, ok_inv, wit)
+                L010 = quotient(
+                    M3, [w for _, _, w in image3], mu=(3,), extra_ops={"theta": theta3}
+                )
+                ch010 = formal_character(L010)
+                match("s5", "block-010-character", 0, 1, ch010, WordSum.word((0, 1, 0)))
+                star = circled_star(L010, L010.extra["theta"], L0, th0)
+                ch0100 = formal_character(induce(star))
+                expect0100 = WordSum({(0, 1, 0, 0): 2, (0, 0, 1, 0): 2})
+                match("s5", "block-0100-character", 0, 1, ch0100, expect0100)
+            if sh:
+                L1 = build_L(2, 1, model)
+                star = circled_star(L0, th0, L1, theta_for_end_letter(L1))
+                got = formal_character(induce(star))
+                want = shuffle(WordSum.word((0,)), WordSum.word((1,)))
+                match("shuffle", "shuffle-L0-star-L1", 0, 1, got, want)
+                want4 = shuffle(WordSum.word((0, 0, 1), 2), WordSum.word((0,)))
+                match("shuffle", "shuffle-L001-star-L0", 0, 1, ch4, want4)
 
         with_splitting(lambda: ScalarModel.for_indices(2, []), compute)
 
-    out = list(checks.values())
-    ok = all(c["status"] == "pass" for c in out)
-    return {"l": l, "ok": ok, "checks": out}
+    reports = {}
+    for name, recs in checks.items():
+        out = list(recs.values())
+        ok = all(c["status"] == "pass" for c in out)
+        reports[name] = {"l": l, "ok": ok, "checks": out}
+    return reports
+
+
+def low_rank_suite(l):
+    """Every rank 2..4 construction and invariance statement, with witnesses."""
+    return relation_suites(l, ("s5",))["s5"]
+
+
+def shuffle_compat_suite(l):
+    """ch(Ind M (*) N) = shuffle(ch M, ch N) over the built pair library."""
+    return relation_suites(l, ("shuffle",))["shuffle"]

@@ -42,6 +42,7 @@ from heckeclifford.supermodules import (
     build_L_ij,
     build_L_iij,
     low_rank_suite,
+    relation_suites,
     shuffle_compat_suite,
     type_of_letter,
     verify_relations,
@@ -95,7 +96,8 @@ def test_criterion_2_relation_verification():
 
 @pytest.fixture(scope="module")
 def s5_reports():
-    return {l: low_rank_suite(l) for l in (2, 3, 4, 5)}
+    # one joint pass per l: {"s5": report, "shuffle": report}
+    return {l: relation_suites(l) for l in (2, 3, 4, 5)}
 
 
 def test_criterion_3_low_rank_replication(s5_reports):
@@ -109,7 +111,7 @@ def test_criterion_3_low_rank_replication(s5_reports):
         "rank4-QM-scalar",
     }
     for l in (3, 4, 5):
-        rep = s5_reports[l]
+        rep = s5_reports[l]["s5"]
         ok &= rep["ok"]
         seen = {c["check"] for c in rep["checks"]}
         # scalar conditions and invariance statements must actually be covered
@@ -119,7 +121,7 @@ def test_criterion_3_low_rank_replication(s5_reports):
         for c in rep["checks"]:
             if c["check"] in needed:
                 ok &= c["status"] == "pass"
-    rep2 = s5_reports[2]
+    rep2 = s5_reports[2]["s5"]
     ok &= rep2["ok"]
     for c in rep2["checks"]:
         if c["check"] in ("rank4-l2-noninvariance", "rank4-l2-scalar"):
@@ -137,10 +139,32 @@ LOW_RANK_DIGESTS = {
 }
 
 
+# sha256 of json.dumps(shuffle_compat_suite(l), sort_keys=True), recorded at
+# commit fb54f07, before the two suites became one pass over the pairs
+SHUFFLE_DIGESTS = {
+    2: "9bbd5d16946df68ea83d8419e402df0f60124d170114c93cffbce2f73c5946f7",
+    3: "f2cfe481e235a83277303b53433a667035e2519837b2a132e03b01610462e9c7",
+    4: "acc34f8d98fc507aa55c8a7ad9076aee495c299542333e034bebf1ca37b8b643",
+    5: "d3a233a94804959eda25d4653a8fcd9b65cf0eda90d0ea7fdb7a0969385ff6ba",
+}
+
+
 def test_low_rank_reports_are_byte_stable(s5_reports):
     for l, want in LOW_RANK_DIGESTS.items():
-        text = json.dumps(s5_reports[l], sort_keys=True)
+        text = json.dumps(s5_reports[l]["s5"], sort_keys=True)
         assert hashlib.sha256(text.encode()).hexdigest() == want, l
+
+
+def test_shuffle_reports_are_byte_stable(s5_reports):
+    for l, want in SHUFFLE_DIGESTS.items():
+        text = json.dumps(s5_reports[l]["shuffle"], sort_keys=True)
+        assert hashlib.sha256(text.encode()).hexdigest() == want, l
+
+
+def test_single_suite_runs_match_the_joint_pass(s5_reports):
+    for l in (2, 3):
+        assert low_rank_suite(l) == s5_reports[l]["s5"], l
+        assert shuffle_compat_suite(l) == s5_reports[l]["shuffle"], l
 
 
 def test_criterion_4_characters(s5_reports):
@@ -165,7 +189,7 @@ def test_criterion_4_characters(s5_reports):
     }
     covered = set()
     for l in (2, 3, 4, 5):
-        for c in s5_reports[l]["checks"]:
+        for c in s5_reports[l]["s5"]["checks"]:
             if c["check"] in char_checks:
                 covered.add(c["check"])
                 ok &= c["status"] == "pass"
@@ -173,7 +197,7 @@ def test_criterion_4_characters(s5_reports):
     report(4, "characters-from-matrices", ok)
 
 
-def test_criterion_5_shuffle_and_ses():
+def test_criterion_5_shuffle_and_ses(s5_reports):
     ok = True
     for l in range(2, 6):
         for i in range(l):
@@ -184,7 +208,7 @@ def test_criterion_5_shuffle_and_ses():
                 for a in range(k):
                     for b in range(k - a):
                         ok &= ses_check(l, i, j, a, b)
-        rep = shuffle_compat_suite(l)
+        rep = s5_reports[l]["shuffle"]
         ok &= rep["ok"]
     report(5, "shuffle-and-ses", ok)
 

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from heckeclifford import realizations
 from heckeclifford.cli import main
 
 
@@ -89,6 +90,24 @@ def test_usage_error_exit2():
         capture_output=True,
     )
     assert proc.returncode == 2
+
+
+def test_consistency_failure_is_a_failed_check(monkeypatch, capsys):
+    argv = ["crystal", "binfty", "--l", "3", "--depth", "3"]
+    assert run_cli(argv, capsys)[0] == 0
+    # negative control: rotation 1 keeps a trailing zero after every f_0, so
+    # two words reaching one element disagree in that rotation
+    f = realizations.PathCrystal.f
+
+    def skewed(self, a, i):
+        out = f(self, a, i)
+        return out + (0,) if self.start == 1 and i == 0 else out
+
+    monkeypatch.setattr(realizations.PathCrystal, "f", skewed)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "check failed: two words reach (1, 0, 1) with different rotations\n"
 
 
 def test_byte_determinism(capsys):
