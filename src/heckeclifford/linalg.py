@@ -2,10 +2,10 @@
 
 Vectors are dicts {index: raw}, matrices are column-major lists of such dicts,
 where raw is the kernel-level field element format.  Everything is exact;
-pivot normalization uses the field inverse.  Echelon bases keep the smallest
-nonzero index as pivot, which makes all reductions deterministic.  Echelon and
-Tracker share one elimination loop, _eliminate, over pivot rows stored without
-their unit pivot entry.
+pivot normalization uses the field inverse.  Echelon and Tracker share one
+elimination loop, _eliminate, over pivot rows stored without their unit pivot
+entry.  Each new row pivots on its cheapest entry, so normalizing it spreads
+no large norm denominator; no result depends on the pivot columns.
 """
 
 from __future__ import annotations
@@ -114,32 +114,38 @@ def mat_identity(n, one_raw):
 
 
 def _eliminate(pivots, v, red, combo=None):
-    """Reduce v in place against the pivot rows, and combo alongside it.
+    """Reduce v in place against every pivot row, and combo alongside it.
 
-    pivots maps each pivot index p to (row, cmb): row is the pivot row
-    without its unit entry at p, cmb its combination of the inserted vectors
-    (None where combinations are not tracked).  Elimination stops at the
-    first index without a pivot and returns it; returns None when v reduces
-    to zero.
+    pivots maps each pivot index p to (row, cmb), in insertion order: row is
+    the pivot row without its unit entry at p, cmb its combination of the
+    inserted vectors (None where combinations are not tracked).  Each row is
+    zero at the earlier rows' pivots, so one pass in order clears them all.
+    Returns v: empty when it reduced to zero, else the residual.
     """
-    while v:
-        p = min(v)
-        entry = pivots.get(p)
-        if entry is None:
-            return p
-        row, cmb = entry
-        c = v.pop(p)
-        vec_submul_into(v, row, c, red)
-        if combo is not None:
-            vec_submul_into(combo, cmb, c, red)
-    return None
+    for p, (row, cmb) in pivots.items():
+        if not v:
+            break
+        c = v.pop(p, None)
+        if c is not None:
+            vec_submul_into(v, row, c, red)
+            if combo is not None:
+                vec_submul_into(combo, cmb, c, red)
+    return v
 
 
-def _add_pivot(field, pivots, p, v, combo=None):
-    """Store the residual v (consumed) as the pivot row at p.
+def _add_pivot(field, pivots, v, combo=None):
+    """Store the nonzero residual v (consumed) as a new pivot row.
 
-    The row is scaled so that its entry at p is 1, and stored without it.
+    The pivot is the entry of least (cost, index), where cost is 0 for a
+    monomial and else 1 + the bit lengths of the numerators and denominator.
+    The row is scaled so that its entry there is 1, and stored without it.
     """
+
+    def cost(k):
+        bits = [x.bit_length() for x in v[k][0] if x]
+        return (0 if len(bits) == 1 else 1 + sum(bits) + v[k][1].bit_length(), k)
+
+    p = min(v, key=cost)
     inv = field.raw_inverse(v.pop(p))
     cmb = None if combo is None else vec_scale(combo, inv, field.red)
     pivots[p] = (vec_scale(v, inv, field.red), cmb)
@@ -158,19 +164,14 @@ class Echelon:
 
     def insert(self, v):
         """Add v to the span; True if the rank grew."""
-        v = dict(v)
-        p = _eliminate(self.pivots, v, self.field.red)
-        if p is None:
+        v = _eliminate(self.pivots, dict(v), self.field.red)
+        if not v:
             return False
-        _add_pivot(self.field, self.pivots, p, v)
+        _add_pivot(self.field, self.pivots, v)
         return True
 
     def contains(self, v):
-        return _eliminate(self.pivots, dict(v), self.field.red) is None
-
-    def basis(self):
-        one = self.field.one.raw
-        return [{p: one, **row} for p, (row, _) in sorted(self.pivots.items())]
+        return not _eliminate(self.pivots, dict(v), self.field.red)
 
 
 class Tracker:
@@ -192,17 +193,16 @@ class Tracker:
         return len(self.pivots)
 
     def insert(self, v, tag):
-        v = dict(v)
         combo = {tag: self.field.one.raw}
-        p = _eliminate(self.pivots, v, self.field.red, combo)
-        if p is None:
+        v = _eliminate(self.pivots, dict(v), self.field.red, combo)
+        if not v:
             return combo
-        _add_pivot(self.field, self.pivots, p, v, combo)
+        _add_pivot(self.field, self.pivots, v, combo)
         self.tags.append(tag)
         return None
 
     def contains(self, v):
-        return _eliminate(self.pivots, dict(v), self.field.red) is None
+        return not _eliminate(self.pivots, dict(v), self.field.red)
 
     def express(self, v):
         """Coordinates of v over the inserted vectors, or None if outside.
@@ -211,18 +211,14 @@ class Tracker:
         coeff * vector(tag).
         """
         combo = {}
-        if _eliminate(self.pivots, dict(v), self.field.red, combo) is not None:
+        if _eliminate(self.pivots, dict(v), self.field.red, combo):
             return None
         return {k: kernels.felem_neg(c) for k, c in combo.items()}
 
 
 def rank_of(field, vectors):
     e = Echelon(field)
-    n = 0
-    for v in vectors:
-        if e.insert(v):
-            n += 1
-    return n
+    return sum(e.insert(v) for v in vectors)
 
 
 def nullspace_combinations(field, tagged_vectors):
@@ -232,9 +228,5 @@ def nullspace_combinations(field, tagged_vectors):
     some tag with a unit coefficient.
     """
     t = Tracker(field)
-    out = []
-    for tag, v in tagged_vectors:
-        dep = t.insert(v, tag)
-        if dep is not None:
-            out.append(dep)
-    return out
+    deps = (t.insert(v, tag) for tag, v in tagged_vectors)
+    return [dep for dep in deps if dep is not None]

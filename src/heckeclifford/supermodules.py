@@ -1524,7 +1524,11 @@ def build_L_iij(l, i, j, model=None):
     if model is None:
         model = ScalarModel.for_indices(l, [i, j])
     W = build_L_ij_star_L_i(l, i, j, model)
-    M3 = induce(W)
+    return _block_iij(l, i, j, W, induce(W))
+
+
+def _block_iij(l, i, j, W, M3):
+    """build_L_iij from W = build_L_ij_star_L_i(l, i, j) and M3 = induce(W)."""
     f = M3.field
     alg = HeckeClifford(f, 3)
     reps = alg.coset_representatives((2, 1))
@@ -1845,7 +1849,7 @@ def relation_suites(l, suites=("s5", "shuffle")):
                 chq = formal_character(Liji)
                 want = WordSum.word((i, j, i))
                 match("s5", "rank3-QM-quotient-character", i, j, chq, want)
-            Liij = build_L_iij(l, i, j, model)
+            Liij = _block_iij(l, i, j, W, M3)
             if s5:
                 record("s5", "block-iij-relations", i, j, True)
             chiij = formal_character(Liij)

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from heckeclifford import linalg
+from heckeclifford import kernels, linalg
 from heckeclifford.scalars import CycField
 
 
@@ -96,7 +96,6 @@ def test_elimination_matches_dense_oracle(family):
     # integer matrix has the same rank over Q(zeta_4l) as over Q
     l, rows, queries, js = family
     field = CycField.for_l(l)
-    one = field.one.raw
     vs = [_zeta_vec(field, r, j) for r, j in zip(rows, js)]
     qs = [_zeta_vec(field, q, j) for q, j in zip(queries, js[len(rows):])]
     rank = _dense_rank(rows)
@@ -118,10 +117,190 @@ def test_elimination_matches_dense_oracle(family):
     assert len(deps) == len(vs) - rank
     for dep in deps:
         assert dep and not _combine(field, dep, vs)
-    basis = ech.basis()
-    assert len(basis) == rank
-    for row in basis:
-        assert row[min(row)] == one
+
+
+class MinIndexOracle:
+    """The elimination before cheapest pivots, kept as the oracle.
+
+    Each new row pivots on its smallest index, and a reduction stops at the
+    first index without a pivot.  insert(v, tag) has Tracker's semantics (the
+    dependency, or None when the rank grew) and so Echelon's too.
+    """
+
+    def __init__(self, field):
+        self.field = field
+        self.pivots = {}
+        self.tags = []
+
+    @property
+    def dim(self):
+        return len(self.pivots)
+
+    def _reduce(self, v, combo):
+        """Reduce v in place; the first index without a pivot, or None at zero."""
+        red = self.field.red
+        while v:
+            p = min(v)
+            if p not in self.pivots:
+                return p
+            row, cmb = self.pivots[p]
+            c = v.pop(p)
+            linalg.vec_submul_into(v, row, c, red)
+            linalg.vec_submul_into(combo, cmb, c, red)
+        return None
+
+    def insert(self, v, tag):
+        v, combo = dict(v), {tag: self.field.one.raw}
+        p = self._reduce(v, combo)
+        if p is None:
+            return combo
+        inv, red = self.field.raw_inverse(v.pop(p)), self.field.red
+        self.pivots[p] = (linalg.vec_scale(v, inv, red), linalg.vec_scale(combo, inv, red))
+        self.tags.append(tag)
+        return None
+
+    def contains(self, v):
+        return self._reduce(dict(v), {}) is None
+
+    def express(self, v):
+        combo = {}
+        if self._reduce(dict(v), combo) is not None:
+            return None
+        return {k: kernels.felem_neg(c) for k, c in combo.items()}
+
+
+@st.composite
+def _field_family(draw):
+    """Vectors over Q(zeta_4l), l = 2..4, whose span the coordinate sum kills.
+
+    Entries are general field elements with denominators, every vector is
+    scaled by a power of zeta, some vectors are combinations of earlier ones,
+    and the queries mix in-span combinations with free vectors.  Since the
+    coordinate sum kills the span, adding 1 to one coordinate of an in-span
+    query certainly moves it outside.
+    """
+    l = draw(st.integers(2, 4))
+    field = CycField.for_l(l)
+    num = st.integers(-3, 3)
+    elem = st.builds(
+        lambda nums, den: field.elem(nums, den).raw,
+        st.lists(num, min_size=field.degree, max_size=field.degree),
+        st.integers(1, 4),
+    )
+    n = draw(st.integers(2, 6))
+
+    def zeta_scaled(v):
+        """v times a drawn power of zeta."""
+        j = draw(st.integers(0, 4 * l - 1))
+        return linalg.vec_scale(v, field.zeta_pow(j).raw, field.red)
+
+    def free(close):
+        """A drawn vector; with close, its last entry zeroes the coordinate sum."""
+        v = {}
+        for k in range(n - 1):
+            if draw(st.booleans()):
+                x = draw(elem)
+                if x != field.zero.raw:
+                    v[k] = x
+        if close:
+            total = {}
+            for x in v.values():
+                linalg.vec_add_into(total, {0: x})
+            if total:
+                v[n - 1] = kernels.felem_neg(total[0])
+        return zeta_scaled(v)
+
+    def combination(vs):
+        acc = {}
+        for w in draw(st.lists(st.sampled_from(vs), min_size=1, max_size=3)):
+            linalg.vec_add_into(acc, linalg.vec_scale(w, draw(elem), field.red))
+        return zeta_scaled(acc)
+
+    vs = []
+    for _ in range(draw(st.integers(1, 7))):
+        vs.append(combination(vs) if vs and draw(st.booleans()) else free(True))
+    queries = [free(False) for _ in range(draw(st.integers(0, 2)))]
+    inside = [combination(vs) for _ in range(draw(st.integers(1, 3)))]
+    return field, n, vs, queries + inside, inside
+
+
+def _build(field, vs):
+    ech, tracker = linalg.Echelon(field), linalg.Tracker(field)
+    for t, v in enumerate(vs):
+        ech.insert(v)
+        tracker.insert(v, t)
+    return ech, tracker
+
+
+@given(_field_family())
+def test_cheapest_pivots_match_the_min_index_oracle(family):
+    field, n, vs, queries, inside = family
+    oracle = MinIndexOracle(field)
+    grew = [oracle.insert(v, t) is None for t, v in enumerate(vs)]
+    ech, tracker = _build(field, vs)
+    assert linalg.rank_of(field, vs) == sum(grew) == oracle.dim
+    assert ech.dim == tracker.dim == oracle.dim
+    assert tracker.tags == oracle.tags
+    for q in queries:
+        assert ech.contains(q) == tracker.contains(q) == oracle.contains(q)
+        assert tracker.express(q) == oracle.express(q)
+    want = MinIndexOracle(field)
+    deps = [want.insert(v, t) for t, v in enumerate(vs)]
+    got = linalg.nullspace_combinations(field, list(enumerate(vs)))
+    assert got == [dep for dep in deps if dep is not None]
+    # negative control: one changed coefficient leaves the span for both
+    for q in inside:
+        assert tracker.contains(q) and oracle.contains(q)
+        for k in range(n):
+            bad = dict(q)
+            linalg.vec_add_into(bad, {k: field.one.raw})
+            assert not ech.contains(bad) and not tracker.contains(bad)
+            assert not oracle.contains(bad)
+            assert tracker.express(bad) is None and oracle.express(bad) is None
+
+
+@given(_field_family(), st.randoms(use_true_random=False))
+def test_pivots_do_not_depend_on_key_order(family, rng):
+    field, _, vs, queries, _ = family
+
+    def shuffled(v):
+        keys = list(v)
+        rng.shuffle(keys)
+        return {k: v[k] for k in keys}
+
+    vs2 = [shuffled(v) for v in vs]
+    ech, tracker = _build(field, vs)
+    ech2, tracker2 = _build(field, vs2)
+    for a, b in ((ech, ech2), (tracker, tracker2)):
+        assert list(a.pivots) == list(b.pivots)
+        assert a.pivots == b.pivots
+    for q in queries:
+        q2 = shuffled(q)
+        assert ech.contains(q) == ech2.contains(q2)
+        assert tracker.express(q) == tracker2.express(q2)
+    assert linalg.nullspace_combinations(field, list(enumerate(vs))) == (
+        linalg.nullspace_combinations(field, list(enumerate(vs2)))
+    )
+
+
+def test_monomial_pivot_beats_smaller_index():
+    field = CycField.for_l(3)
+    z = field.q  # zeta
+    general = (1 + z).raw
+    mono = (3 * z * z).raw
+    ech = linalg.Echelon(field)
+    ech.insert({0: general, 4: mono, 2: (2 + z).raw})
+    assert list(ech.pivots) == [4]
+    # the first row clears indices 4 and 0 of this vector, and its residual
+    # pivots on the monomial at 3 rather than at index 1 or 2
+    ech.insert({0: general, 1: (1 - z * z).raw, 3: (5 * z).raw, 4: mono})
+    assert list(ech.pivots) == [4, 3]
+    assert sorted(ech.pivots[3][0]) == [1, 2]
+    # no monomial left: the smaller height wins over the smaller index, and
+    # equal costs go to the smaller index
+    ech = linalg.Echelon(field)
+    ech.insert({0: (7 + 5 * z).raw, 2: (1 + z).raw, 3: (1 - z).raw})
+    assert list(ech.pivots) == [2]
 
 
 def test_echelon_membership():

@@ -5,7 +5,7 @@ import gc
 import pytest
 from hypothesis import given, strategies as st
 
-from heckeclifford import linalg
+from heckeclifford import linalg, supermodules
 from heckeclifford.algebra import HeckeClifford
 from heckeclifford.grothendieck import WordSum, shuffle
 from heckeclifford.scalars import ScalarModel, Tower, q_of
@@ -33,6 +33,7 @@ from heckeclifford.supermodules import (
     jordan_block_max,
     low_rank_suite,
     quotient,
+    relation_suites,
     shuffle_compat_suite,
     sigma_twist,
     submodule,
@@ -326,6 +327,27 @@ def test_shuffle_compat_suite_small():
     for l in (2, 3):
         rep = shuffle_compat_suite(l)
         assert rep["ok"], [c for c in rep["checks"] if c["status"] == "fail"]
+
+
+def test_relation_suites_build_each_qm_module_once(monkeypatch):
+    # the QM block module comes from the compute's own W and Ind W: at l = 3
+    # one W and one induce per QM pair, (0, 1) and (2, 1)
+    calls = {"build_L_ij_star_L_i": 0, "induce": 0}
+
+    def counted(name):
+        original = getattr(supermodules, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(supermodules, name, counted(name))
+    reports = relation_suites(3)
+    assert all(rep["ok"] for rep in reports.values())
+    assert calls == {"build_L_ij_star_L_i": 2, "induce": 17}
 
 
 def test_formal_character_rejects_nonintegral():
