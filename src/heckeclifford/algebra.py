@@ -454,15 +454,6 @@ class HeckeClifford:
 
     # -- parabolic / coset structure -------------------------------------------
 
-    def block_starts(self, mu):
-        if sum(mu) != self.n:
-            raise ValueError("composition must sum to the rank")
-        starts, s = [], 1
-        for part in mu:
-            starts.append(s)
-            s += part
-        return starts
-
     def block_of(self, mu, p):
         s = 1
         for b, part in enumerate(mu):
@@ -557,13 +548,6 @@ class HeckeClifford:
             )
             work = work - self.multiply(t_rep, inner)
         return {w: e for w, e in result.items() if not e.is_zero()}
-
-
-def normal_multiply(a, b):
-    """Product in canonical PBW form (module-level form of multiply)."""
-    if a.algebra is not b.algebra:
-        raise ValueError("rank or field mismatch")
-    return a.algebra.multiply(a, b)
 
 
 def sigma(h):

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import mul
 
 from .scalars import CycField, q_of
 
@@ -92,7 +93,7 @@ class Weight:
 def pairing(i, w):
     """<h_i, w> for a Weight w."""
     cd = cartan_matrix(w.l)
-    return w.lam[i] + sum(cd.a[i][j] * w.alpha[j] for j in range(w.l))
+    return w.lam[i] + sum(map(mul, cd.a[i], w.alpha))
 
 
 def weight_of_c(w):

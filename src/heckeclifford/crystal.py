@@ -40,7 +40,9 @@ class BiCrystal:
         return BiElem(self.i, n)
 
     def wt(self, b):
-        return b.n * Weight.root(self.l, self.i)
+        alpha = [0] * self.l
+        alpha[self.i] = b.n
+        return Weight(self.l, (0,) * self.l, tuple(alpha))
 
     def eps(self, b, j):
         return -b.n if j == self.i else NEG_INF
@@ -95,19 +97,31 @@ class TensorCrystal:
         self.left = left
         self.right = right
         self.l = left.l
+        # the last (b, left weight, right weight): eps and phi of one element
+        # over all colors share its factor weights; one slot never grows
+        self._last = (None, None, None)
 
     def colors(self):
         return range(self.l)
 
+    def _weights(self, b):
+        last = self._last
+        if last[0] == b:
+            return last[1], last[2]
+        wts = self.left.wt(b[0]), self.right.wt(b[1])
+        self._last = (b,) + wts
+        return wts
+
     def wt(self, b):
-        return self.left.wt(b[0]) + self.right.wt(b[1])
+        left, right = self._weights(b)
+        return left + right
 
     def eps(self, b, i):
-        wt_i = pairing(i, self.left.wt(b[0]))
+        wt_i = pairing(i, self._weights(b)[0])
         return max(self.left.eps(b[0], i), self.right.eps(b[1], i) - wt_i)
 
     def phi(self, b, i):
-        wt_i = pairing(i, self.right.wt(b[1]))
+        wt_i = pairing(i, self._weights(b)[1])
         return max(self.left.phi(b[0], i) + wt_i, self.right.phi(b[1], i))
 
     def e(self, b, i):

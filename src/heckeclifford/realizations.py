@@ -48,33 +48,42 @@ class PathCrystal:
         return ()
 
     def wt(self, a):
-        alpha = [0] * self.l
-        for k, v in enumerate(a, start=1):
-            alpha[self.color_at(k)] -= v
-        return Weight(self.l, (0,) * self.l, tuple(alpha))
+        # coordinates s, s + l, .. all carry the color start + s
+        l = self.l
+        alpha = [0] * l
+        for s in range(min(l, len(a))):
+            alpha[(self.start + s) % l] = -sum(a[s::l])
+        return Weight(l, (0,) * l, tuple(alpha))
 
     def _string(self, a, i):
         """String data of the color i: (eps, phi, f_pos, e_pos).
 
         One forward pass of the signature rule over the stable truncation
-        b_n (x) .. (x) b_1, n = len(a) + 2l, folding each factor onto the
+        b_N (x) .. (x) b_1, N = len(a) + 2l, folding each factor onto the
         suffix b_{k-1} (x) .. (x) b_1 with the tensor rule.  eps and phi are
         the string values of the whole truncation; f_pos is the largest k
         with k == 1 or phi(b_k) > eps(suffix k-1), and e_pos the largest
         with >=, the positions where f and e act.
+
+        The loop runs over the path's own coordinates only.  Every factor
+        past n = len(a) is b_c(0).  One of a color c != i has
+        eps = phi = -inf and pairs to 0 with h_i, so folding it changes
+        nothing.  Only the two of color i act: k0 = n + 1 + ((i - c) mod l),
+        c the color at n + 1, and k0 + l.  Folding b_i(0) at k0 moves f_pos
+        there if eps < 0 and e_pos if eps <= 0, then sets eps to
+        max(eps, 0) and phi to max(phi, wt).  At k0 + l it finds eps >= 0
+        and phi >= wt, so it only moves e_pos, when eps is 0.
         """
         last = self._last
         if last[0] == i and last[1] == a:
             return last[2]
         row = self._cd.a[i]
         l = self.l
-        n = len(a)
         eps = phi = NEG_INF
         wt = 0
         f_pos = e_pos = 1
         c = self.start
-        for k in range(1, n + 2 * l + 1):
-            ak = a[k - 1] if k <= n else 0
+        for k, ak in enumerate(a, 1):
             if c == i:
                 if -ak > eps:
                     f_pos = k
@@ -90,6 +99,14 @@ class PathCrystal:
             c += 1
             if c == l:
                 c = 0
+        if eps <= 0:
+            k0 = len(a) + 1 + (i - c) % l
+            if eps < 0:
+                f_pos = k0
+                eps = 0
+            e_pos = k0 + l
+        if wt > phi:
+            phi = wt
         record = (eps, phi, f_pos, e_pos)
         self._last = (i, a, record)
         return record

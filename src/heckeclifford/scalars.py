@@ -429,13 +429,6 @@ class TowerElem:
     def is_zero(self):
         return all(a.is_zero() for a in self.coords)
 
-    def field_part(self):
-        """The FieldElem value if no r-coordinate appears, else None."""
-        for b, a in enumerate(self.coords):
-            if b and not a.is_zero():
-                return None
-        return self.coords[0]
-
     def invert(self):
         """Multiplicative inverse; raises ZeroDivisorError on a zero divisor."""
         return self.tower.invert(self)

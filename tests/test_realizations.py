@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 from heckeclifford.cartan import Weight, cartan_matrix, pairing, weight_of_c
 from heckeclifford.cli import main
-from heckeclifford.crystal import NEG_INF
+from heckeclifford.crystal import NEG_INF, BiCrystal, BiElem, TensorCrystal
 from heckeclifford.realizations import (
     ConsistencyFailure,
     PathCrystal,
@@ -102,6 +102,14 @@ def test_psi_strictness_sample():
     g = generate_binfty(3, 4)
     for fam in g.nodes:
         assert splitting_strictness_report(fam, 3) == []
+
+
+def test_strictness_holds_on_every_node_at_l4():
+    # the graph the benchmark's crystal-l4 workload reports on
+    g = generate_binfty(4, 7)
+    assert len(g.nodes) == 1755
+    for fam in g.nodes:
+        assert splitting_strictness_report(fam, 4) == [], fam.paths
 
 
 def test_star_commutation():
@@ -282,6 +290,76 @@ def test_string_record_matches_window_oracle(case):
             assert outcome(getattr(shared, name), a, i) == outcome(
                 getattr(fresh, name), a, i
             )
+
+
+def reachable(l, start, depth):
+    """Every path of one rotation reached from the vacuum by at most depth lowerings."""
+    pc = PathCrystal(l, start)
+    seen, frontier = {()}, [()]
+    for _ in range(depth):
+        frontier = {pc.f(a, i) for a in frontier for i in range(l)} - seen
+        seen |= frontier
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_trailing_window_positions_match_oracle(l):
+    # _string folds the zero factors past the path in one step: only the two
+    # of color i act.  Where eps is 0, e_pos is on the second of them, and
+    # f_pos is on the first when eps was still negative over the path
+    narrow, wide = 0, 0
+    for start in range(l):
+        pc = PathCrystal(l, start)
+        oracles = WindowOracle(l, start, extra=2), WindowOracle(l, start, extra=3)
+        for a in reachable(l, start, 4):
+            for i in range(l):
+                if pc.eps(a, i) != 0:
+                    continue
+                k0 = len(a) + 1 + (i - pc.color_at(len(a) + 1)) % l
+                eps, phi, f_pos, e_pos = record = pc._string(a, i)
+                assert record == oracles[0].record(a, i)
+                assert e_pos == k0 + l
+                # the wider window moves e_pos to its third trailing
+                # position of color i, where e does not act (eps is 0)
+                assert oracles[1].record(a, i) == (eps, phi, f_pos, k0 + 2 * l)
+                for oracle in oracles:
+                    for name in ("f", "e"):
+                        assert outcome(getattr(pc, name), a, i) == outcome(
+                            getattr(oracle, name), a, i
+                        )
+                if f_pos == k0:
+                    wide += 1
+                else:
+                    assert f_pos <= len(a)
+                    narrow += 1
+    assert wide and narrow  # both branches of the fold are exercised
+
+
+@given(path_cases(), st.lists(st.integers(-3, 3), min_size=2, max_size=4, unique=True))
+def test_tensor_crystal_matches_fresh_instances(case, ns):
+    # one TensorCrystal(path, b_i) serving shuffled (b, j) queries answers
+    # like fresh instances; elements share their left factor, so a slot that
+    # keyed on the left factor alone would serve a stale right weight
+    l, raw, word, rng = case
+    start, i = rng.randrange(l), rng.randrange(l)
+    tails = (raw, lowered(l, start, word))
+
+    def pair_crystal():
+        return TensorCrystal(PathCrystal(l, start), BiCrystal(l, i))
+
+    elems = [(tail, BiElem(i, n)) for tail in tails for n in ns]
+    queries = [(b, j, name) for b in elems for j in range(l)
+               for name in ("eps", "phi", "f", "e", "wt")]
+    shuffled = list(queries)
+    rng.shuffle(shuffled)
+    shared = pair_crystal()
+    for b, j, name in queries + shuffled:
+        if name == "wt":
+            assert shared.wt(b) == pair_crystal().wt(b)
+            continue
+        assert outcome(getattr(shared, name), b, j) == outcome(
+            getattr(pair_crystal(), name), b, j
+        ), (b, j, name)
 
 
 @pytest.mark.parametrize(
