@@ -5,13 +5,18 @@ families over Q(zeta_16) through linalg.Echelon and linalg.Tracker with the
 number of field inversions it makes.  Whether the compiled backend earns its
 place is decided on the end-to-end benchmark (benchsuite/run.py), not here.
 
+Also times the two engines behind formal_character, the exact split over the
+field and the mod-p split with its certificate, on every module that
+relation_suites(l) characterises at l = 3 and 5, grouped by tower rank (the
+rank-4 modules occur at l = 5; at l = 3 only one discriminant is nonzero).
+
 Run:  python benchmarks/bench_kernels.py
 """
 
 import random
 import time
 
-from heckeclifford import _pykernels, kernels, linalg
+from heckeclifford import _pykernels, kernels, linalg, supermodules
 from heckeclifford.scalars import CycField
 
 try:
@@ -80,6 +85,44 @@ def bench_eliminate(field, families=32, seed=7):
         del field.raw_inverse
 
 
+def suite_modules(l):
+    """The modules whose characters relation_suites(l) computes, in call order."""
+    modules = []
+    original = supermodules.formal_character
+
+    def record(M):
+        modules.append(M)
+        return original(M)
+
+    supermodules.formal_character = record
+    try:
+        supermodules.relation_suites(l)
+    finally:
+        supermodules.formal_character = original
+    return modules
+
+
+def bench_characters(modules):
+    """Seconds of each engine over the modules, operator matrices included.
+
+    Also returns how many modules the mod-p split declined; formal_character
+    would send those to the exact engine as well.
+    """
+    engines = {
+        "exact": supermodules._word_dims,
+        "mod-p": supermodules._certified_word_dims,
+    }
+    out = {}
+    declined = 0
+    for name, engine in engines.items():
+        t0 = time.perf_counter()
+        for M in modules:
+            ops = {k: supermodules._op_x_plus_xinv(M, k) for k in range(1, M.n + 1)}
+            declined += engine(M, ops) is None
+        out[name] = time.perf_counter() - t0
+    return out, declined
+
+
 def main():
     backends = [("python", _pykernels)]
     if _ckernels is not None:
@@ -98,6 +141,19 @@ def main():
     tm, calls = bench_eliminate(field)
     print(f"-- elimination over Q(zeta_16), {kernels.BACKEND} backend")
     print(f"  32 families x Echelon + Tracker: {tm:7.3f}s, {calls} raw_inverse calls")
+    for l in (3, 5):
+        modules = suite_modules(l)
+        for rank in sorted({M.rank for M in modules}):
+            group = [M for M in modules if M.rank == rank]
+            times, declined = bench_characters(group)
+            kdim = max(M.k_dim() for M in group)
+            print(
+                f"-- formal_character engines, l = {l}, tower rank {rank}: "
+                f"{len(group)} modules, K-dimension up to {kdim}, "
+                f"{declined} declined mod p"
+            )
+            for name, tm in times.items():
+                print(f"  {name:7s} {tm:7.3f}s ({times['exact'] / tm:4.2f}x)")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import kernels, linalg
+from . import kernels, linalg, modp
 from .algebra import HeckeClifford, NormalMonomial
 from .grothendieck import WordSum, shuffle
 from .scalars import (
@@ -1255,37 +1255,97 @@ def _split_level(field, op_cols, gens, kdim, qs, tower=None):
     return parts
 
 
+def _word_dims(M, ops):
+    """K-dimensions of the joint generalized eigenspaces, by the exact engine.
+
+    The eigenspaces of A_n, .., A_1 (A_k = X_k + X_k^-1, the K-matrices in
+    ops) are split off one level at a time, which needs each span along the
+    way to be invariant under the next operator: this holds for any module,
+    because the X's are even and commute.  Each level is carried as
+    T-generators and its K-dimension, starting from the mask-0 unit vectors,
+    which requires the generators to be tower-linear, as every module built
+    here is (see _split_level).  Returns {word: K-dimension}.
+    """
+    qs = [q_of(M.model.l, i).raw for i in range(M.model.l)]
+    counts = {}
+    stack = []
+    for p in (1, 0):
+        gens = [M.unit_k_vector(t) for t in range(M.dim) if M.parity[t] == p]
+        if gens:
+            stack.append((M.n, gens, len(gens) * M.rank, ()))
+    while stack:
+        k, gens, kdim, word = stack.pop()
+        if k == 0:
+            counts[word] = counts.get(word, 0) + kdim
+            continue
+        parts = _split_level(M.field, ops[k], gens, kdim, qs, M.tower)
+        stack.extend((k - 1, g, d, (i,) + word) for i, g, d in reversed(parts))
+    return counts
+
+
+def _certified_word_dims(M, ops):
+    """The word dimensions from the mod-p split, proved over K; None on failure.
+
+    modp.word_dims gives, for every word w, the F_p-dimension d_p(w) of the
+    joint generalized eigenspace of the reduced operators at the residues of
+    (q(w_1), .., q(w_n)), and exponents a_k,i.  The K work is one
+    certificate per operator: P_k(A_k) = prod_i (A_k - q(i))^a_k,i kills
+    every mask-0 unit vector e_t, by mat_vec alone.  Proof that then
+    d_p(w) = dim_K E_w for every word, where N = dim * rank:
+
+    - A_k is tower-linear, so P_k(A_k) kills the T-span of the e_t, which
+      is K^N.  The q(i) are distinct mod p, hence distinct in K, so K^N is
+      the direct sum of the ker (A_k - q(i))^a_k,i, and since the A_k
+      commute, K^N is the direct sum of the joint eigenspaces
+      E_w = ker B_w, B_w the stack of the (A_k - q(w_k))^a_k,w_k.  So the
+      dim_K E_w sum to N.
+    - Every entry of B_w has a denominator prime to p (checked on every
+      entry and q(i) reduced), so B_w reduces to B_w mod p, and a minor
+      that is nonzero mod p is nonzero over K: rank_p B_w <= rank_K B_w,
+      so dim ker (B_w mod p) >= dim_K E_w.  ker (B_w mod p) lies in the
+      F_p joint generalized eigenspace at w, whose dimension the split mod
+      p computes exactly (the reduced A_k commute and are tower-linear, as
+      the A_k are), so d_p(w) >= dim_K E_w.
+    - The d_p(w) sum to N (checked), and so do the dim_K E_w: each
+      inequality is an equality.
+
+    The exponents serve only the certificate: any with which it passes
+    will do, and the ones mod p are those of the F_p minimal polynomials.
+
+    Any failure returns None: a denominator divisible by p, colliding
+    residues of the q(i), a root mod p outside them, an F_p total other
+    than N, or a failed certificate (an eigenvalue over K that only
+    reduces to a q(i), or an exponent mod p below the one over K).
+    """
+    try:
+        residues = modp.Residues.for_l(M.model.l)
+        reduced = {k: residues.matrix(cols) for k, cols in ops.items()}
+        dims, exps = modp.word_dims(residues, reduced, M.dim, M.parity, M.tower)
+    except modp.Decline:
+        return None
+    qs = [q_of(M.model.l, i).raw for i in range(M.model.l)]
+    for k, cols in ops.items():
+        for t in range(M.dim):
+            if _apply_poly(M.field, cols, qs, exps[k], [], M.unit_k_vector(t)):
+                return None
+    return dims
+
+
 def formal_character(M):
     """Word multiplicities from simultaneous generalized eigenspaces.
 
     For each word the multiplicity is the field dimension of the simultaneous
     generalized eigenspace at (q(w_1), .., q(w_n)), divided by the tower rank
     and by the word's intrinsic dimension factor; inexact divisions raise.
-    The eigenspaces of X_n + X_n^-1, .., X_1 + X_1^-1 are split off one level
-    at a time, which needs each span along the way to be invariant under the
-    next operator: this holds for any module, because the X's are even and
-    commute.  Each level is carried as T-generators and its K-dimension,
-    starting from the mask-0 unit vectors, which requires the generators to
-    be tower-linear, as every module built here is (see _split_level).
+    The dimensions come from the mod-p split, certified over K (see
+    _certified_word_dims); when that declines, the exact engine (_word_dims)
+    computes them and raises its own errors.
     """
     l = M.model.l
-    field = M.field
-    n = M.n
-    qs = [q_of(l, i).raw for i in range(l)]
-    ops = {k: _op_x_plus_xinv(M, k) for k in range(1, n + 1)}
-    counts = {}
-    stack = []
-    for p in (1, 0):
-        gens = [M.unit_k_vector(t) for t in range(M.dim) if M.parity[t] == p]
-        if gens:
-            stack.append((n, gens, len(gens) * M.rank, ()))
-    while stack:
-        k, gens, kdim, word = stack.pop()
-        if k == 0:
-            counts[word] = counts.get(word, 0) + kdim
-            continue
-        parts = _split_level(field, ops[k], gens, kdim, qs, M.tower)
-        stack.extend((k - 1, g, d, (i,) + word) for i, g, d in reversed(parts))
+    ops = {k: _op_x_plus_xinv(M, k) for k in range(1, M.n + 1)}
+    counts = _certified_word_dims(M, ops)
+    if counts is None:
+        counts = _word_dims(M, ops)
     out = {}
     for word, kdim in counts.items():
         denom = M.rank * _word_d_factor(l, word)

@@ -11,6 +11,7 @@ from heckeclifford.grothendieck import WordSum, shuffle
 from heckeclifford.scalars import ScalarModel, Tower, q_of
 from heckeclifford.supermodules import (
     InexactDivisionError,
+    MatrixSupermodule,
     build_L,
     build_L001,
     build_L001_star_L0,
@@ -44,6 +45,7 @@ from heckeclifford.supermodules import (
     type_of,
     verify_relations,
     with_splitting,
+    _certified_word_dims,
     _coset_action,
     _gen_keys,
     _k_positions,
@@ -52,6 +54,7 @@ from heckeclifford.supermodules import (
     _product_basis,
     _split_level,
     _word_d_factor,
+    _word_dims,
 )
 
 
@@ -693,6 +696,32 @@ def k_basis_character(M):
 def test_formal_character_matches_k_basis_character(modules):
     for name, M in modules().items():
         assert formal_character(M) == k_basis_character(M), name
+        _assert_modp_agrees(M)
+
+
+def _assert_modp_agrees(M):
+    """The certified mod-p word dimensions are the exact engine's, with no fallback."""
+    ops = {k: _op_x_plus_xinv(M, k) for k in range(1, M.n + 1)}
+    got = _certified_word_dims(M, ops)
+    assert got is not None, M
+    assert got == _word_dims(M, ops), M
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_modp_characters_agree_on_every_relation_suite_module(l, monkeypatch):
+    # no module of the suites may decline mod p, so that the fast path
+    # cannot silently degrade to the exact engine
+    seen = []
+
+    def checked(M, ops):
+        seen.append(M)
+        _assert_modp_agrees(M)
+        return _word_dims(M, ops)
+
+    monkeypatch.setattr(supermodules, "_certified_word_dims", checked)
+    reports = relation_suites(l)
+    assert all(rep["ok"] for rep in reports.values())
+    assert seen
 
 
 # discriminants d = s^2 that are squares in every Q(zeta_4l), with s
@@ -786,6 +815,27 @@ def test_tower_generator_split_declines_off_q_eigenvalue(case):
         _split_level(field, A, _heads(field, tower, dim), kdim, qs, tower)
     with pytest.raises(ArithmeticError, match="non-integral"):
         _split_level(field, A, _unit_basis(kdim, field), kdim, qs)
+
+
+def _one_operator_module(tower, A, dim, l):
+    """A module of one letter whose X_1 + X_1^-1 is the K-matrix A."""
+    gens = {("X", 1, 1): A, ("X", 1, -1): [{} for _ in A]}
+    return MatrixSupermodule(ScalarModel(l, tower), 1, (1,), (0,) * dim, gens)
+
+
+@given(_tower_operator())
+def test_modp_word_dims_match_exact_on_tower_operators(case):
+    field, tower, A, dim, qs = case
+    _assert_modp_agrees(_one_operator_module(tower, A, dim, len(qs)))
+
+
+@given(_tower_operator(off_q=True))
+def test_modp_word_dims_decline_off_q_eigenvalue(case):
+    field, tower, A, dim, qs = case
+    M = _one_operator_module(tower, A, dim, len(qs))
+    assert _certified_word_dims(M, {1: A}) is None
+    with pytest.raises(ArithmeticError, match="non-integral"):
+        _word_dims(M, {1: A})
 
 
 def test_tower_generator_split_counts_a_non_free_eigenspace():
