@@ -23,13 +23,17 @@ from .realizations import (
 from .supermodules import relation_suites
 
 
-def _emit(payload, args):
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    if getattr(args, "out", None):
+def _write(text, args):
+    """Write a report to --out when given, else to stdout."""
+    if args.out:
         with open(args.out, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _emit(payload, args):
+    _write(json.dumps(payload, indent=2, sort_keys=True) + "\n", args)
 
 
 def _graph_json(graph, lam=None):
@@ -112,12 +116,7 @@ def cmd_crystal(args):
         graph = generate_blambda(args.l, lam, args.depth)
     issues = star_commutation_report(graph) if args.which == "binfty" else []
     if args.format == "dot":
-        text = _graph_dot(graph)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(text)
-        else:
-            sys.stdout.write(text)
+        _write(_graph_dot(graph), args)
     else:
         _emit(_graph_json(graph, lam), args)
     return 0 if not issues else 1

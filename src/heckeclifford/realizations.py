@@ -420,24 +420,3 @@ def graphs_equal(g1, g2):
         }
     return norm(g1) == norm(g2)
 
-
-def path_f(l, start, a, i):
-    """Lowering on a single rotation's path tuple."""
-    return PathCrystal(l, start).f(a, i)
-
-
-def path_e(l, start, a, i):
-    """Raising on a single rotation's path tuple (None when the string ends)."""
-    return PathCrystal(l, start).e(a, i)
-
-
-def path_eps(l, start, a, i):
-    return PathCrystal(l, start).eps(a, i)
-
-
-def path_phi(l, start, a, i):
-    return PathCrystal(l, start).phi(a, i)
-
-
-def path_wt(l, start, a):
-    return PathCrystal(l, start).wt(a)

@@ -5,7 +5,10 @@ zeta, reduced modulo the 4l-th cyclotomic polynomial, with rational
 coefficients held as an integer vector over a common denominator.  The tower
 type adjoins at most two square roots r_k with r_k^2 = d_k for nonzero
 discriminants d_k in the field; it is a quotient ring, not necessarily a
-field, and inversion discovers zero divisors lazily (see ZeroDivisorError).
+field, and offers no division.  When a discriminant is a square in the field,
+a module span over the tower is not free; supermodules reports that as an
+InexactDivisionError, reads the square root off the trace of r_k on the span
+and rebuilds in the ring that `Tower.split` leaves.
 """
 
 from __future__ import annotations
@@ -19,23 +22,6 @@ from . import kernels
 
 class NotInvertibleError(ZeroDivisionError):
     """Attempted to invert zero."""
-
-
-class ZeroDivisorError(ArithmeticError):
-    """Inversion hit a nonzero zero divisor a + b*r of vanishing norm.
-
-    Carries the discovered square root ``root`` of the discriminant at
-    ``disc_index`` (root**2 == disc), so the caller can split the ring by
-    substituting r -> root and retry the computation.
-    """
-
-    def __init__(self, element, disc_index, root):
-        super().__init__(
-            f"zero divisor over discriminant #{disc_index}; ring splits at r -> {root}"
-        )
-        self.element = element
-        self.disc_index = disc_index
-        self.root = root
 
 
 class ThirdDiscriminantError(ValueError):
@@ -399,15 +385,9 @@ class TowerElem:
             return TowerElem(self.tower, [other * a for a in self.coords])
         return NotImplemented
 
-    def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return self * o.invert()
-
     def __pow__(self, e):
         if e < 0:
-            return self.invert() ** (-e)
+            raise ValueError("towers have no division; exponent must be >= 0")
         acc = self.tower.one
         base = self
         while e:
@@ -429,10 +409,6 @@ class TowerElem:
     def is_zero(self):
         return all(a.is_zero() for a in self.coords)
 
-    def invert(self):
-        """Multiplicative inverse; raises ZeroDivisorError on a zero divisor."""
-        return self.tower.invert(self)
-
     def __repr__(self):
         names = {0: "", 1: "r1", 2: "r2", 3: "r1*r2"}
         parts = []
@@ -446,11 +422,11 @@ class TowerElem:
 class Tower:
     """Quotient ring F[r_1, r_2]/(r_k^2 - d_k) over F = Q(zeta_4l).
 
-    At most two distinct nonzero discriminants are allowed.  The ring can
-    contain zero divisors when a discriminant is a square in F; inversions
-    detect this lazily and report the square root via ZeroDivisorError, after
-    which `split` produces the smaller ring.  Instances are interned per
-    (field, discriminants), so equal towers are identical.
+    At most two distinct nonzero discriminants are allowed.  The ring
+    contains zero divisors when a discriminant is a square in F; a module
+    span over it is then not free, and once that square root is known `split`
+    produces the smaller ring.  Instances are interned per (field,
+    discriminants), so equal towers are identical.
     """
 
     _registry = {}
@@ -536,72 +512,23 @@ class Tower:
         r = self.gen(k)
         return r if sign >= 0 else -r
 
-    def _halves(self, x, k):
-        """Split coords into (without r_k, with r_k) over the subtower sans k."""
-        sub = Tower(self.field, tuple(d for j, d in enumerate(self.discs) if j != k))
-        lo = [self.field.zero] * sub.rank
-        hi = [self.field.zero] * sub.rank
-        bit = 1 << k
-        for mask, a in enumerate(x.coords):
-            submask = (mask & (bit - 1)) | ((mask >> 1) & ~(bit - 1))
-            if mask & bit:
-                hi[submask] = a
-            else:
-                lo[submask] = a
-        return sub, TowerElem(sub, lo), TowerElem(sub, hi)
-
-    def _unsplit(self, k, lo, hi):
-        bit = 1 << k
-        coords = [self.field.zero] * self.rank
-        for submask in range(len(lo.coords)):
-            mask = (submask & (bit - 1)) | ((submask & ~(bit - 1)) << 1)
-            coords[mask] = lo.coords[submask]
-            coords[mask | bit] = hi.coords[submask]
-        return TowerElem(self, coords)
-
-    def invert(self, x):
-        if not self.discs:
-            f = x.coords[0]
-            fi = f.inverse()  # raises NotInvertibleError on zero
-            return self.scalar(fi)
-        k = len(self.discs) - 1
-        sub, a, b = self._halves(x, k)
-        d = self.discs[k]
-        norm = a * a - (b * b) * d
-        if norm.is_zero():
-            if b.is_zero():
-                # reduced ring: a*a == 0 forces a == 0
-                raise NotInvertibleError("inverse of zero")
-            binv = sub.invert(b)  # may raise ZeroDivisorError for inner disc
-            s = a * binv
-            s = _positive_root(s)
-            raise ZeroDivisorError(x, k, s)
-        ninv = sub.invert(norm)
-        lo = a * ninv
-        hi = -(b * ninv)
-        return self._unsplit(k, lo, hi)
-
     def split(self, k, root):
         """The tower with disc #k removed by substituting r_k -> root.
 
-        root lives in the base field or in the tower over the remaining
-        discriminants; returns (new_tower, mapper) where mapper sends elements
-        of this tower into the new one.
+        root is a base field element; returns (new_tower, mapper) where mapper
+        sends elements of this tower into the new one.
         """
-        sub = Tower(self.field, tuple(d for j, d in enumerate(self.discs) if j != k))
-        if isinstance(root, FieldElem):
-            root = sub.scalar(root)
-        elif isinstance(root, TowerElem) and root.tower is not sub:
-            root = sub.elem(root.coords)
-        check = root * root - sub.scalar(self.discs[k])
-        if not check.is_zero():
+        if root * root != self.discs[k]:
             raise ValueError("root**2 != discriminant; refusing to split")
+        sub = Tower(self.field, tuple(d for j, d in enumerate(self.discs) if j != k))
+        bit = 1 << k
 
         def mapper(x):
-            _, lo, hi = self._halves(x, k)
-            lo2 = sub.elem(lo.coords)
-            hi2 = sub.elem(hi.coords)
-            return lo2 + hi2 * root
+            coords = [self.field.zero] * sub.rank
+            for mask, a in enumerate(x.coords):
+                submask = (mask & (bit - 1)) | ((mask >> 1) & ~(bit - 1))
+                coords[submask] = coords[submask] + (a * root if mask & bit else a)
+            return TowerElem(sub, coords)
 
         return sub, mapper
 
@@ -621,31 +548,6 @@ class Tower:
 
     def __repr__(self):
         return f"Tower({self.field!r}, discs={list(self.discs)!r})"
-
-
-def _positive_root(s):
-    """Normalize the sign of a candidate square root deterministically.
-
-    The chosen representative is the one whose leading nonzero rational
-    coordinate is positive: scan r-monomial coordinates from the highest basis
-    index down, within a coordinate from the highest zeta-degree down.
-    """
-    if isinstance(s, TowerElem):
-        for a in reversed(s.coords):
-            nums, _ = a.raw
-            for c in reversed(nums):
-                if c > 0:
-                    return s
-                if c < 0:
-                    return -s
-        return s
-    nums, _ = s.raw
-    for c in reversed(nums):
-        if c > 0:
-            return s
-        if c < 0:
-            return -s
-    return s
 
 
 def b_pm(l, i, sign):
@@ -675,19 +577,12 @@ def b_in_tower(tower, l, i, sign):
     return half + tower.sqrt_of(d, sign)
 
 
-def tower_invert(x):
-    """Inverse in the tower (or field); see ZeroDivisorError for splitting."""
-    if isinstance(x, FieldElem):
-        return x.inverse()
-    return x.tower.invert(x)
-
-
 class ScalarModel:
     """A tower together with realized square roots of split discriminants.
 
     Module builders work against a model so a computation can be restarted in
-    the smaller ring after a ZeroDivisorError: the discriminant leaves the
-    tower but its square root stays available.
+    the smaller ring after an InexactDivisionError: the discriminant leaves
+    the tower but its square root stays available.
     """
 
     def __init__(self, l, tower, roots=None):
@@ -721,17 +616,11 @@ class ScalarModel:
         return half + self.sqrt_disc(i, sign)
 
     def split(self, disc_index, root):
-        """New model after substituting r_k -> root."""
+        """New model after substituting r_k -> root, a base field element."""
         old = self.tower.discs[disc_index]
         tower2, mapper = self.tower.split(disc_index, root)
-        if isinstance(root, FieldElem):
-            root2 = tower2.scalar(root)
-        elif root.tower is tower2:
-            root2 = root
-        else:
-            root2 = tower2.elem(root.coords)
         roots2 = {raw: mapper(v) for raw, v in self.roots.items()}
-        roots2[old.raw] = root2
+        roots2[old.raw] = tower2.scalar(root)
         return ScalarModel(self.l, tower2, roots2), mapper
 
 

@@ -22,17 +22,19 @@ from .grothendieck import WordSum, shuffle
 from .scalars import (
     FieldElem,
     ScalarModel,
-    ZeroDivisorError,
     q_of,
 )
 
 
 class InexactDivisionError(ArithmeticError):
-    """A field dimension was not divisible by the tower rank.
+    """A span over the tower is not free: its field dimension is not
+    divisible by the tower rank.
 
-    Signals that a discriminant is a square in the field and the quotient
-    ring splits the space unevenly; carries the data needed to discover the
-    square root and retry in the smaller ring.
+    The only trigger for ring splitting.  It signals that a discriminant is a
+    square in the field, so the quotient ring splits the space unevenly, and
+    carries the module and vectors from which `discover_square_root` reads
+    the root off the trace of r; `with_splitting` then rebuilds in the split
+    ring.
     """
 
     def __init__(self, module, vectors, detail):
@@ -149,8 +151,6 @@ class MatrixSupermodule:
             raise ValueError("composition does not sum to the rank")
         self.parity = tuple(parity)
         self.dim = len(self.parity)
-        self.even_dim = sum(1 for p in self.parity if p == 0)
-        self.odd_dim = self.dim - self.even_dim
         if any(self.parity[k] > self.parity[k + 1] for k in range(self.dim - 1)):
             raise ValueError("basis must be even-block-first")
         self.gens = gens
@@ -952,7 +952,7 @@ def _vector_parity(M, v):
     return ps.pop()
 
 
-def submodule(M, k_vectors, mu=None, gen_keys=None, extra_ops=None):
+def submodule(M, k_vectors, mu=None, extra_ops=None):
     """Sub-supermodule on the T-span of the K-vectors (invariance required).
 
     extra_ops maps names to K-matrices on M to be restricted alongside the
@@ -966,8 +966,6 @@ def submodule(M, k_vectors, mu=None, gen_keys=None, extra_ops=None):
     pars = [_vector_parity(M, v) for v in basis]
     order = sorted(range(len(basis)), key=lambda s: (pars[s], s))
     pos = {s: k for k, s in enumerate(order)}
-    if gen_keys is None:
-        gen_keys = _gen_keys(M.n, mu)
 
     def restrict(G):
         cols = _zero_kmat(len(basis), M.rank)
@@ -980,7 +978,7 @@ def submodule(M, k_vectors, mu=None, gen_keys=None, extra_ops=None):
         return cols
 
     gens = {}
-    for key in gen_keys:
+    for key in _gen_keys(M.n, mu):
         cols = restrict(M.gen(key))
         if cols is None:
             raise NotInvariantError(f"span not closed under {key}")
@@ -1672,6 +1670,21 @@ def _assert_iij_defining_equations(M, l, i, j):
 # -- splitting-retry harness ----------------------------------------------------
 
 
+def _positive_root(s):
+    """Normalize the sign of a candidate square root deterministically.
+
+    The chosen representative is the one whose coefficient of highest
+    zeta-degree is positive.
+    """
+    nums, _ = s.raw
+    for c in reversed(nums):
+        if c > 0:
+            return s
+        if c < 0:
+            return -s
+    return s
+
+
 def discover_square_root(M, vectors):
     """Find a discriminant that splits unevenly on the span and its root.
 
@@ -1679,8 +1692,6 @@ def discover_square_root(M, vectors):
     (m+ - m-) * s for the two eigenvalue multiplicities; scanning the possible
     multiplicity differences recovers s exactly when the split is uneven.
     """
-    from .scalars import _positive_root
-
     field = M.field
     witness_sets = []
     if vectors:
@@ -1719,7 +1730,7 @@ def discover_square_root(M, vectors):
 
 
 def with_splitting(make, compute):
-    """Run compute(model), splitting the scalar ring on demand and retrying.
+    """Run compute(model); on an InexactDivisionError split the ring and retry.
 
     Each retry splits one discriminant off the tower, so a tower of d
     discriminants allows d retries; a failure with none left to split raises
@@ -1730,16 +1741,13 @@ def with_splitting(make, compute):
     while True:
         try:
             return compute(model)
-        except (ZeroDivisorError, InexactDivisionError) as e:
+        except InexactDivisionError as e:
             if not model.tower.discs:
                 raise RuntimeError(
                     "ring splitting did not stabilize after splitting "
                     f"{', '.join(splits) or 'nothing'}"
                 ) from e
-            if isinstance(e, ZeroDivisorError):
-                k, root = e.disc_index, e.root
-            else:
-                k, root = discover_square_root(e.module, e.vectors)
+            k, root = discover_square_root(e.module, e.vectors)
             splits.append(f"sqrt({model.tower.discs[k]}) = {root}")
             model, _ = model.split(k, root)
 

@@ -55,6 +55,15 @@ def test_crystal_blambda_dot(capsys):
     assert "label=0" in out or "label=1" in out
 
 
+def test_crystal_dot_out_matches_stdout(capsys, tmp_path):
+    argv = ["crystal", "binfty", "--l", "3", "--depth", "3", "--format", "dot"]
+    code, out = run_cli(argv, capsys)
+    assert code == 0
+    path = tmp_path / "crystal.dot"
+    assert run_cli(argv + ["--out", str(path)], capsys) == (0, "")
+    assert path.read_bytes() == out.encode()
+
+
 def test_crystal_binfty_json_schema(capsys):
     code, out = run_cli(["crystal", "binfty", "--l", "2", "--depth", "3"], capsys)
     assert code == 0

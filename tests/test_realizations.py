@@ -455,15 +455,14 @@ def test_trim():
 
 
 def test_path_function_wrappers():
-    from heckeclifford.realizations import path_e, path_eps, path_f, path_phi, path_wt
-
-    assert path_eps(3, 0, (), 1) == 0
-    p = path_f(3, 0, (), 0)
+    pc = PathCrystal(3, 0)
+    assert pc.eps((), 1) == 0
+    p = pc.f((), 0)
     assert p == (1,)
-    assert path_e(3, 0, p, 0) == ()
-    assert path_e(3, 0, (), 0) is None
-    assert path_phi(3, 0, p, 0) == path_eps(3, 0, p, 0) - 2
-    assert path_wt(3, 0, p).alpha == (-1, 0, 0)
+    assert pc.e(p, 0) == ()
+    assert pc.e((), 0) is None
+    assert pc.phi(p, 0) == pc.eps(p, 0) - 2
+    assert pc.wt(p).alpha == (-1, 0, 0)
 
 
 def test_blambda_axioms_along_edges():

@@ -137,7 +137,7 @@ def _column(M, key, c):
 def test_build_L_end_letter_shape():
     M = build_L(2, 0)
     # X_1 acts by 1 on both graded pieces, C_1 swaps them
-    assert M.even_dim == 1 and M.odd_dim == 1
+    assert M.parity == (0, 1)
     x = ("X", 1, 1)
     one = M.tower.one
     assert _column(M, x, 0) == {0: one} and _column(M, x, 1) == {1: one}
@@ -482,22 +482,28 @@ def test_certified_split_declines_off_q_eigenvalue(case):
         _split_level(field, A, _unit_basis(len(A), field), len(A), qs)
 
 
-def test_with_splitting_retries_and_rebuilds():
-    from heckeclifford.scalars import tower_invert
+def _non_free_line(model):
+    """Raise InexactDivisionError: the T-span of an r-invariant line at l = 3.
 
+    d_1 = -1 is a square, so over the unsplit tower the line through
+    q^3 + r is r-invariant and not free, as in
+    test_tower_span_detects_uneven_split.
+    """
+    f = model.field
+    tower_span(build_L(3, 1, model), [{0: f.zeta_pow(3).raw, 1: f.one.raw}])
+    raise AssertionError("expected a span that is not free")
+
+
+def test_with_splitting_retries_and_rebuilds():
     attempts = []
 
     def compute(model):
         attempts.append(model.tower.rank)
         if model.tower.discs:
-            # force the zero-divisor discovery on the first pass
-            f = model.field
-            x = model.tower.gen(0) - model.tower.scalar(f.zeta_pow(3))
-            tower_invert(x)  # raises ZeroDivisorError with root q^3
-            raise AssertionError("unreachable")
-        # after the split the root is still available through the model
-        b = model.b(1, 1)
-        assert b == model.tower.scalar(model.field.zeta_pow(3))
+            _non_free_line(model)
+        # after the split the root, read off by discover_square_root, is
+        # still available through the model
+        assert model.b(1, 1) == model.tower.scalar(model.field.zeta_pow(3))
         return "done"
 
     out = with_splitting(lambda: ScalarModel.for_indices(3, [1]), compute)
@@ -506,14 +512,14 @@ def test_with_splitting_retries_and_rebuilds():
 
 
 def test_with_splitting_stops_when_no_discriminant_is_left():
-    from heckeclifford.scalars import ZeroDivisorError
-
     attempts = []
 
     def compute(model):
-        # a zero divisor that splitting does not remove
+        # a span that is not free even after splitting
         attempts.append(model.tower.rank)
-        raise ZeroDivisorError(None, 0, model.field.zeta_pow(3))
+        if model.tower.discs:
+            _non_free_line(model)
+        raise InexactDivisionError(None, None, "still not free")
 
     with pytest.raises(RuntimeError, match=r"not stabilize after .*sqrt\(-1\)"):
         with_splitting(lambda: ScalarModel.for_indices(3, [1]), compute)
@@ -521,16 +527,8 @@ def test_with_splitting_stops_when_no_discriminant_is_left():
 
 
 def test_model_split_keeps_module_builders_usable():
-    from heckeclifford.scalars import ZeroDivisorError, tower_invert
-
     model = ScalarModel.for_indices(3, [1])
-    f = model.field
-    x = model.tower.gen(0) - model.tower.scalar(f.zeta_pow(3))
-    try:
-        tower_invert(x)
-        raise AssertionError("expected a zero divisor")
-    except ZeroDivisorError as e:
-        model2, _ = model.split(e.disc_index, e.root)
+    model2, _ = model.split(0, model.field.zeta_pow(3))
     # all builders keep working in the split ring and stay exactly verified
     L1 = build_L(3, 1, model2)
     assert verify_relations(L1) == []
@@ -718,7 +716,12 @@ def test_modp_characters_agree_on_every_relation_suite_module(l, monkeypatch):
         _assert_modp_agrees(M)
         return _word_dims(M, ops)
 
+    def no_split(M, vectors):
+        raise AssertionError("a relation suite module split its ring")
+
     monkeypatch.setattr(supermodules, "_certified_word_dims", checked)
+    # no suite module needs a split ring: with_splitting never retries
+    monkeypatch.setattr(supermodules, "discover_square_root", no_split)
     reports = relation_suites(l)
     assert all(rep["ok"] for rep in reports.values())
     assert seen
