@@ -2,7 +2,8 @@
 
 Vectors are dicts {index: raw}, matrices are column-major lists of such dicts,
 where raw is the kernel-level field element format.  Everything is exact;
-pivot normalization uses the field inverse.  Echelon and Tracker share one
+pivot normalization uses the field inverse.  A Tracker is an Echelon that
+also tracks each row as a combination of the inserted vectors; both run one
 elimination loop, _eliminate, over pivot rows stored without their unit pivot
 entry.  Each new row pivots on its cheapest entry, so normalizing it spreads
 no large norm denominator; no result depends on the pivot columns.
@@ -174,8 +175,8 @@ class Echelon:
         return not _eliminate(self.pivots, dict(v), self.field.red)
 
 
-class Tracker:
-    """Echelon basis with combination tracking.
+class Tracker(Echelon):
+    """An Echelon that tracks combinations; dim and contains are inherited.
 
     Every stored row knows its expression as a combination of the inserted
     vectors (by tag).  Inserting a dependent vector returns the dependency
@@ -184,13 +185,8 @@ class Tracker:
     """
 
     def __init__(self, field):
-        self.field = field
-        self.pivots = {}
+        super().__init__(field)
         self.tags = []
-
-    @property
-    def dim(self):
-        return len(self.pivots)
 
     def insert(self, v, tag):
         combo = {tag: self.field.one.raw}
@@ -200,9 +196,6 @@ class Tracker:
         _add_pivot(self.field, self.pivots, v, combo)
         self.tags.append(tag)
         return None
-
-    def contains(self, v):
-        return not _eliminate(self.pivots, dict(v), self.field.red)
 
     def express(self, v):
         """Coordinates of v over the inserted vectors, or None if outside.

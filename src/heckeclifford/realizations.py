@@ -220,11 +220,12 @@ class CrystalGraph:
         return nid
 
 
-def generate_binfty(l, depth):
-    """BFS closure of the vacuum under all lowerings up to the given depth.
+def _closure(l, depth, lower):
+    """BFS closure of the vacuum under lower(fam, i), for every color i.
 
-    Nodes are discovered colors-ascending, and every edge into a known node is
-    cross-checked in all rotations; a mismatch raises ConsistencyFailure.
+    Nodes are discovered colors-ascending; lower returns None where there is
+    no child.  Every edge into a known node is cross-checked in all rotations,
+    and a mismatch raises ConsistencyFailure.
     """
     g = CrystalGraph(l)
     root = PathFamily.vacuum(l)
@@ -235,19 +236,25 @@ def generate_binfty(l, depth):
         for fam in frontier:
             src = g.node_id(fam)
             for i in range(l):
-                child = fam.f(i)
+                child = lower(fam, i)
+                if child is None:
+                    continue
                 nid = g.node_id(child)
                 if nid is None:
                     nid = g.add_node(child)
                     new_frontier.append(child)
-                else:
-                    if g.nodes[nid].paths != child.paths:
-                        raise ConsistencyFailure(
-                            f"two words reach {child.key()} with different rotations"
-                        )
+                elif g.nodes[nid].paths != child.paths:
+                    raise ConsistencyFailure(
+                        f"two words reach {child.key()} with different rotations"
+                    )
                 g.edges.append((src, nid, i))
         frontier = new_frontier
     return g
+
+
+def generate_binfty(l, depth):
+    """Closure of the vacuum under all lowerings up to the given depth."""
+    return _closure(l, depth, lambda fam, i: fam.f(i))
 
 
 def splitting_strictness_report(fam, l):
@@ -371,29 +378,9 @@ def weighted_string_sum(fam, lam):
 
 def generate_blambda(l, lam, depth):
     """Lowering-closure of the vacuum inside the cut."""
-    g = CrystalGraph(l)
-    root = PathFamily.vacuum(l)
-    if not blambda_member(root, lam):
+    if not blambda_member(PathFamily.vacuum(l), lam):
         raise ValueError("the vacuum must lie in the cut")
-    g.add_node(root)
-    frontier = [root]
-    for _ in range(depth):
-        new_frontier = []
-        for fam in frontier:
-            src = g.node_id(fam)
-            for i in range(l):
-                child = blambda_f(fam, lam, i)
-                if child is None:
-                    continue
-                nid = g.node_id(child)
-                if nid is None:
-                    nid = g.add_node(child)
-                    new_frontier.append(child)
-                elif g.nodes[nid].paths != child.paths:
-                    raise ConsistencyFailure("rotation mismatch in the cut")
-                g.edges.append((src, nid, i))
-        frontier = new_frontier
-    return g
+    return _closure(l, depth, lambda fam, i: blambda_f(fam, lam, i))
 
 
 def blambda_by_cut(l, lam, depth):

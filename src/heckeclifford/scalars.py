@@ -493,24 +493,10 @@ class Tower:
         coords[1 << k] = self.field.one
         return TowerElem(self, coords)
 
-    def disc_index(self, d):
-        for k, e in enumerate(self.discs):
-            if e.raw == d.raw:
-                return k
-        return None
-
     def elem(self, coords):
         if len(coords) != self.rank:
             raise ValueError("coordinate count mismatch")
         return TowerElem(self, coords)
-
-    def sqrt_of(self, d, sign=1):
-        """sign * r_k for the discriminant d, which must be adjoined here."""
-        k = self.disc_index(d)
-        if k is None:
-            raise ValueError("discriminant not adjoined to this tower")
-        r = self.gen(k)
-        return r if sign >= 0 else -r
 
     def split(self, k, root):
         """The tower with disc #k removed by substituting r_k -> root.
@@ -532,49 +518,8 @@ class Tower:
 
         return sub, mapper
 
-    def regular_rows(self, x):
-        """Matrix of multiplication by x on the r-monomial basis (row-major)."""
-        f = self.field
-        rows = [[f.zero] * self.rank for _ in range(self.rank)]
-        for c in range(self.rank):
-            for b, a in enumerate(x.coords):
-                if a.is_zero():
-                    continue
-                common = b & c
-                term = a if not common else a * self._dmask[common]
-                i = b ^ c
-                rows[i][c] = rows[i][c] + term
-        return rows
-
     def __repr__(self):
         return f"Tower({self.field!r}, discs={list(self.discs)!r})"
-
-
-def b_pm(l, i, sign):
-    """The root q(i)/2 + sign*sqrt(q(i)^2/4 - 1) of x^2 - q(i)x + 1.
-
-    Returns a plain FieldElem when the discriminant vanishes (q(i) = +-2),
-    else a TowerElem over the single-discriminant tower.
-    """
-    if sign not in (1, -1):
-        raise ValueError("sign must be +1 or -1")
-    qi = q_of(l, i)
-    d = discriminant(l, i)
-    if d.is_zero():
-        return qi * Fraction(1, 2)
-    tower = Tower(CycField.for_l(l), (d,))
-    half = tower.scalar(qi * Fraction(1, 2))
-    return half + tower.gen(0) * sign
-
-
-def b_in_tower(tower, l, i, sign):
-    """b_pm(l, i, sign) expressed in a pre-built joint tower."""
-    qi = q_of(l, i)
-    d = discriminant(l, i)
-    half = tower.scalar(qi * Fraction(1, 2))
-    if d.is_zero():
-        return half
-    return half + tower.sqrt_of(d, sign)
 
 
 class ScalarModel:
@@ -602,16 +547,17 @@ class ScalarModel:
         d = discriminant(self.l, i)
         if d.is_zero():
             return self.tower.zero
-        k = self.tower.disc_index(d)
-        if k is not None:
-            return self.tower.sqrt_of(d, sign)
-        root = self.roots.get(d.raw)
-        if root is None:
-            raise ValueError(f"discriminant of index {i} unavailable in this model")
+        adjoined = [e.raw for e in self.tower.discs]
+        if d.raw in adjoined:
+            root = self.tower.gen(adjoined.index(d.raw))
+        else:
+            root = self.roots.get(d.raw)
+            if root is None:
+                raise ValueError(f"discriminant of index {i} unavailable in this model")
         return root if sign >= 0 else -root
 
     def b(self, i, sign):
-        """b_pm(l, i, sign) as an element of the model's ring."""
+        """The root q(i)/2 + sign*sqrt(d_i) of x^2 - q(i)x + 1, in the model's ring."""
         half = self.tower.scalar(q_of(self.l, i) * Fraction(1, 2))
         return half + self.sqrt_disc(i, sign)
 

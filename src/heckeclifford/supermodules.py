@@ -6,6 +6,8 @@ F[r_1, r_2]/(r_k^2 - d_k), F = Q(zeta_4l).  The matrices are stored only after
 restriction of scalars to F, as K-matrices: column-major lists of sparse raw
 columns in the format of linalg, where index t * rank + mask is basis vector t
 times the r-monomial mask, so a tower entry is its rank x rank regular block.
+Every generator is tower-linear: its mask-0 columns fix the others, so each
+constructor writes only those and derives the rest (_derive_translates).
 All rank, kernel and membership computations therefore pivot over the genuine
 field; module-level dimensions are field dimensions divided by the tower
 rank, and an inexact division is reported so the caller can split the ring
@@ -49,38 +51,6 @@ class NotInvariantError(ValueError):
 
 def _zero_kmat(dim, rank):
     return [dict() for _ in range(dim * rank)]
-
-
-def _put_block(cols, rank, i, j, rr):
-    """Write the regular block rr (Tower.regular_rows) at block (i, j)."""
-    for cin in range(rank):
-        col = cols[j * rank + cin]
-        for rout in range(rank):
-            v = rr[rout][cin]
-            if not v.is_zero():
-                col[i * rank + rout] = v.raw
-
-
-def _kmat_from_rows(tower, rows):
-    """Dense row-major lists (TowerElem/FieldElem/int) to a K-matrix."""
-    cols = _zero_kmat(len(rows), tower.rank)
-    for i, row in enumerate(rows):
-        for j, v in enumerate(row):
-            if isinstance(v, (int, FieldElem)):
-                v = tower.scalar(v)
-            if not v.is_zero():
-                _put_block(cols, tower.rank, i, j, tower.regular_rows(v))
-    return cols
-
-
-def _put_coords(tower, cols, j, coords):
-    """Write column j from the coordinates {(i, mask): raw} of its entries."""
-    field = tower.field
-    entries = {}
-    for (i, mask), raw in coords.items():
-        entries.setdefault(i, [field.zero] * tower.rank)[mask] = FieldElem(field, raw)
-    for i, cs in entries.items():
-        _put_block(cols, tower.rank, i, j, tower.regular_rows(tower.elem(cs)))
 
 
 def _k_positions(rank, positions):
@@ -127,11 +97,31 @@ def _translates(tower, v):
 def _derive_translates(tower, cols):
     """Fill the columns of a tower-linear K-matrix from its mask-0 columns.
 
-    Column t * rank + mask is G(e_t r^mask) = G(e_t) r^mask.
+    Column t * rank + mask is G(e_t r^mask) = G(e_t) r^mask.  Every
+    constructor that computes columns (_kmat_from_rows, induce, submodule,
+    quotient) writes only the mask-0 ones and derives the rest here.
     """
     for c in range(0, len(cols), tower.rank):
         cols[c : c + tower.rank] = _translates(tower, cols[c])
     return cols
+
+
+def _kmat_from_rows(tower, rows):
+    """Dense row-major lists (TowerElem/FieldElem/int) to a K-matrix.
+
+    Entry (i, j)'s r-monomial coordinates go to rows i * rank + mask of
+    column j * rank; the other columns are derived (_derive_translates).
+    """
+    rank = tower.rank
+    cols = _zero_kmat(len(rows), rank)
+    for i, row in enumerate(rows):
+        for j, v in enumerate(row):
+            if isinstance(v, (int, FieldElem)):
+                v = tower.scalar(v)
+            for mask, c in enumerate(v.coords):
+                if not c.is_zero():
+                    cols[j * rank][i * rank + mask] = c.raw
+    return _derive_translates(tower, cols)
 
 
 class MatrixSupermodule:
@@ -903,7 +893,6 @@ def sigma_twist(M):
 # -- subspaces over the tower -----------------------------------------------
 
 
-
 def _gen_keys(n, mu):
     keys = []
     for k in range(1, n + 1):
@@ -952,112 +941,79 @@ def _vector_parity(M, v):
     return ps.pop()
 
 
+def _subquotient(M, tracker, vectors, dropped, mu, extra_ops):
+    """The module on vectors[dropped:] modulo the T-span of vectors[:dropped].
+
+    vectors is a T-basis of a span whose r-translates are in the tracker
+    under tags (s, mask); each must be parity-homogeneous (else ValueError).
+    For each generator and extra op G, G v_s is expressed in the tracker; its
+    coordinates on the kept vectors, even ones first, are mask-0 column s and
+    the rest are derived.  Raises NotInvariantError unless G keeps the span
+    and the dropped vectors' T-span.
+    """
+    rank = M.rank
+    pars = [_vector_parity(M, v) for v in vectors]
+    order = sorted(range(dropped, len(vectors)), key=lambda s: (pars[s], s))
+    place = {(s, m): k * rank + m for k, s in enumerate(order) for m in range(rank)}
+
+    def restrict(G, name):
+        cols = _zero_kmat(len(order), rank)
+        for s, v in enumerate(vectors):
+            coords = tracker.express(linalg.mat_vec(G, v, M.field.red))
+            if coords is None:
+                raise NotInvariantError(f"span not closed under {name}")
+            kept = {place[tag]: x for tag, x in coords.items() if tag in place}
+            if s >= dropped:
+                cols[place[(s, 0)]] = kept
+            elif kept:
+                raise NotInvariantError(f"quotiented span not closed under {name}")
+        return _derive_translates(M.tower, cols)
+
+    gens = {key: restrict(M.gen(key), key) for key in _gen_keys(M.n, mu)}
+    out = MatrixSupermodule(M.model, M.n, mu, [pars[s] for s in order], gens)
+    ops = (extra_ops or {}).items()
+    out.extra = {name: restrict(op, f"extra op {name}") for name, op in ops}
+    return out
+
+
 def submodule(M, k_vectors, mu=None, extra_ops=None):
     """Sub-supermodule on the T-span of the K-vectors (invariance required).
 
-    extra_ops maps names to K-matrices on M to be restricted alongside the
-    generators; the results land in the output's .extra dict.
+    Its T-basis is tower_span's; generators and extra_ops (names to K-matrices
+    on M, restricted alongside, landing in the output's .extra dict) are
+    restricted by _subquotient.
     """
-    field = M.field
-    mu = mu or M.mu
     basis, tracker = tower_span(M, k_vectors)
     if not basis:
         raise ValueError("zero subspace has no module structure")
-    pars = [_vector_parity(M, v) for v in basis]
-    order = sorted(range(len(basis)), key=lambda s: (pars[s], s))
-    pos = {s: k for k, s in enumerate(order)}
-
-    def restrict(G):
-        cols = _zero_kmat(len(basis), M.rank)
-        for s, v in enumerate(basis):
-            coords = tracker.express(linalg.mat_vec(G, v, field.red))
-            if coords is None:
-                return None
-            placed = {(pos[tt], mask): raw for (tt, mask), raw in coords.items()}
-            _put_coords(M.tower, cols, pos[s], placed)
-        return cols
-
-    gens = {}
-    for key in _gen_keys(M.n, mu):
-        cols = restrict(M.gen(key))
-        if cols is None:
-            raise NotInvariantError(f"span not closed under {key}")
-        gens[key] = cols
-    out = MatrixSupermodule(M.model, M.n, mu, [pars[s] for s in order], gens)
-    out.extra = {}
-    if extra_ops:
-        for name, op in extra_ops.items():
-            cols = restrict(op)
-            if cols is None:
-                raise NotInvariantError(f"span not closed under extra op {name}")
-            out.extra[name] = cols
-    return out
+    return _subquotient(M, tracker, basis, 0, mu or M.mu, extra_ops)
 
 
 def quotient(M, k_vectors, mu=None, extra_ops=None):
-    """Quotient supermodule by the T-span of the K-vectors."""
-    field = M.field
-    mu = mu or M.mu
-    tracker = linalg.Tracker(field)
-    count = 0
-    for v in k_vectors:
-        if not v:
-            continue
-        if tracker.contains(v):
-            continue
-        for mask, tv in enumerate(_translates(M.tower, v)):
-            tracker.insert(tv, ("n", count, mask))
-        count += 1
-    n_kdim = tracker.dim
-    reps = []
-    for tt in range(M.dim):
-        unit = M.unit_k_vector(tt, 0)
-        if tracker.contains(unit):
-            continue
-        reps.append(tt)
-        for mask in range(M.rank):
-            tracker.insert(M.unit_k_vector(tt, mask), (tt, mask))
+    """Quotient supermodule by the T-span N of the K-vectors.
+
+    N's T-basis and tracker come from tower_span; each unit vector e_t outside
+    the span so far is a representative, inserted with its r-translates.  The
+    representatives must close the space, with K-dimension (|N-basis| +
+    |reps|) * rank, else InexactDivisionError.  Generators and extra_ops are
+    pushed to the quotient by _subquotient, which also checks that N is
+    graded (ValueError) and invariant (NotInvariantError).
+    """
+    basis, tracker = tower_span(M, k_vectors)
+    vectors = list(basis)
+    for t in range(M.dim):
+        unit = M.unit_k_vector(t)
+        if not tracker.contains(unit):
+            for mask in range(M.rank):
+                tracker.insert(M.unit_k_vector(t, mask), (len(vectors), mask))
+            vectors.append(unit)
     if tracker.dim != M.k_dim():
         raise InexactDivisionError(M, k_vectors, "quotient reps do not close")
-    if n_kdim + len(reps) * M.rank != M.k_dim():
+    if tracker.dim != len(vectors) * M.rank:
         raise InexactDivisionError(
             M, k_vectors, "quotient dimension not divisible by the tower rank"
         )
-    pars = [M.parity[tt] for tt in reps]
-    order = sorted(range(len(reps)), key=lambda s: (pars[s], s))
-    pos = {s: k for k, s in enumerate(order)}
-    rep_pos = {tt: s for s, tt in enumerate(reps)}
-
-    def project(G):
-        cols = _zero_kmat(len(reps), M.rank)
-        for s, tt in enumerate(reps):
-            w = linalg.mat_vec(G, M.unit_k_vector(tt, 0), field.red)
-            coords = tracker.express(w)
-            if coords is None:
-                return None
-            placed = {
-                (pos[rep_pos[tag[0]]], tag[1]): raw
-                for tag, raw in coords.items()
-                if tag[0] != "n"
-            }
-            _put_coords(M.tower, cols, pos[s], placed)
-        return cols
-
-    gens = {}
-    for key in _gen_keys(M.n, mu):
-        cols = project(M.gen(key))
-        if cols is None:
-            raise NotInvariantError(f"quotient not closed under {key}")
-        gens[key] = cols
-    out = MatrixSupermodule(M.model, M.n, mu, [pars[s] for s in order], gens)
-    out.extra = {}
-    if extra_ops:
-        for name, op in extra_ops.items():
-            cols = project(op)
-            if cols is None:
-                raise NotInvariantError(f"quotient not closed under {name}")
-            out.extra[name] = cols
-    return out
+    return _subquotient(M, tracker, vectors, len(basis), mu or M.mu, extra_ops)
 
 
 # -- generalized eigenspaces and characters -----------------------------------

@@ -30,9 +30,6 @@ from heckeclifford.realizations import (
 from heckeclifford.scalars import (
     CycField,
     ScalarModel,
-    Tower,
-    b_in_tower,
-    discriminant,
     q_of,
     adjacent_pair_vanishing,
 )
@@ -62,9 +59,10 @@ def test_criterion_1_scalar_identities():
             for j in range(l):
                 if abs(i - j) > 1:
                     continue
-                t = Tower.with_discs(f, [discriminant(l, i), discriminant(l, j)])
-                a = b_in_tower(t, l, i, 1)
-                b = b_in_tower(t, l, j, 1)
+                model = ScalarModel.for_indices(l, [i, j])
+                t = model.tower
+                a = model.b(i, 1)
+                b = model.b(j, 1)
                 val = adjacent_pair_vanishing(
                     a, b, t.scalar(f.xi), t.scalar(q_of(l, i)), t.scalar(q_of(l, j))
                 )

@@ -13,9 +13,8 @@ from heckeclifford.scalars import (
     CycField,
     FieldElem,
     NotInvertibleError,
+    ScalarModel,
     Tower,
-    b_in_tower,
-    b_pm,
     cyclotomic_polynomial,
     discriminant,
     q_of,
@@ -265,19 +264,23 @@ def test_q_of_numeric_cross_check():
 
 
 def test_b_pm_at_ends_is_field_scalar():
+    # the end discriminants vanish, so b_pm = q(i)/2 = +-1 adjoins nothing
     for l in (2, 3, 4):
-        f = CycField.for_l(l)
-        assert b_pm(l, 0, 1) == f.one
-        assert b_pm(l, 0, -1) == f.one
-        assert b_pm(l, l - 1, 1) == -f.one
-        assert b_pm(l, l - 1, -1) == -f.one
+        model = ScalarModel.for_indices(l, [0, l - 1])
+        t = model.tower
+        assert t.rank == 1
+        for sign in (1, -1):
+            assert model.b(0, sign) == t.one
+            assert model.b(l - 1, sign) == -t.one
 
 
 def test_b_pm_quadratic_and_product():
     for l in (3, 4, 5):
         for i in range(1, l - 1):
-            bp = b_pm(l, i, 1)
-            bm = b_pm(l, i, -1)
+            model = ScalarModel.for_indices(l, [i])
+            assert model.tower is Tower(model.field, (discriminant(l, i),))
+            bp = model.b(i, 1)
+            bm = model.b(i, -1)
             qi = q_of(l, i)
             assert bp * bm == bp.tower.one
             assert bp + bm == bp.tower.scalar(qi)
@@ -297,7 +300,9 @@ def test_zero_divisor_split_at_l3():
     f = CycField.for_l(3)
     d = discriminant(3, 1)
     assert d == -f.one
-    t = Tower(f, (d,))
+    model = ScalarModel.for_indices(3, [1])
+    t = model.tower
+    assert t is Tower(f, (d,))
     s = f.zeta_pow(3)
     x = t.gen(0) - t.scalar(s)
     assert not x.is_zero()
@@ -305,7 +310,7 @@ def test_zero_divisor_split_at_l3():
     sub, mapper = t.split(0, s)
     assert mapper(x).is_zero()
     # after splitting, b_plus(1) becomes q^3 = sqrt(-1)
-    bp = b_in_tower(t, 3, 1, 1)
+    bp = model.b(1, 1)
     assert mapper(bp) == sub.scalar(f.zeta_pow(3))
 
 
@@ -326,11 +331,11 @@ def test_tower_dedupe_discs():
 
 
 def test_tower_rank4_arithmetic():
-    f = CycField.for_l(5)
-    t = Tower.with_discs(f, [discriminant(5, 1), discriminant(5, 2)])
+    model = ScalarModel.for_indices(5, [1, 2])
+    f, t = model.field, model.tower
     assert t.rank == 4
-    b1 = b_in_tower(t, 5, 1, 1)
-    b2 = b_in_tower(t, 5, 2, 1)
+    b1 = model.b(1, 1)
+    b2 = model.b(2, 1)
     assert b1 * b2 == b2 * b1
     # 1/b_k is the other root q(k) - b_k
     inv = (t.scalar(q_of(5, 1)) - b1) * (t.scalar(q_of(5, 2)) - b2)
@@ -360,9 +365,10 @@ def test_adjacent_pair_vanishing_identity():
             for j in range(l):
                 if abs(i - j) > 1:
                     continue
-                t = Tower.with_discs(f, [discriminant(l, i), discriminant(l, j)])
-                a = b_in_tower(t, l, i, 1)
-                b = b_in_tower(t, l, j, 1)
+                model = ScalarModel.for_indices(l, [i, j])
+                t = model.tower
+                a = model.b(i, 1)
+                b = model.b(j, 1)
                 val = adjacent_pair_vanishing(a, b, t.scalar(f.xi), t.scalar(q_of(l, i)), t.scalar(q_of(l, j)))
                 assert val.is_zero(), (l, i, j)
 
@@ -372,9 +378,10 @@ def test_distant_pair_control():
     l = 4
     f = CycField.for_l(l)
     i, j = 0, 2
-    t = Tower.with_discs(f, [discriminant(l, i), discriminant(l, j)])
-    a = b_in_tower(t, l, i, 1)
-    b = b_in_tower(t, l, j, 1)
+    model = ScalarModel.for_indices(l, [i, j])
+    t = model.tower
+    a = model.b(i, 1)
+    b = model.b(j, 1)
     val = adjacent_pair_vanishing(a, b, t.scalar(f.xi), t.scalar(q_of(l, i)), t.scalar(q_of(l, j)))
     assert not val.is_zero()
 

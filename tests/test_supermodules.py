@@ -12,6 +12,7 @@ from heckeclifford.scalars import ScalarModel, Tower, q_of
 from heckeclifford.supermodules import (
     InexactDivisionError,
     MatrixSupermodule,
+    NotInvariantError,
     build_L,
     build_L001,
     build_L001_star_L0,
@@ -320,6 +321,67 @@ def test_tower_span_detects_uneven_split():
     assert k == 0 and root == s
 
 
+def test_quotient_rejects_a_non_free_complement():
+    # d_1 = -1 is a square at l = 3, so eps_pm = (1 +- zeta^-3 r)/2 are
+    # idempotents with r eps_pm = +-zeta^3 eps_pm.  N, the T-span of the even
+    # vector e_0 eps_+ + e_1 eps_-, is free of rank 1; every unit vector is then
+    # a representative, and they close the K-space, but on 5 * 2 != 8
+    # K-dimensions: the complement is not free, so there is no quotient
+    model = ScalarModel.for_indices(3, [1])
+    M = build_L_m(3, 1, 2, 1, model)
+    assert M.k_dim() == 8 and M.parity[:2] == (0, 0)
+    f = model.field
+    half, z = f.rational(1, 2), f.zeta_pow(-3) * f.rational(1, 2)
+    v = {0: half.raw, 1: z.raw, 2: half.raw, 3: (-z).raw}
+    basis, tracker = tower_span(M, [v])
+    assert len(basis) == 1 and tracker.dim == 2
+    with pytest.raises(InexactDivisionError, match="not divisible by the tower rank"):
+        quotient(M, [v])
+
+
+def _summand_and_swap():
+    """L(1) + L(1) at l = 3, its first summand's T-basis, and the summand swap.
+
+    The basis is e_0, e_0', e_1, e_1' (even first), so the first summand is
+    spanned by e_0 and e_1; the swap commutes with the action but moves it.
+    """
+    L = build_L(3, 1, ScalarModel.for_indices(3, [1]))
+    D = direct_sum(L, L)
+    perm = [1, 0, 3, 2]
+    rows = [[int(c == perm[r]) for c in range(4)] for r in range(4)]
+    return L, D, [D.unit_k_vector(0), D.unit_k_vector(2)], _kmat_from_rows(D.tower, rows)
+
+
+def test_submodule_rejects_a_span_that_is_not_closed():
+    # C_1 sends e_0 to e_1, out of the line through e_0
+    L, D, summand, swap = _summand_and_swap()
+    with pytest.raises(NotInvariantError, match=r"not closed under \('C', 1\)"):
+        submodule(L, [L.unit_k_vector(0)])
+    assert submodule(D, summand).gens == L.gens
+    with pytest.raises(NotInvariantError, match="not closed under extra op swap"):
+        submodule(D, summand, extra_ops={"swap": swap})
+
+
+def test_quotient_rejects_a_span_that_is_not_closed():
+    # the quotient by the line through e_0 would need C_1 e_0 = e_1 in it
+    L, D, summand, swap = _summand_and_swap()
+    with pytest.raises(NotInvariantError, match=r"not closed under \('C', 1\)"):
+        quotient(L, [L.unit_k_vector(0)])
+    assert quotient(D, summand).gens == L.gens
+    with pytest.raises(NotInvariantError, match="not closed under extra op swap"):
+        quotient(D, summand, extra_ops={"swap": swap})
+
+
+def test_quotient_rejects_a_span_that_is_not_graded():
+    # C_1 swaps e_0 and e_1 and X_1 is the identity, so the line through
+    # e_0 + e_1 is invariant; but it is not graded, and modulo it C_1 would
+    # act evenly on the single class of e_0
+    M = build_L(3, 0, ScalarModel.for_indices(3, [0]))
+    one = M.field.one.raw
+    with pytest.raises(ValueError, match="not parity homogeneous"):
+        quotient(M, [{0: one, 1: one}])
+
+
 def test_low_rank_suite_small():
     for l in (2, 3):
         rep = low_rank_suite(l)
@@ -538,16 +600,67 @@ def test_model_split_keeps_module_builders_usable():
     assert formal_character(Lij) == WordSum.word((0, 1))
 
 
+def _monomials(tower):
+    """The r-monomials r^mask, mask = 0 .. rank - 1, as tower elements."""
+    f, rank = tower.field, tower.rank
+    return [
+        tower.elem([f.one if k == m else f.zero for k in range(rank)])
+        for m in range(rank)
+    ]
+
+
+def _kmat_by_products(tower, rows):
+    """K-matrix of a tower matrix by TowerElem products alone.
+
+    Column j * rank + c holds, on rows i * rank + mask, the r-monomial
+    coordinates of the product of entry (i, j) with r^c: no regular block and
+    no r-translate of the library is used.
+    """
+    cols = []
+    for j in range(len(rows)):
+        for r in _monomials(tower):
+            col = {}
+            for i, row in enumerate(rows):
+                x = row[j] * r
+                for mask, a in enumerate(x.coords):
+                    if not a.is_zero():
+                        col[i * tower.rank + mask] = a.raw
+            cols.append(col)
+    return cols
+
+
 def _mask_matrices(tower, dim):
-    """K-matrices of multiplication by each r-monomial, from Tower.regular_rows."""
-    out = []
-    for mask in range(tower.rank):
-        coords = [tower.field.zero] * tower.rank
-        coords[mask] = tower.field.one
-        r = tower.elem(coords)
-        rows = [[r if a == b else tower.zero for b in range(dim)] for a in range(dim)]
-        out.append(_kmat_from_rows(tower, rows))
-    return out
+    """K-matrices of multiplication by each r-monomial, from TowerElem products."""
+    return [
+        _kmat_by_products(
+            tower, [[r if a == b else tower.zero for b in range(dim)] for a in range(dim)]
+        )
+        for r in _monomials(tower)
+    ]
+
+
+@pytest.mark.parametrize("indices", [[], [1], [1, 2]], ids=["rank1", "rank2", "rank4"])
+@given(data=st.data())
+def test_kmat_from_rows_matches_tower_products(indices, data):
+    tower = ScalarModel.for_indices(5, indices).tower
+    assert tower.rank == 1 << len(indices)
+    f = tower.field
+
+    def field_elem():
+        c = data.draw(st.integers(-3, 3))
+        return f.from_int(c) * f.zeta_pow(data.draw(st.integers(0, 19)))
+
+    def entry():
+        kind = data.draw(st.sampled_from(["int", "field", "tower"]))
+        if kind == "int":
+            return data.draw(st.integers(-2, 2))
+        if kind == "field":
+            return field_elem()
+        return tower.elem([field_elem() for _ in range(tower.rank)])
+
+    dim = data.draw(st.integers(1, 3))
+    rows = [[entry() for _ in range(dim)] for _ in range(dim)]
+    assert _kmat_from_rows(tower, rows) == _kmat_by_products(tower, rows)
 
 
 def _tower_linear(M, mats):
