@@ -110,10 +110,6 @@ def mat_is_zero(cols):
     return all(not c for c in cols)
 
 
-def mat_identity(n, one_raw):
-    return [{i: one_raw} for i in range(n)]
-
-
 def _eliminate(pivots, v, red, combo=None):
     """Reduce v in place against every pivot row, and combo alongside it.
 

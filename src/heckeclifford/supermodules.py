@@ -20,7 +20,7 @@ from fractions import Fraction
 
 from . import kernels, linalg, modp
 from .algebra import HeckeClifford, NormalMonomial
-from .grothendieck import WordSum, shuffle
+from .grothendieck import WordSum, e_drop, shuffle
 from .scalars import (
     FieldElem,
     ScalarModel,
@@ -192,8 +192,9 @@ class MatrixSupermodule:
             coords[mask] = FieldElem(self.field, rawv)
         return {t: self.tower.elem(cs) for t, cs in out.items()}
 
-    def unit_k_vector(self, t, mask=0):
-        return {t * self.rank + mask: self.field.one.raw}
+    def unit_k_vector(self, t):
+        """The mask-0 unit vector e_t; the e_t are T-generators of K^(dim*rank)."""
+        return {t * self.rank: self.field.one.raw}
 
     # -- algebra-element action ----------------------------------------------
 
@@ -230,189 +231,96 @@ class MatrixSupermodule:
 
 
 def _relation_list(n, t_indices):
-    """Names and generator-word residuals of all defining relations."""
-    rels = []
-    ts = set(t_indices)
+    """Names and residuals of all defining relations.
 
-    def prod(*keys):
-        return ("prod", keys)
+    A residual is a list of (coeff, word) terms, coeff 1, -1, "xi" or "-xi";
+    a word is a tuple of generator keys whose product is applied right to
+    left, and () is the identity.  A relation holds when its residual, the
+    sum of coeff * word, is the zero map.
+    """
+    ts = sorted(set(t_indices))
+    rels = []
+
+    def commute(name, a, b, sign=-1):
+        rels.append((name, [(1, (a, b)), (sign, (b, a))]))
 
     for i in range(1, n + 1):
-        rels.append(
-            (
-                f"X{i} X{i}^-1 = 1",
-                [(1, prod(("X", i, 1), ("X", i, -1))), (-1, ("id",))],
-            )
-        )
-        rels.append(
-            (
-                f"X{i}^-1 X{i} = 1",
-                [(1, prod(("X", i, -1), ("X", i, 1))), (-1, ("id",))],
-            )
-        )
-        rels.append(
-            (f"C{i}^2 = 1", [(1, prod(("C", i), ("C", i))), (-1, ("id",))])
-        )
+        x, xinv, c = ("X", i, 1), ("X", i, -1), ("C", i)
+        rels.append((f"X{i} X{i}^-1 = 1", [(1, (x, xinv)), (-1, ())]))
+        rels.append((f"X{i}^-1 X{i} = 1", [(1, (xinv, x)), (-1, ())]))
+        rels.append((f"C{i}^2 = 1", [(1, (c, c)), (-1, ())]))
         for j in range(i + 1, n + 1):
             for s in (1, -1):
                 for t in (1, -1):
-                    rels.append(
-                        (
-                            f"X{i}^{s} X{j}^{t} commute",
-                            [
-                                (1, prod(("X", i, s), ("X", j, t))),
-                                (-1, prod(("X", j, t), ("X", i, s))),
-                            ],
-                        )
-                    )
-            rels.append(
-                (
-                    f"C{i} C{j} anticommute",
-                    [
-                        (1, prod(("C", i), ("C", j))),
-                        (1, prod(("C", j), ("C", i))),
-                    ],
-                )
-            )
+                    commute(f"X{i}^{s} X{j}^{t} commute", ("X", i, s), ("X", j, t))
+            commute(f"C{i} C{j} anticommute", c, ("C", j), 1)
         for j in range(1, n + 1):
             for s in (1, -1):
                 if i == j:
-                    rels.append(
-                        (
-                            f"C{i} X{i}^{s} = X{i}^{-s} C{i}",
-                            [
-                                (1, prod(("C", i), ("X", i, s))),
-                                (-1, prod(("X", i, -s), ("C", i))),
-                            ],
-                        )
-                    )
+                    terms = [(1, (c, ("X", i, s))), (-1, (("X", i, -s), c))]
+                    rels.append((f"C{i} X{i}^{s} = X{i}^{-s} C{i}", terms))
                 else:
-                    rels.append(
-                        (
-                            f"C{i} X{j}^{s} commute",
-                            [
-                                (1, prod(("C", i), ("X", j, s))),
-                                (-1, prod(("X", j, s), ("C", i))),
-                            ],
-                        )
-                    )
-    for i in sorted(ts):
-        rels.append(
-            (
-                f"T{i}^2 = xi T{i} + 1",
-                [(1, prod(("T", i), ("T", i))), ("-xi", prod(("T", i))), (-1, ("id",))],
-            )
-        )
-        rels.append(
-            (
-                f"T{i} C{i} = C{i+1} T{i}",
-                [
-                    (1, prod(("T", i), ("C", i))),
-                    (-1, prod(("C", i + 1), ("T", i))),
-                ],
-            )
-        )
-        rels.append(
-            (
-                f"(T{i} + xi C{i}C{i+1}) X{i} T{i} = X{i+1}",
-                [
-                    (1, prod(("T", i), ("X", i, 1), ("T", i))),
-                    ("xi", prod(("C", i), ("C", i + 1), ("X", i, 1), ("T", i))),
-                    (-1, prod(("X", i + 1, 1))),
-                ],
-            )
-        )
+                    commute(f"C{i} X{j}^{s} commute", c, ("X", j, s))
+    for i in ts:
+        t, c, c1, x = ("T", i), ("C", i), ("C", i + 1), ("X", i, 1)
+        rels.append((f"T{i}^2 = xi T{i} + 1", [(1, (t, t)), ("-xi", (t,)), (-1, ())]))
+        rels.append((f"T{i} C{i} = C{i+1} T{i}", [(1, (t, c)), (-1, (c1, t))]))
+        terms = [(1, (t, x, t)), ("xi", (c, c1, x, t)), (-1, (("X", i + 1, 1),))]
+        rels.append((f"(T{i} + xi C{i}C{i+1}) X{i} T{i} = X{i+1}", terms))
         for j in range(1, n + 1):
-            if j in (i, i + 1):
-                continue
-            rels.append(
-                (
-                    f"T{i} C{j} commute",
-                    [
-                        (1, prod(("T", i), ("C", j))),
-                        (-1, prod(("C", j), ("T", i))),
-                    ],
-                )
-            )
-            for s in (1, -1):
-                rels.append(
-                    (
-                        f"T{i} X{j}^{s} commute",
-                        [
-                            (1, prod(("T", i), ("X", j, s))),
-                            (-1, prod(("X", j, s), ("T", i))),
-                        ],
-                    )
-                )
-        for j in sorted(ts):
-            if j > i and abs(i - j) >= 2:
-                rels.append(
-                    (
-                        f"T{i} T{j} commute",
-                        [
-                            (1, prod(("T", i), ("T", j))),
-                            (-1, prod(("T", j), ("T", i))),
-                        ],
-                    )
-                )
+            if j not in (i, i + 1):
+                commute(f"T{i} C{j} commute", t, ("C", j))
+                for s in (1, -1):
+                    commute(f"T{i} X{j}^{s} commute", t, ("X", j, s))
+        for j in ts:
+            if j >= i + 2:
+                commute(f"T{i} T{j} commute", t, ("T", j))
         if i + 1 in ts:
-            rels.append(
-                (
-                    f"T{i} T{i+1} T{i} braid",
-                    [
-                        (1, prod(("T", i), ("T", i + 1), ("T", i))),
-                        (-1, prod(("T", i + 1), ("T", i), ("T", i + 1))),
-                    ],
-                )
-            )
+            b = ("T", i + 1)
+            rels.append((f"T{i} T{i+1} T{i} braid", [(1, (t, b, t)), (-1, (b, t, b))]))
     return rels
 
 
 def verify_relations(M):
-    """Report of violated defining relations and parity-structure defects."""
+    """Report of parity-structure, tower-linearity and relation defects.
+
+    Each generator must be parity-homogeneous and tower-linear: its columns
+    must be the r-translates of its mask-0 ones (_derive_translates).  A
+    relation's residual is then tower-linear too, so it vanishes exactly
+    when it kills every mask-0 unit vector e_t: each word is applied to the
+    e_t only, through the module's cached word chains (M._chain).  On a
+    module that is not tower-linear the e_t decide nothing, so only its
+    tower-linearity defects are reported, with any parity defects.
+    """
     field = M.field
-    red = field.red
     violations = []
-    # parity block structure
+    linear = True
     for key in M.gen_keys():
+        G = M.gen(key)
         odd = key[0] == "C"
         if any(
             (M.k_parity(i) != M.k_parity(j)) != odd
-            for j, col in enumerate(M.gen(key))
+            for j, col in enumerate(G)
             for i in col
         ):
             violations.append(f"parity structure of {key}")
-    eye = linalg.mat_identity(M.k_dim(), field.one.raw)
-
-    def coeff_raw(coeff):
-        if coeff == "xi":
-            return field.xi.raw
-        if coeff == "-xi":
-            return (-field.xi).raw
-        return field.from_int(coeff).raw
-
-    def term_cols(spec):
-        if spec[0] == "id":
-            return eye
-        mats = [M.gen(k) for k in spec[1]]
-        acc = mats[0]
-        for mt in mats[1:]:
-            acc = linalg.mat_mul(acc, mt, red)
-        return acc
-
+        if G != _derive_translates(M.tower, list(G)):
+            violations.append(f"tower-linearity of {key}")
+            linear = False
+    if not linear:
+        return violations
+    scale = {-1: (-field.one).raw, "xi": field.xi.raw, "-xi": (-field.xi).raw}
     for name, terms in _relation_list(M.n, M.t_indices()):
-        total = [dict() for _ in range(M.k_dim())]
-        for coeff, spec in terms:
-            cols = term_cols(spec)
-            if coeff == 1:
-                for t, c in enumerate(cols):
-                    linalg.vec_add_into(total[t], c)
-            else:
-                craw = coeff_raw(coeff)
-                for t, c in enumerate(cols):
-                    linalg.vec_add_into(total[t], linalg.vec_scale(c, craw, red))
-        if not linalg.mat_is_zero(total):
-            violations.append(name)
+        for t in range(M.dim):
+            total = {}
+            for coeff, word in terms:
+                col = M._chain(word)[t]
+                if coeff != 1:
+                    col = linalg.vec_scale(col, scale[coeff], field.red)
+                linalg.vec_add_into(total, col)
+            if total:
+                violations.append(name)
+                break
     return violations
 
 
@@ -1004,8 +912,8 @@ def quotient(M, k_vectors, mu=None, extra_ops=None):
     for t in range(M.dim):
         unit = M.unit_k_vector(t)
         if not tracker.contains(unit):
-            for mask in range(M.rank):
-                tracker.insert(M.unit_k_vector(t, mask), (len(vectors), mask))
+            for mask, tv in enumerate(_translates(M.tower, unit)):
+                tracker.insert(tv, (len(vectors), mask))
             vectors.append(unit)
     if tracker.dim != M.k_dim():
         raise InexactDivisionError(M, k_vectors, "quotient reps do not close")
@@ -1105,10 +1013,10 @@ def _min_poly(field, op_cols, vectors, roots, integral):
     the cofactors multiply to its root-free part.  With integral, a factor
     without a root among the roots raises "non-integral eigenvalue" at once.
 
-    The vectors may be T-generators of a T-span instead of a K-basis when A
-    is tower-linear: then f(A)(g r) = (f(A) g) r and r is invertible, so f
-    kills the T-span exactly when it kills the generators, and mu on the
-    T-span is certified the same way.
+    The vectors are T-generators of a T-span and A is tower-linear: then
+    f(A)(g r) = (f(A) g) r and r is invertible, so f kills the T-span
+    exactly when it kills the generators, and mu on the T-span is certified
+    the same way.
     """
     mults = [0] * len(roots)
     cofactors = []
@@ -1137,63 +1045,60 @@ def _min_poly(field, op_cols, vectors, roots, integral):
     return mults, cofactors
 
 
-def _image(field, op_cols, roots, mults, cofactors, gens, tower=None):
+def _image(tower, op_cols, roots, mults, cofactors, gens):
     """T-generators and K-dimension of f(A) applied to the T-span of gens.
 
-    f is as in _apply_poly.  With a tower, A must be tower-linear, so the
-    image is the T-span of the f(A) g: each goes into one Echelon with its
-    r-translates, and the Echelon's rank is the exact K-dimension.  Without
-    one the gens span over the field and no translate is taken.  Returns
-    (images, kdim), the images that raised the rank in primitive form.
+    f is as in _apply_poly.  A must be tower-linear, so the image is the
+    T-span of the f(A) g: each goes into one Echelon with its r-translates,
+    and the Echelon's rank is the exact K-dimension.  Returns (images, kdim),
+    the images that raised the rank in primitive form.  Over the rank-1
+    tower Tower(field) the gens are plain field vectors.
     """
+    field = tower.field
     image = linalg.Echelon(field)
     out = []
     for g in gens:
         w = _apply_poly(field, op_cols, roots, mults, cofactors, g)
         if image.insert(w):
             out.append(linalg.vec_primitive(w))
-            if tower is not None:
-                for tw in _translates(tower, w)[1:]:
-                    image.insert(tw)
+            for tw in _translates(tower, w)[1:]:
+                image.insert(tw)
     return out, image.dim
 
 
-def generalized_eigs(field, op_cols, lam, basis):
-    """Generalized eigenspace of A at lam inside span(basis), and its depth.
+def generalized_eigs(tower, op_cols, lam, gens):
+    """Generalized eigenspace of A at lam inside the T-span of gens, and its depth.
 
     Returns (vectors, depth): depth is the multiplicity of lam in the minimal
     polynomial of A on the span, the size of its largest Jordan block at lam
-    (0 when lam is no eigenvalue), and the vectors are a basis of the image
-    of the polynomial's root-free cofactor, which is ker (A - lam)^depth.
-    Requires span(basis) to be A-invariant.
+    (0 when lam is no eigenvalue), and the vectors are T-generators of the
+    image of the polynomial's root-free cofactor, which is ker (A - lam)^depth
+    (see _image).  Requires the span to be A-invariant and A tower-linear.
     """
-    (depth,), cofactors = _min_poly(field, op_cols, basis, [lam], integral=False)
+    (depth,), cofactors = _min_poly(tower.field, op_cols, gens, [lam], integral=False)
     if not depth:
         return [], 0
-    return _image(field, op_cols, [lam], [0], cofactors, basis)[0], depth
+    return _image(tower, op_cols, [lam], [0], cofactors, gens)[0], depth
 
 
 def jordan_block_max(M, op_cols, lam):
-    """Maximal Jordan block size of a K-matrix operator at the eigenvalue."""
-    basis = [
-        M.unit_k_vector(t, mask) for t in range(M.dim) for mask in range(M.rank)
-    ]
-    return generalized_eigs(M.field, op_cols, lam.raw, basis)[1]
+    """Maximal Jordan block size of a tower-linear K-matrix at the eigenvalue."""
+    units = [M.unit_k_vector(t) for t in range(M.dim)]
+    return generalized_eigs(M.tower, op_cols, lam.raw, units)[1]
 
 
-def _split_level(field, op_cols, gens, kdim, qs, tower=None):
+def _split_level(tower, op_cols, gens, kdim, qs):
     """Split a level into the generalized eigenspaces of A at the qs.
 
-    A level is the T-span of gens, of K-dimension kdim; without a tower the
-    gens are a K-basis and kdim = len(gens), the rank-1 case.  _min_poly
+    A level is the T-span of gens, of K-dimension kdim.  _min_poly
     certifies the minimal polynomial prod_i (x - q_i)^e_i of A on the level,
     which is then the direct sum of the generalized eigenspaces at the q_i
     with e_i > 0; each one is the image of the product over the other
     factors (see _image).  Returns [(i, gens_i, kdim_i)] in ascending i.
-    Requires the level to be A-invariant, and A tower-linear when a tower is
-    given; raises ArithmeticError when an eigenvalue is no q(i).
+    Requires the level to be A-invariant and A tower-linear; raises
+    ArithmeticError when an eigenvalue is no q(i).
     """
-    mults, _ = _min_poly(field, op_cols, gens, qs, integral=True)
+    mults, _ = _min_poly(tower.field, op_cols, gens, qs, integral=True)
     present = [i for i, e in enumerate(mults) if e]
     if len(present) == 1:
         return [(present[0], gens, kdim)]
@@ -1201,7 +1106,7 @@ def _split_level(field, op_cols, gens, kdim, qs, tower=None):
     for i in present:
         others = list(mults)
         others[i] = 0
-        parts.append((i, *_image(field, op_cols, qs, others, [], gens, tower)))
+        parts.append((i, *_image(tower, op_cols, qs, others, [], gens)))
     if sum(d for _, _, d in parts) != kdim:
         raise ArithmeticError(
             "non-integral eigenvalue: eigenspaces do not exhaust the module"
@@ -1232,7 +1137,7 @@ def _word_dims(M, ops):
         if k == 0:
             counts[word] = counts.get(word, 0) + kdim
             continue
-        parts = _split_level(M.field, ops[k], gens, kdim, qs, M.tower)
+        parts = _split_level(M.tower, ops[k], gens, kdim, qs)
         stack.extend((k - 1, g, d, (i,) + word) for i, g, d in reversed(parts))
     return counts
 
@@ -1318,28 +1223,22 @@ def formal_character(M):
 def delta_im(M, i, m):
     """Simultaneous generalized eigenspace of the last m letters at q(i).
 
+    Each parity's mask-0 unit vectors are cut down by generalized_eigs of
+    X_n + X_n^-1, .., X_(n-m+1) + X_(n-m+1)^-1 in turn, as T-generators.
     Returns the sub-supermodule over the (n-m, m) parabolic, or None when the
     eigenspace vanishes.
     """
-    l = M.model.l
-    field = M.field
     if m == 0:
         return M
-    lam = q_of(l, i).raw
+    lam = q_of(M.model.l, i).raw
     spaces = []
     for p in (0, 1):
-        vectors = [
-            M.unit_k_vector(t, mask)
-            for t in range(M.dim)
-            if M.parity[t] == p
-            for mask in range(M.rank)
-        ]
+        vectors = [M.unit_k_vector(t) for t in range(M.dim) if M.parity[t] == p]
         for k in range(M.n, M.n - m, -1):
             if not vectors:
                 break
-            vectors, _ = generalized_eigs(
-                field, _op_x_plus_xinv(M, k), lam, vectors
-            )
+            op = _op_x_plus_xinv(M, k)
+            vectors, _ = generalized_eigs(M.tower, op, lam, vectors)
         spaces.extend(vectors)
     if not spaces:
         return None
@@ -1348,21 +1247,18 @@ def delta_im(M, i, m):
 
 
 def epsilon_i(M, i):
-    """Largest m with a nonzero simultaneous eigenspace in the last m slots."""
-    l = M.model.l
-    field = M.field
-    lam = q_of(l, i).raw
-    eps = 0
-    vectors = [
-        M.unit_k_vector(t, mask)
-        for t in range(M.dim)
-        for mask in range(M.rank)
-    ]
-    for k in range(M.n, 0, -1):
-        vectors, _ = generalized_eigs(field, _op_x_plus_xinv(M, k), lam, vectors)
-        if not vectors:
-            break
-        eps += 1
+    """Largest m with a nonzero simultaneous eigenspace in the last m slots.
+
+    That eigenspace is the sum of the joint eigenspaces of the words ending
+    in m letters i, so m is the longest trailing run of i in a word of the
+    character: the number of times e_drop(., i) applies to
+    formal_character(M) before it vanishes.  Raises whatever
+    formal_character raises, such as "non-integral eigenvalue" on a module
+    outside the integral category.
+    """
+    ch, eps = e_drop(formal_character(M), i), 0
+    while ch.terms:
+        ch, eps = e_drop(ch, i), eps + 1
     return eps
 
 
@@ -1553,7 +1449,7 @@ def _block_iij(l, i, j, W, M3):
     lam = q_of(l, i).raw
 
     def defining_vector(t):
-        return _shift(f, op, lam, M3.unit_k_vector(t, 0))
+        return _shift(f, op, lam, M3.unit_k_vector(t))
 
     ys = [
         defining_vector(pos[(idx_t2, 0)]),
@@ -1647,25 +1543,28 @@ def discover_square_root(M, vectors):
     The multiplication-by-r operator restricted to the span has trace
     (m+ - m-) * s for the two eigenvalue multiplicities; scanning the possible
     multiplicity differences recovers s exactly when the split is uneven.
+    The spans tried are the T-spans of the given vectors and of the
+    generalized eigenspaces of the last X + X^-1, each closed under the
+    r-translates first so that r maps it to itself.
     """
     field = M.field
     witness_sets = []
     if vectors:
         witness_sets.append(vectors)
     op = _op_x_plus_xinv(M, M.n)
-    basis = [M.unit_k_vector(t, m) for t in range(M.dim) for m in range(M.rank)]
+    units = [M.unit_k_vector(t) for t in range(M.dim)]
     for i in range(M.model.l):
-        eig, _ = generalized_eigs(field, op, q_of(M.model.l, i).raw, basis)
+        eig, _ = generalized_eigs(M.tower, op, q_of(M.model.l, i).raw, units)
         if eig:
             witness_sets.append(eig)
-    for k in range(len(M.tower.discs)):
-        d = M.tower.discs[k]
+    for k, d in enumerate(M.tower.discs):
         for vs in witness_sets:
             tracker = linalg.Tracker(field)
             basis = []
             for v in vs:
-                if tracker.insert(v, len(basis)) is None:
-                    basis.append(v)
+                for tv in _translates(M.tower, v):
+                    if tracker.insert(tv, len(basis)) is None:
+                        basis.append(tv)
             trace = field.zero
             for s, v in enumerate(basis):
                 coords = tracker.express(_r_translate(M.tower, v, 1 << k))
@@ -1712,25 +1611,34 @@ def with_splitting(make, compute):
 
 
 def eigen_image_vectors(M, k, i):
-    """Spanning K-vectors of the image of (X_k + X_k^-1 - q(i))."""
+    """T-generators (t, w) of the image N of A - q(i), A = X_k + X_k^-1.
+
+    w = (A - q(i)) e_t for each mask-0 unit vector e_t, the nonzero ones;
+    A is tower-linear, so N is their T-span.
+    """
     op = _op_x_plus_xinv(M, k)
     lam = q_of(M.model.l, i).raw
     out = []
     for t in range(M.dim):
-        for mask in range(M.rank):
-            w = _shift(M.field, op, lam, M.unit_k_vector(t, mask))
-            if w:
-                out.append((t, mask, w))
+        w = _shift(M.field, op, lam, M.unit_k_vector(t))
+        if w:
+            out.append((t, w))
     return out
 
 
 def invariance_witness(M, image, gen_key):
-    """(closed?, witness): first image vector pushed outside the span."""
+    """(closed?, witness): whether G keeps N, the T-span of the image.
+
+    image is eigen_image_vectors' list.  N is spanned by the w with their
+    r-translates, and G is tower-linear, so G N lies in N exactly when each
+    G w does; the witness names the first e_t whose image G pushes out.
+    """
     ech = linalg.Echelon(M.field)
-    for _, _, w in image:
-        ech.insert(w)
+    for _, w in image:
+        for tw in _translates(M.tower, w):
+            ech.insert(tw)
     G = M.gen(gen_key)
-    for t, mask, w in image:
+    for t, w in image:
         out = linalg.mat_vec(G, w, M.field.red)
         if not ech.contains(out):
             name = f"T{gen_key[1]}" if gen_key[0] == "T" else str(gen_key)
@@ -1798,7 +1706,7 @@ def relation_suites(l, suites=("s5", "shuffle")):
                 ok_inv, wit = invariance_witness(M, image, ("T", 1))
                 record("s5", "rank2-invariance", i, j, ok_inv, wit)
                 if ok_inv:
-                    N = submodule(M, [w for _, _, w in image], mu=(2,))
+                    N = submodule(M, [w for _, w in image], mu=(2,))
                     chn = formal_character(N)
                     match("s5", "rank2-N-character", i, j, chn, WordSum.word((i, j)))
             Lij = build_L_ij(l, i, j, model)
@@ -1865,7 +1773,7 @@ def relation_suites(l, suites=("s5", "shuffle")):
                 image = eigen_image_vectors(M3, 3, i)
                 ok_inv, wit = invariance_witness(M3, image, ("T", 2))
                 record("s5", "rank3-QM-invariance", i, j, ok_inv, wit)
-                vecs = [w for _, _, w in image]
+                vecs = [w for _, w in image]
                 chn = formal_character(submodule(M3, vecs, mu=(3,)))
                 want = WordSum.word((i, i, j), 2)
                 match("s5", "rank3-QM-N-character", i, j, chn, want)
@@ -1952,7 +1860,7 @@ def relation_suites(l, suites=("s5", "shuffle")):
                 ok_inv, wit = invariance_witness(M3, image3, ("T", 2))
                 record("s5", "block-010-invariance", 0, 1, ok_inv, wit)
                 L010 = quotient(
-                    M3, [w for _, _, w in image3], mu=(3,), extra_ops={"theta": theta3}
+                    M3, [w for _, w in image3], mu=(3,), extra_ops={"theta": theta3}
                 )
                 ch010 = formal_character(L010)
                 match("s5", "block-010-character", 0, 1, ch010, WordSum.word((0, 1, 0)))

@@ -362,6 +362,6 @@ def test_mat_mul_identity():
     field = CycField.for_l(2)
     rng = random.Random(1)
     a = [_rand_vec(rng, field, 5, 0.6) for _ in range(5)]
-    eye = linalg.mat_identity(5, field.one.raw)
+    eye = [{k: field.one.raw} for k in range(5)]
     assert linalg.mat_mul(a, eye, field.red) == a
     assert linalg.mat_mul(eye, a, field.red) == a

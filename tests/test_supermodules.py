@@ -1,6 +1,7 @@
 """Builders, relation verification, characters, types, and the rank suites."""
 
 import gc
+import hashlib
 
 import pytest
 from hypothesis import given, strategies as st
@@ -44,6 +45,7 @@ from heckeclifford.supermodules import (
     theta_for_end_letter,
     tower_span,
     type_of,
+    type_of_letter,
     verify_relations,
     with_splitting,
     _certified_word_dims,
@@ -53,6 +55,7 @@ from heckeclifford.supermodules import (
     _kmat_from_rows,
     _op_x_plus_xinv,
     _product_basis,
+    _relation_list,
     _split_level,
     _word_d_factor,
     _word_dims,
@@ -98,11 +101,20 @@ def kernel_chain_eigs(field, op_cols, lam, basis):
         depth += 1
 
 
+def _k_basis(M, parity=None):
+    """The K-unit vectors e_t r^mask, of one parity or (None) of both."""
+    return [
+        {t * M.rank + m: M.field.one.raw}
+        for t in range(M.dim)
+        if parity in (None, M.parity[t])
+        for m in range(M.rank)
+    ]
+
+
 def kernel_chain_character(M):
     """Reference formal character: one kernel chain per letter and level."""
     l = M.model.l
-    basis = [M.unit_k_vector(t, m) for t in range(M.dim) for m in range(M.rank)]
-    stack = [(M.n, basis, ())]
+    stack = [(M.n, _k_basis(M), ())]
     counts = {}
     while stack:
         k, vectors, word = stack.pop()
@@ -492,8 +504,8 @@ def _conjugated_jordan(draw, off_q=False):
     if dim > 1:
         a, b = draw(st.permutations(range(dim)))[:2]
         c = draw(st.sampled_from([-2, -1, 1, 2, 3]))
-        S = linalg.mat_identity(dim, field.one.raw)
-        S_inv = linalg.mat_identity(dim, field.one.raw)
+        S = _unit_basis(dim, field)
+        S_inv = _unit_basis(dim, field)
         S[b][a] = field.from_int(c).raw
         S_inv[b][a] = field.from_int(-c).raw
         A = linalg.mat_mul(S, linalg.mat_mul(J, S_inv, field.red), field.red)
@@ -508,7 +520,7 @@ def _assert_eigs_match_oracle(field, A, lams):
     """generalized_eigs spans the oracle's eigenspace with its depth."""
     basis = _unit_basis(len(A), field)
     for lam in lams:
-        vs, depth = generalized_eigs(field, A, lam, basis)
+        vs, depth = generalized_eigs(Tower(field), A, lam, basis)
         want, want_depth = kernel_chain_eigs(field, A, lam, basis)
         assert (len(vs), depth) == (len(want), want_depth)
         assert linalg.rank_of(field, vs + want) == len(want)
@@ -528,7 +540,7 @@ def test_certified_split_matches_generalized_eigs(case):
             oracle[i] = len(eig)
             assert depth == max(m for j, m in blocks if j == i)
     assert oracle == want
-    parts = _split_level(field, A, basis, len(basis), qs)
+    parts = _split_level(Tower(field), A, basis, len(basis), qs)
     assert [i for i, _, _ in parts] == sorted(want)
     assert {i: len(vs) for i, vs, _ in parts} == want
     for i, vs, kdim in parts:
@@ -541,7 +553,7 @@ def test_certified_split_declines_off_q_eigenvalue(case):
     field, qs, A, _, lams = case
     _assert_eigs_match_oracle(field, A, lams)
     with pytest.raises(ArithmeticError, match="non-integral"):
-        _split_level(field, A, _unit_basis(len(A), field), len(A), qs)
+        _split_level(Tower(field), A, _unit_basis(len(A), field), len(A), qs)
 
 
 def _non_free_line(model):
@@ -688,7 +700,7 @@ def _rank2_modules():
     M = induce(T)
     th0 = theta_for_end_letter(L0)
     theta = ind_theta(T, tensor_theta_right(L1, L0, th0), 2)
-    image = [w for _, _, w in eigen_image_vectors(M, 2, 0)]
+    image = [w for _, w in eigen_image_vectors(M, 2, 0)]
     L2 = build_L(3, 2, model)
     mods = {
         "L0": L0,
@@ -768,19 +780,15 @@ def test_tower_linearity_check_catches_a_non_regular_block():
 def k_basis_character(M):
     """Reference formal character on the restriction of scalars.
 
-    Every level is a K-basis, split by _split_level without a tower, so no
-    r-translate is taken and every count is a number of vectors.
+    Every level is a K-basis, split by _split_level over the rank-1 tower
+    Tower(M.field), so no r-translate is taken and every count is a number
+    of vectors.
     """
     l = M.model.l
     qs = [q_of(l, i).raw for i in range(l)]
     stack = []
     for p in (1, 0):
-        basis = [
-            M.unit_k_vector(t, m)
-            for t in range(M.dim)
-            if M.parity[t] == p
-            for m in range(M.rank)
-        ]
+        basis = _k_basis(M, p)
         if basis:
             stack.append((M.n, basis, ()))
     counts = {}
@@ -790,7 +798,7 @@ def k_basis_character(M):
             counts[word] = counts.get(word, 0) + len(vectors)
             continue
         op = _op_x_plus_xinv(M, k)
-        for i, eig, kdim in _split_level(M.field, op, vectors, len(vectors), qs):
+        for i, eig, kdim in _split_level(Tower(M.field), op, vectors, len(vectors), qs):
             assert kdim == len(eig)
             stack.append((k - 1, eig, (i,) + word))
     out = {}
@@ -912,8 +920,8 @@ def _heads(field, tower, dim):
 def test_tower_generator_split_matches_k_basis_split(case):
     field, tower, A, dim, qs = case
     kdim = dim * tower.rank
-    got = _split_level(field, A, _heads(field, tower, dim), kdim, qs, tower)
-    want = _split_level(field, A, _unit_basis(kdim, field), kdim, qs)
+    got = _split_level(tower, A, _heads(field, tower, dim), kdim, qs)
+    want = _split_level(Tower(field), A, _unit_basis(kdim, field), kdim, qs)
     assert [(i, d) for i, _, d in got] == [(i, d) for i, _, d in want]
     masks = _mask_matrices(tower, dim)
     for (i, gens, d), (_, vectors, _) in zip(got, want):
@@ -928,9 +936,9 @@ def test_tower_generator_split_declines_off_q_eigenvalue(case):
     field, tower, A, dim, qs = case
     kdim = dim * tower.rank
     with pytest.raises(ArithmeticError, match="non-integral"):
-        _split_level(field, A, _heads(field, tower, dim), kdim, qs, tower)
+        _split_level(tower, A, _heads(field, tower, dim), kdim, qs)
     with pytest.raises(ArithmeticError, match="non-integral"):
-        _split_level(field, A, _unit_basis(kdim, field), kdim, qs)
+        _split_level(Tower(field), A, _unit_basis(kdim, field), kdim, qs)
 
 
 def _one_operator_module(tower, A, dim, l):
@@ -965,14 +973,14 @@ def test_tower_generator_split_counts_a_non_free_eigenspace():
     )
     A = _kmat_from_rows(tower, [[lam]])
     qs = [q_of(3, i).raw for i in range(3)]
-    parts = _split_level(field, A, _heads(field, tower, 1), 2, qs, tower)
+    parts = _split_level(tower, A, _heads(field, tower, 1), 2, qs)
     assert [(i, len(gens), d) for i, gens, d in parts] == [(0, 1, 1), (1, 1, 1)]
 
 
-def full_rho(M, mono):
-    """Reference monomial matrix: the product of its generators' K-matrices."""
-    acc = linalg.mat_identity(M.k_dim(), M.field.one.raw)
-    for key in mono.generator_sequence():
+def full_word_matrix(M, word):
+    """Reference word matrix: the product of its generators' K-matrices."""
+    acc = [{k: M.field.one.raw} for k in range(M.k_dim())]
+    for key in word:
         acc = linalg.mat_mul(acc, M.gen(key), M.field.red)
     return acc
 
@@ -994,7 +1002,7 @@ def full_induce_gens(M):
         for wk, w in enumerate(reps):
             for w2, h in _coset_action(alg, M.mu, key, w).items():
                 for mono, coeff in h.terms.items():
-                    mat = full_rho(M, mono)
+                    mat = full_word_matrix(M, mono.generator_sequence())
                     for c, col in enumerate(mat):
                         scaled = linalg.vec_scale(col, coeff.raw, field.red)
                         moved = {place[rep_pos[w2]][i]: x for i, x in scaled.items()}
@@ -1015,3 +1023,195 @@ def test_induce_derived_translates_match_full_chain(rank):
     assert model.tower.rank == rank
     for M in inputs:
         assert induce(M).gens == full_induce_gens(M)
+
+
+# -- relations, epsilon and Delta against their K-basis oracles ----------------
+
+
+def full_matrix_violations(M):
+    """Reference relation report by full K-matrix products.
+
+    Every word of a residual is the product of its generators' K-matrices
+    (the identity for ()), and a relation fails when the combined residual
+    has a nonzero column.  Tower-linearity is not checked, so on a module
+    that is not tower-linear the report lists the relations it breaks.
+    """
+    f = M.field
+    violations = []
+    for key in M.gen_keys():
+        odd = key[0] == "C"
+        if any(
+            (M.k_parity(i) != M.k_parity(j)) != odd
+            for j, col in enumerate(M.gen(key))
+            for i in col
+        ):
+            violations.append(f"parity structure of {key}")
+    coeffs = {1: f.one, -1: -f.one, "xi": f.xi, "-xi": -f.xi}
+    for name, terms in _relation_list(M.n, M.t_indices()):
+        total = [dict() for _ in range(M.k_dim())]
+        for coeff, word in terms:
+            for col, c in zip(total, full_word_matrix(M, word)):
+                linalg.vec_add_into(col, linalg.vec_scale(c, coeffs[coeff].raw, f.red))
+        if not linalg.mat_is_zero(total):
+            violations.append(name)
+    return violations
+
+
+def _builder_modules(l):
+    """Every explicit builder's modules at l, each over its default model."""
+    mods = []
+    for i in range(l):
+        mods += [build_L(l, i), build_L_m(l, i, 2), build_R_m(l, i, 2)]
+        for j in (i - 1, i + 1):
+            if not 0 <= j < l:
+                continue
+            kinds = (type_of_letter(l, i), type_of_letter(l, j))
+            if kinds != ("Q", "Q"):
+                mods.append(build_L_ij(l, i, j))
+            if kinds == ("Q", "M"):
+                mods += [build_L_ij_star_L_i(l, i, j), build_L_iij(l, i, j)]
+    if l == 2:
+        mods += [build_L01(), build_L001(), build_L001_star_L0()]
+    return mods
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_verify_relations_matches_full_matrix_oracle_on_builders(l):
+    for M in _builder_modules(l):
+        assert verify_relations(M) == full_matrix_violations(M) == [], M
+
+
+def test_verify_relations_matches_full_matrix_oracle_on_constructions():
+    mods, _ = _rank2_modules()
+    L0, L2 = mods["L0"], build_L(3, 2, mods["L0"].model)
+    star = circled_star(L0, theta_for_end_letter(L0), L2, theta_for_end_letter(L2))
+    induced = induce(build_L_ij_star_L_i(3, 0, 1))
+    for M in (induced, sigma_twist(induced), star):
+        assert verify_relations(M) == full_matrix_violations(M) == [], M
+
+
+@pytest.mark.parametrize(
+    "build, rank",
+    [
+        (build_L01, 1),
+        (lambda: build_L_ij(3, 0, 1, ScalarModel.for_indices(3, [0, 1])), 2),
+        (lambda: build_L_ij(5, 2, 3, ScalarModel.for_indices(5, [2, 3])), 4),
+    ],
+    ids=["rank1", "rank2", "rank4"],
+)
+def test_verify_relations_matches_full_matrix_oracle_on_perturbations(build, rank):
+    # one entry of one generator changed, written through _kmat_from_rows so
+    # that the generator stays tower-linear
+    base = build()
+    tower = base.tower
+    assert tower.rank == rank
+    bump = tower.elem([base.field.one] * tower.rank)
+    for key in base.gen_keys():
+        rows = [
+            [_column(base, key, c).get(r, tower.zero) for c in range(base.dim)]
+            for r in range(base.dim)
+        ]
+        rows[0][0] = rows[0][0] + bump
+        gens = dict(base.gens)
+        gens[key] = _kmat_from_rows(tower, rows)
+        M = MatrixSupermodule(base.model, base.n, base.mu, base.parity, gens)
+        report = verify_relations(M)
+        assert report and report == full_matrix_violations(M), key
+
+
+def test_non_tower_linear_generator_is_reported_as_such():
+    # X_1's column of e_1 r no longer is its column of e_1 times r; the
+    # full matrices break eight relations, which the e_t alone cannot judge
+    M = build_L_ij(4, 1, 2)
+    assert M.rank == 2
+    col = M.gen(("X", 1, 1))[1 * M.rank + 1]
+    k = min(col)
+    col[k] = linalg.vec_scale({k: col[k]}, M.field.from_int(2).raw, M.field.red)[k]
+    assert verify_relations(M) == ["tower-linearity of ('X', 1, 1)"]
+    report = full_matrix_violations(M)
+    assert len(report) == 8 and "X1 X1^-1 = 1" in report
+
+
+# first 16 hex digits of sha256(repr(list)) of the defining relations, keyed
+# by (n, t-index set); "all" is the full algebra's range(1, n)
+_RELATION_LIST_DIGESTS = {
+    (1, "none"): "e518f6b0d09b824f",
+    (1, "all"): "e518f6b0d09b824f",
+    (1, "1"): "e786d60be074f3ad",
+    (1, "13"): "e01917b01f1bcf20",
+    (2, "none"): "f46fdabbdac09776",
+    (2, "all"): "7b4faa5f870255f4",
+    (2, "1"): "7b4faa5f870255f4",
+    (2, "13"): "9b6f8c415346858e",
+    (3, "none"): "fcf19c1fc5db5030",
+    (3, "all"): "e6691560b60b234c",
+    (3, "1"): "696ce971e1c3daeb",
+    (3, "13"): "952d64ad28f864b9",
+    (4, "none"): "7d06e1e7762d9c81",
+    (4, "all"): "793f9679751ce4c0",
+    (4, "1"): "041d0cb7b97bff2e",
+    (4, "13"): "de7e250330566bc1",
+}
+
+
+def test_relation_list_is_pinned():
+    ts = {"none": lambda n: [], "all": lambda n: list(range(1, n))}
+    ts.update({"1": lambda n: [1], "13": lambda n: [1, 3]})
+    for (n, name), digest in _RELATION_LIST_DIGESTS.items():
+        rels = _relation_list(n, ts[name](n))
+        got = hashlib.sha256(repr(rels).encode()).hexdigest()[:16]
+        assert got == digest, (n, name)
+    # the shape of one entry: (coeff, word) terms, () the identity
+    name, terms = _relation_list(2, [1])[-1]
+    assert name == "(T1 + xi C1C2) X1 T1 = X2"
+    t, x = ("T", 1), ("X", 1, 1)
+    cc = (("C", 1), ("C", 2))
+    assert terms == [(1, (t, x, t)), ("xi", (*cc, x, t)), (-1, (("X", 2, 1),))]
+
+
+def k_basis_eigen_chain(M, i, parity=None):
+    """Reference [V_1, .., V_n]: V_m the joint generalized eigenspace of the
+    last m operators X_k + X_k^-1 at q(i), as a K-basis.
+
+    The whole K-basis (of one parity, or of both) is cut down by one kernel
+    chain per operator; no T-generator or r-translate is used.
+    """
+    lam = q_of(M.model.l, i).raw
+    vectors, out = _k_basis(M, parity), []
+    for k in range(M.n, 0, -1):
+        vectors, _ = kernel_chain_eigs(M.field, _op_x_plus_xinv(M, k), lam, vectors)
+        out.append(vectors)
+    return out
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        build_L001,
+        lambda: build_L_iij(3, 0, 1),
+        lambda: build_L_iij(4, 0, 1),
+        lambda: induce(build_L_ij_star_L_i(3, 0, 1)),
+        lambda: induce(tensor_product(build_L(3, 1), build_L(3, 1))),
+    ],
+    ids=[
+        "L001",
+        "L_iij-3-0-1",
+        "L_iij-4-0-1",
+        "induced-L_ij_star_L_i-3-0-1",
+        "induced-L1-L1-3",
+    ],
+)
+def test_epsilon_and_delta_match_k_basis_chains(build):
+    M = build()
+    for i in range(M.model.l):
+        assert epsilon_i(M, i) == sum(1 for V in k_basis_eigen_chain(M, i) if V)
+        even, odd = k_basis_eigen_chain(M, i, 0), k_basis_eigen_chain(M, i, 1)
+        for m in range(1, M.n + 1):
+            D = delta_im(M, i, m)
+            spaces = even[m - 1] + odd[m - 1]
+            if not spaces:
+                assert D is None
+                continue
+            want = submodule(M, spaces, mu=(M.n - m, m) if M.n > m else (m,))
+            assert (D.dim, D.mu) == (want.dim, want.mu)
+            assert formal_character(D) == formal_character(want)
