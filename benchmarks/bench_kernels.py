@@ -17,7 +17,7 @@ import random
 import time
 
 from heckeclifford import _pykernels, kernels, linalg, supermodules
-from heckeclifford.scalars import CycField
+from heckeclifford.scalars import CycField, q_of
 
 try:
     from heckeclifford import _ckernels
@@ -108,10 +108,12 @@ def bench_characters(modules):
     Also returns how many modules the mod-p split declined; formal_character
     would send those to the exact engine as well.
     """
-    engines = {
-        "exact": supermodules._word_dims,
-        "mod-p": supermodules._certified_word_dims,
-    }
+
+    def exact(M, ops):
+        qs = [q_of(M.model.l, i).raw for i in range(M.model.l)]
+        return supermodules._word_dims(M, M.tower, qs, ops)[0]
+
+    engines = {"exact": exact, "mod-p": supermodules._certified_word_dims}
     out = {}
     declined = 0
     for name, engine in engines.items():

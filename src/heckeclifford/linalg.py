@@ -1,12 +1,15 @@
-"""Exact sparse linear algebra over Q(zeta_4l).
+"""Exact sparse linear algebra over a field object: Q(zeta_4l) or F_p.
 
 Vectors are dicts {index: raw}, matrices are column-major lists of such dicts,
-where raw is the kernel-level field element format.  Everything is exact;
-pivot normalization uses the field inverse.  A Tracker is an Echelon that
-also tracks each row as a combination of the inserted vectors; both run one
-elimination loop, _eliminate, over pivot rows stored without their unit pivot
-entry.  Each new row pivots on its cheapest entry, so normalizing it spreads
-no large norm denominator; no result depends on the pivot columns.
+where raw is the field's element format: the kernel-level one of Q(zeta_4l)
+(scalars.CycField, whose vector functions are the ones here) or an int
+residue (modp.PrimeField).  A Tracker is an Echelon that also tracks each row
+as a combination of the inserted vectors; both run one elimination loop,
+_eliminate, over pivot rows stored without their unit pivot entry, through
+the field's pivot, raw_inverse, scale, submul_into, neg and one_raw.  The
+field picks each new pivot: CycField the cheapest entry, so normalizing
+spreads no large norm denominator, PrimeField the smallest index; no result
+depends on the pivot columns.
 """
 
 from __future__ import annotations
@@ -110,7 +113,7 @@ def mat_is_zero(cols):
     return all(not c for c in cols)
 
 
-def _eliminate(pivots, v, red, combo=None):
+def _eliminate(field, pivots, v, combo=None):
     """Reduce v in place against every pivot row, and combo alongside it.
 
     pivots maps each pivot index p to (row, cmb), in insertion order: row is
@@ -124,28 +127,22 @@ def _eliminate(pivots, v, red, combo=None):
             break
         c = v.pop(p, None)
         if c is not None:
-            vec_submul_into(v, row, c, red)
+            field.submul_into(v, row, c)
             if combo is not None:
-                vec_submul_into(combo, cmb, c, red)
+                field.submul_into(combo, cmb, c)
     return v
 
 
 def _add_pivot(field, pivots, v, combo=None):
     """Store the nonzero residual v (consumed) as a new pivot row.
 
-    The pivot is the entry of least (cost, index), where cost is 0 for a
-    monomial and else 1 + the bit lengths of the numerators and denominator.
-    The row is scaled so that its entry there is 1, and stored without it.
+    The pivot is the entry field.pivot chooses; the row is scaled so that its
+    entry there is 1, and stored without it.
     """
-
-    def cost(k):
-        bits = [x.bit_length() for x in v[k][0] if x]
-        return (0 if len(bits) == 1 else 1 + sum(bits) + v[k][1].bit_length(), k)
-
-    p = min(v, key=cost)
+    p = field.pivot(v)
     inv = field.raw_inverse(v.pop(p))
-    cmb = None if combo is None else vec_scale(combo, inv, field.red)
-    pivots[p] = (vec_scale(v, inv, field.red), cmb)
+    cmb = None if combo is None else field.scale(combo, inv)
+    pivots[p] = (field.scale(v, inv), cmb)
 
 
 class Echelon:
@@ -161,14 +158,14 @@ class Echelon:
 
     def insert(self, v):
         """Add v to the span; True if the rank grew."""
-        v = _eliminate(self.pivots, dict(v), self.field.red)
+        v = _eliminate(self.field, self.pivots, dict(v))
         if not v:
             return False
         _add_pivot(self.field, self.pivots, v)
         return True
 
     def contains(self, v):
-        return not _eliminate(self.pivots, dict(v), self.field.red)
+        return not _eliminate(self.field, self.pivots, dict(v))
 
 
 class Tracker(Echelon):
@@ -185,8 +182,8 @@ class Tracker(Echelon):
         self.tags = []
 
     def insert(self, v, tag):
-        combo = {tag: self.field.one.raw}
-        v = _eliminate(self.pivots, dict(v), self.field.red, combo)
+        combo = {tag: self.field.one_raw}
+        v = _eliminate(self.field, self.pivots, dict(v), combo)
         if not v:
             return combo
         _add_pivot(self.field, self.pivots, v, combo)
@@ -200,9 +197,9 @@ class Tracker(Echelon):
         coeff * vector(tag).
         """
         combo = {}
-        if _eliminate(self.pivots, dict(v), self.field.red, combo):
+        if _eliminate(self.field, self.pivots, dict(v), combo):
             return None
-        return {k: kernels.felem_neg(c) for k, c in combo.items()}
+        return {k: self.field.neg(c) for k, c in combo.items()}
 
 
 def rank_of(field, vectors):

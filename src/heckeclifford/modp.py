@@ -1,18 +1,20 @@
-"""Joint generalized eigenspace dimensions over a prime field F_p.
+"""The prime, the reduction mod p and F_p arithmetic of the mod-p characters.
 
-The fast path of supermodules.formal_character splits a module into the
-joint generalized eigenspaces of the operators A_k = X_k + X_k^-1 in F_p
-integer arithmetic, after the multimodular method (W. Stein, Modular Forms:
-A Computational Approach, ch. 7).  p is the largest prime below 2^31 with
-p = 1 mod 4l, so F_p holds a primitive 4l-th root of unity omega, a root of
-the 4l-th cyclotomic polynomial mod p; zeta -> omega is then a ring map from
-the elements of Q(zeta_4l) whose denominator is prime to p onto F_p.
+The fast path of supermodules.formal_character runs the exact engine's
+eigenspace split over F_p instead of Q(zeta_4l), after the multimodular
+method (W. Stein, Modular Forms: A Computational Approach, ch. 7).  p is the
+largest prime below 2^31 with p = 1 mod 4l, so F_p holds a primitive 4l-th
+root of unity omega, a root of the 4l-th cyclotomic polynomial mod p;
+zeta -> omega is then a ring map from the elements of Q(zeta_4l) whose
+denominator is prime to p onto F_p.
 
 A residue is an int in [0, p), a vector a dict {index: nonzero residue}, a
-matrix a column-major list of such dicts, as in linalg.  Nothing here proves
-anything over Q(zeta_4l): formal_character turns these dimensions into exact
-ones with one annihilation certificate per operator (see its docstring).
-Every way the reduction or the split can fail raises Decline.
+matrix a column-major list of such dicts, as in linalg.  PrimeField gives
+linalg's elimination and the split their F_p vector operations, and
+ReducedTower the reduced tower data.  Nothing here proves anything over
+Q(zeta_4l): formal_character turns the F_p dimensions into exact ones with
+one annihilation certificate per operator (see _certified_word_dims).  A
+reduction that cannot be made raises Decline.
 """
 
 from __future__ import annotations
@@ -75,8 +77,7 @@ def prime_and_root(l):
 class Residues:
     """Reduction mod p of Q(zeta_4l), zeta -> omega, and the residues of the q(i).
 
-    The q(i) must have distinct residues, else the split could not tell
-    their eigenspaces apart; for_l(l) keeps one instance per l.
+    for_l(l) keeps one instance per l.
     """
 
     def __init__(self, l, p, omega):
@@ -104,214 +105,102 @@ class Residues:
             s *= pow(den, -1, p)
         return s % p
 
-    def matrix(self, cols):
-        out = []
-        for col in cols:
-            red = {}
-            for i, x in col.items():
-                r = self.of(x)
-                if r:
-                    red[i] = r
-            out.append(red)
+
+class PrimeField:
+    """F_p with the vector operations of linalg's field protocol, on int loops.
+
+    Elements are ints in [0, p), vectors and matrices as in linalg; every
+    vector operation reduces mod p and drops zeros, and pivots go to the
+    smallest index.
+    """
+
+    zero_raw, one_raw = 0, 1
+
+    def __init__(self, p):
+        self.p = p
+
+    def raw_inverse(self, a):
+        return pow(a, -1, self.p)
+
+    def pivot(self, v):
+        return min(v)
+
+    def add(self, a, b):
+        return (a + b) % self.p
+
+    def mul(self, a, b):
+        return a * b % self.p
+
+    def neg(self, a):
+        return -a % self.p
+
+    def scale(self, v, c):
+        p = self.p
+        return {i: x * c % p for i, x in v.items()} if c else {}
+
+    def add_into(self, v, w):
+        self.submul_into(v, w, -1)
+
+    def submul_into(self, v, w, c):
+        """v -= c*w in place."""
+        p = self.p
+        for i, x in w.items():
+            y = (v.get(i, 0) - c * x) % p
+            if y:
+                v[i] = y
+            else:
+                v.pop(i, None)
+
+    def mat_vec(self, cols, v):
+        p = self.p
+        out = {}
+        for j, c in v.items():
+            for i, a in cols[j].items():
+                out[i] = out.get(i, 0) + a * c
+        return {i: y for i, x in out.items() if (y := x % p)}
+
+    def primitive(self, v):
+        return v
+
+
+class ReducedTower:
+    """A scalars.Tower reduced mod p, for the eigenspace split over F_p.
+
+    The split reads field, rank and translates off it as off a Tower, and
+    qs, the residues of the q(i), which must be distinct, else it could not
+    tell their eigenspaces apart.  matrix reduces a K-matrix of the tower.
+    """
+
+    def __init__(self, l, tower):
+        self.residues = residues = Residues.for_l(l)
+        if len(set(residues.qs)) != len(residues.qs):
+            raise Decline("the q(i) collide mod p")
+        self.qs = residues.qs
+        self.field = PrimeField(residues.p)
+        self.rank = tower.rank
+        self.discs = [residues.of(tower.disc_of_mask(m).raw) for m in range(self.rank)]
+
+    def translates(self, v):
+        """The r-translates v r^mask mod p, mask = 0 (v itself) first.
+
+        As Tower.translates: the entry at t * rank + a moves to
+        t * rank + (a ^ mask), times discs[a & mask] when that is not 0.
+        """
+        low, p = self.rank - 1, self.field.p
+        out = [v]
+        for mask in range(1, self.rank):
+            w = {}
+            for k, x in v.items():
+                common = k & low & mask
+                if common:
+                    x = x * self.discs[common] % p
+                    if not x:
+                        continue
+                w[k ^ mask] = x
+            out.append(w)
         return out
 
-
-def _mod(v, p):
-    out = {}
-    for i, x in v.items():
-        x %= p
-        if x:
-            out[i] = x
-    return out
-
-
-def _mat_vec(cols, v, p):
-    out = {}
-    for j, c in v.items():
-        for i, a in cols[j].items():
-            out[i] = out.get(i, 0) + a * c
-    return _mod(out, p)
-
-
-def _apply(cols, qs, mults, v, p):
-    """prod_i (A - qs[i])^mults[i] v."""
-    for q, e in zip(qs, mults):
-        for _ in range(e):
-            if not v:
-                return v
-            w = {}
-            for j, c in v.items():
-                for i, a in cols[j].items():
-                    w[i] = w.get(i, 0) + a * c
-                w[j] = w.get(j, 0) - q * c
-            v = _mod(w, p)
-    return v
-
-
-def _eliminate(pivots, v, p, combo=None):
-    """Reduce v (consumed) against the pivot rows, and combo alongside it.
-
-    pivots maps a pivot index to (row, cmb): the row scaled to 1 there and
-    stored without that entry, cmb its combination of the inserted vectors.
-    Each row is zero at the earlier pivots, so one pass in order clears
-    them all.  Returns the reduced residual, empty when v was dependent.
-    """
-    for piv, (row, cmb) in pivots.items():
-        if not v:
-            break
-        c = v.pop(piv, 0) % p
-        if c:
-            for i, x in row.items():
-                v[i] = v.get(i, 0) - c * x
-            if combo is not None:
-                for t, x in cmb.items():
-                    combo[t] = combo.get(t, 0) - c * x
-    return _mod(v, p)
-
-
-def _add_pivot(pivots, v, p, combo=None):
-    """Store the nonzero reduced residual v (consumed) as a pivot row."""
-    piv = min(v)
-    inv = pow(v.pop(piv), -1, p)
-    cmb = None if combo is None else {t: x * inv % p for t, x in combo.items() if x % p}
-    pivots[piv] = ({i: x * inv % p for i, x in v.items()}, cmb)
-
-
-def _min_poly_of(cols, v, p):
-    """Monic minimal polynomial of v under A mod p, low degree first (Krylov)."""
-    pivots = {}
-    degree = 0
-    while True:
-        combo = {degree: 1}
-        r = _eliminate(pivots, dict(v), p, combo)
-        if not r:
-            return [combo.get(j, 0) % p for j in range(degree + 1)]
-        _add_pivot(pivots, r, p, combo)
-        v = _mat_vec(cols, v, p)
-        degree += 1
-
-
-def _root_mults(poly, qs, p):
-    """Multiplicity of each qs[i] in poly; Decline when a root is no q(i)."""
-    mults = [0] * len(qs)
-    for i, q in enumerate(qs):
-        while len(poly) > 1:
-            acc = poly[-1]
-            quot = [acc]
-            for a in reversed(poly[:-1]):
-                acc = (a + q * acc) % p
-                quot.append(acc)
-            if quot.pop():
-                break
-            quot.reverse()
-            poly = quot
-            mults[i] += 1
-    if len(poly) > 1:
-        raise Decline("a root of the minimal polynomial mod p is no q(i)")
-    return mults
-
-
-def _level_mults(cols, gens, qs, p):
-    """Multiplicities of the qs in the minimal polynomial of A on the T-span of gens.
-
-    Probes the sum of the gens, then the residual of every gen that the
-    product so far does not kill, as supermodules._min_poly does over K.
-    """
-    mults = [0] * len(qs)
-    total = {}
-    for g in gens:
-        for i, x in g.items():
-            total[i] = total.get(i, 0) + x
-    for b in [_mod(total, p)] + gens:
-        r = _apply(cols, qs, mults, b, p)
-        if r:
-            for i, e in enumerate(_root_mults(_min_poly_of(cols, r, p), qs, p)):
-                mults[i] += e
-    return mults
-
-
-def _translates(v, discs, p):
-    """The r-translates v r^mask mod p, mask = 1 .. rank - 1.
-
-    As supermodules._r_translate: discs[m] is the residue of the
-    discriminant product of the mask m, rank = len(discs), and the entry at
-    t * rank + a moves to t * rank + (a ^ mask), times discs[a & mask] when
-    that mask is not 0.
-    """
-    low = len(discs) - 1
-    out = []
-    for mask in range(1, len(discs)):
-        w = {}
-        for k, x in v.items():
-            common = k & low & mask
-            if common:
-                x = x * discs[common] % p
-                if not x:
-                    continue
-            w[k ^ mask] = x
-        out.append(w)
-    return out
-
-
-def _image(cols, qs, mults, gens, discs, p):
-    """T-generators and F_p-dimension of f(A) on the T-span of gens, f as in _apply."""
-    pivots = {}
-    out = []
-    for g in gens:
-        w = _apply(cols, qs, mults, g, p)
-        r = _eliminate(pivots, dict(w), p)
-        if r:
-            _add_pivot(pivots, r, p)
-            out.append(w)
-            for tw in _translates(w, discs, p):
-                r = _eliminate(pivots, tw, p)
-                if r:
-                    _add_pivot(pivots, r, p)
-    return out, len(pivots)
-
-
-def word_dims(residues, ops, dim, parity, tower):
-    """F_p word dimensions and exponents of the joint generalized eigenspaces.
-
-    ops maps k = 1..n to the reduced K-matrix of A_k.  Splits level by level
-    as supermodules._split_level does, from the mask-0 unit vectors of each
-    parity down through A_n, .., A_1.  Returns (dims, exps): dims[word] is
-    the F_p-dimension of the joint generalized eigenspace at the residues of
-    (q(w_1), .., q(w_n)), and exps[k][i] is the largest multiplicity of q(i)
-    in the minimal polynomial of A_k mod p on a level-k part, so that
-    (A_k - q(i))^exps[k][i] kills A_k's generalized eigenspace at q(i) mod p.
-    Raises Decline when the q(i) collide mod p, when a root is no q(i), or
-    when the dimensions do not add up to dim * rank.
-    """
-    p, qs, rank = residues.p, residues.qs, tower.rank
-    if len(set(qs)) != len(qs):
-        raise Decline("the q(i) collide mod p")
-    discs = [1] + [residues.of(tower.disc_of_mask(m).raw) for m in range(1, rank)]
-    exps = {k: [0] * len(qs) for k in ops}
-    dims = {}
-    stack = []
-    for par in (1, 0):
-        gens = [{t * rank: 1} for t in range(dim) if parity[t] == par]
-        if gens:
-            stack.append((len(ops), gens, len(gens) * rank, ()))
-    while stack:
-        k, gens, kdim, word = stack.pop()
-        if k == 0:
-            dims[word] = dims.get(word, 0) + kdim
-            continue
-        cols = ops[k]
-        mults = _level_mults(cols, gens, qs, p)
-        exps[k] = [max(a, b) for a, b in zip(exps[k], mults)]
-        present = [i for i, e in enumerate(mults) if e]
-        if len(present) == 1:
-            parts = [(present[0], gens, kdim)]
-        else:
-            parts = []
-            for i in present:
-                others = list(mults)
-                others[i] = 0
-                parts.append((i, *_image(cols, qs, others, gens, discs, p)))
-        stack.extend((k - 1, g, d, (i,) + word) for i, g, d in reversed(parts))
-    if sum(dims.values()) != dim * rank:
-        raise Decline("the mod-p eigenspaces do not add up to the module")
-    return dims, exps
+    def matrix(self, cols):
+        """Residues of a K-matrix; Decline when p divides a denominator."""
+        of = self.residues.of
+        return [{i: r for i, x in col.items() if (r := of(x))} for col in cols]

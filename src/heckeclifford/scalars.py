@@ -17,7 +17,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from . import kernels
+from . import kernels, linalg
 
 
 class NotInvertibleError(ZeroDivisionError):
@@ -220,6 +220,7 @@ class CycField:
         self._zero_nums = (0,) * m
         self.zero = FieldElem(self, (self._zero_nums, 1))
         self.one = self.from_int(1)
+        self.zero_raw, self.one_raw = self.zero.raw, self.one.raw
         # powers of zeta within one period
         pows = []
         cur = [1] + [0] * (m - 1)
@@ -295,6 +296,45 @@ class CycField:
             prod = conj if prod is None else kernels.felem_mul(prod, conj, self.red)
         norm = kernels.felem_mul((nums, 1), prod, self.red)[0][0]
         return kernels.felem_scale(prod, den, norm)
+
+    # -- the field protocol of linalg's elimination and the eigenspace split
+
+    def pivot(self, v):
+        """The index of v's entry of least (cost, index).
+
+        cost is 0 for a monomial, else 1 + the bit lengths of the numerators
+        and denominator, so that normalizing spreads no large norm denominator.
+        """
+
+        def cost(k):
+            bits = [x.bit_length() for x in v[k][0] if x]
+            return (0 if len(bits) == 1 else 1 + sum(bits) + v[k][1].bit_length(), k)
+
+        return min(v, key=cost)
+
+    def add(self, a, b):
+        return kernels.felem_add(a, b)
+
+    def mul(self, a, b):
+        return kernels.felem_mul(a, b, self.red)
+
+    def neg(self, a):
+        return kernels.felem_neg(a)
+
+    def scale(self, v, c):
+        return linalg.vec_scale(v, c, self.red)
+
+    def add_into(self, v, w):
+        linalg.vec_add_into(v, w)
+
+    def submul_into(self, v, w, c):
+        linalg.vec_submul_into(v, w, c, self.red)
+
+    def mat_vec(self, cols, v):
+        return linalg.mat_vec(cols, v, self.red)
+
+    def primitive(self, v):
+        return linalg.vec_primitive(v)
 
     def __repr__(self):
         return f"CycField(l={self.l})"
@@ -477,6 +517,27 @@ class Tower:
 
     def disc_of_mask(self, mask):
         return self._dmask[mask]
+
+    def r_translate(self, v, mask):
+        """The K-vector v times the r-monomial mask, by the regular representation.
+
+        r^a r^mask = d r^(a ^ mask) with d = disc_of_mask(a & mask), so the entry
+        x at index t * rank + a moves to t * rank + (a ^ mask), times d when
+        a & mask is not 0 and unscaled otherwise.
+        """
+        low = self.rank - 1
+        red = self.field.red
+        out = {}
+        for k, x in v.items():
+            common = k & low & mask
+            if common:
+                x = kernels.felem_mul(x, self._dmask[common].raw, red)
+            out[k ^ mask] = x
+        return out
+
+    def translates(self, v):
+        """The r-translates v r^mask of a K-vector, mask = 0 (v itself) first."""
+        return [v] + [self.r_translate(v, mask) for mask in range(1, self.rank)]
 
     def scalar(self, x):
         if isinstance(x, int):

@@ -17,6 +17,7 @@ and rebuild.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 
 from . import kernels, linalg, modp
 from .algebra import HeckeClifford, NormalMonomial
@@ -71,29 +72,6 @@ def _scatter(out, mat, rows, cols, scale=None, red=None):
     return out
 
 
-def _r_translate(tower, v, mask):
-    """The K-vector v times the r-monomial mask, by the regular representation.
-
-    r^a r^mask = d r^(a ^ mask) with d = disc_of_mask(a & mask), so the entry
-    x at index t * rank + a moves to t * rank + (a ^ mask), times d when
-    a & mask is not 0 and unscaled otherwise.
-    """
-    low = tower.rank - 1
-    red = tower.field.red
-    out = {}
-    for k, x in v.items():
-        common = k & low & mask
-        if common:
-            x = kernels.felem_mul(x, tower.disc_of_mask(common).raw, red)
-        out[k ^ mask] = x
-    return out
-
-
-def _translates(tower, v):
-    """The r-translates v r^mask of a K-vector, mask = 0 (v itself) first."""
-    return [v] + [_r_translate(tower, v, mask) for mask in range(1, tower.rank)]
-
-
 def _derive_translates(tower, cols):
     """Fill the columns of a tower-linear K-matrix from its mask-0 columns.
 
@@ -102,7 +80,7 @@ def _derive_translates(tower, cols):
     quotient) writes only the mask-0 ones and derives the rest here.
     """
     for c in range(0, len(cols), tower.rank):
-        cols[c : c + tower.rank] = _translates(tower, cols[c])
+        cols[c : c + tower.rank] = tower.translates(cols[c])
     return cols
 
 
@@ -128,7 +106,9 @@ class MatrixSupermodule:
     """K-matrices of all generators of a parabolic on a graded basis.
 
     parity is even-block-first; mu is the parabolic composition (the full
-    algebra is mu = (n,)).  gens maps each generator key to its K-matrix.
+    algebra is mu = (n,)).  gens maps each generator key to its K-matrix; it
+    is read-only, because word chains are cached (_chain): a module with
+    other generators is a new module.
     """
 
     def __init__(self, model, n, mu, parity, gens):
@@ -143,7 +123,7 @@ class MatrixSupermodule:
         self.dim = len(self.parity)
         if any(self.parity[k] > self.parity[k + 1] for k in range(self.dim - 1)):
             raise ValueError("basis must be even-block-first")
-        self.gens = gens
+        self.gens = MappingProxyType(dict(gens))
         self._rho_cache = {}
 
     # -- structure ---------------------------------------------------------
@@ -830,7 +810,7 @@ def tower_span(M, k_vectors):
             continue
         s = len(basis)
         basis.append(v)
-        for mask, tv in enumerate(_translates(M.tower, v)):
+        for mask, tv in enumerate(M.tower.translates(v)):
             tracker.insert(tv, (s, mask))
     if tracker.dim != len(basis) * M.rank:
         raise InexactDivisionError(
@@ -912,7 +892,7 @@ def quotient(M, k_vectors, mu=None, extra_ops=None):
     for t in range(M.dim):
         unit = M.unit_k_vector(t)
         if not tracker.contains(unit):
-            for mask, tv in enumerate(_translates(M.tower, unit)):
+            for mask, tv in enumerate(M.tower.translates(unit)):
                 tracker.insert(tv, (len(vectors), mask))
             vectors.append(unit)
     if tracker.dim != M.k_dim():
@@ -940,9 +920,9 @@ def _op_x_plus_xinv(M, k):
 
 
 def _shift(field, op_cols, lam, v):
-    """(A - lam) v for a raw field element lam."""
-    w = linalg.mat_vec(op_cols, v, field.red)
-    linalg.vec_submul_into(w, v, lam, field.red)
+    """(A - lam) v for a raw element lam of the field."""
+    w = field.mat_vec(op_cols, v)
+    field.submul_into(w, v, lam)
     return w
 
 
@@ -951,12 +931,12 @@ def _word_d_factor(l, word):
     return 1 << (len(word) - m // 2)
 
 
-def _divide_by_root(poly, q_raw, red):
+def _divide_by_root(field, poly, q):
     """Synthetic division of poly (coefficients low degree first) by x - q."""
     acc = poly[-1]
     out = [acc]
     for a in reversed(poly[:-1]):
-        acc = kernels.felem_add(a, kernels.felem_mul(q_raw, acc, red))
+        acc = field.add(a, field.mul(q, acc))
         out.append(acc)
     rem = out.pop()
     out.reverse()
@@ -974,10 +954,9 @@ def _krylov_min_poly(field, op_cols, v):
         dep = tracker.insert(v, degree)
         if dep is not None:
             break
-        v = linalg.mat_vec(op_cols, v, field.red)
+        v = field.mat_vec(op_cols, v)
         degree += 1
-    zero = field.zero.raw
-    return [dep.get(j, zero) for j in range(degree + 1)]
+    return [dep.get(j, field.zero_raw) for j in range(degree + 1)]
 
 
 def _apply_poly(field, op_cols, roots, mults, cofactors, v):
@@ -986,12 +965,11 @@ def _apply_poly(field, op_cols, roots, mults, cofactors, v):
     f is the product of the cofactors and of the (x - roots[i])^mults[i];
     each cofactor is monic, low degree first, and applied by Horner.
     """
-    red = field.red
     for poly in cofactors:
         w = v
         for a in reversed(poly[:-1]):
-            w = linalg.mat_vec(op_cols, w, red)
-            linalg.vec_add_into(w, linalg.vec_scale(v, a, red))
+            w = field.mat_vec(op_cols, w)
+            field.add_into(w, field.scale(v, a))
         v = w
     for q, e in zip(roots, mults):
         for _ in range(e):
@@ -1016,13 +994,13 @@ def _min_poly(field, op_cols, vectors, roots, integral):
     The vectors are T-generators of a T-span and A is tower-linear: then
     f(A)(g r) = (f(A) g) r and r is invertible, so f kills the T-span
     exactly when it kills the generators, and mu on the T-span is certified
-    the same way.
+    the same way.  The field is Q(zeta_4l) or F_p (see _word_dims).
     """
     mults = [0] * len(roots)
     cofactors = []
     total = {}
     for b in vectors:
-        linalg.vec_add_into(total, b)
+        field.add_into(total, b)
     for b in [total] + vectors:
         r = _apply_poly(field, op_cols, roots, mults, cofactors, b)
         if not r:
@@ -1030,8 +1008,8 @@ def _min_poly(field, op_cols, vectors, roots, integral):
         poly = _krylov_min_poly(field, op_cols, r)
         for i, q in enumerate(roots):
             while len(poly) > 1:
-                quot, rem = _divide_by_root(poly, q, field.red)
-                if not kernels.felem_is_zero(rem):
+                quot, rem = _divide_by_root(field, poly, q)
+                if rem != field.zero_raw:
                     break
                 poly = quot
                 mults[i] += 1
@@ -1046,13 +1024,13 @@ def _min_poly(field, op_cols, vectors, roots, integral):
 
 
 def _image(tower, op_cols, roots, mults, cofactors, gens):
-    """T-generators and K-dimension of f(A) applied to the T-span of gens.
+    """T-generators and dimension over the field of f(A) on the T-span of gens.
 
     f is as in _apply_poly.  A must be tower-linear, so the image is the
     T-span of the f(A) g: each goes into one Echelon with its r-translates,
-    and the Echelon's rank is the exact K-dimension.  Returns (images, kdim),
-    the images that raised the rank in primitive form.  Over the rank-1
-    tower Tower(field) the gens are plain field vectors.
+    and the Echelon's rank is the exact dimension.  Returns (images, kdim),
+    the images that raised the rank in the field's primitive form.  Over the
+    rank-1 tower Tower(field) the gens are plain field vectors.
     """
     field = tower.field
     image = linalg.Echelon(field)
@@ -1060,8 +1038,8 @@ def _image(tower, op_cols, roots, mults, cofactors, gens):
     for g in gens:
         w = _apply_poly(field, op_cols, roots, mults, cofactors, g)
         if image.insert(w):
-            out.append(linalg.vec_primitive(w))
-            for tw in _translates(tower, w)[1:]:
+            out.append(field.primitive(w))
+            for tw in tower.translates(w)[1:]:
                 image.insert(tw)
     return out, image.dim
 
@@ -1090,18 +1068,19 @@ def jordan_block_max(M, op_cols, lam):
 def _split_level(tower, op_cols, gens, kdim, qs):
     """Split a level into the generalized eigenspaces of A at the qs.
 
-    A level is the T-span of gens, of K-dimension kdim.  _min_poly
-    certifies the minimal polynomial prod_i (x - q_i)^e_i of A on the level,
-    which is then the direct sum of the generalized eigenspaces at the q_i
-    with e_i > 0; each one is the image of the product over the other
-    factors (see _image).  Returns [(i, gens_i, kdim_i)] in ascending i.
-    Requires the level to be A-invariant and A tower-linear; raises
-    ArithmeticError when an eigenvalue is no q(i).
+    A level is the T-span of gens, of dimension kdim over the tower's field.
+    _min_poly certifies the minimal polynomial prod_i (x - q_i)^e_i of A on
+    the level, which is then the direct sum of the generalized eigenspaces at
+    the q_i with e_i > 0; each one is the image of the product over the
+    other factors (see _image).  Returns (parts, mults): parts lists
+    (i, gens_i, kdim_i) in ascending i, and mults[i] is e_i.  Requires the
+    level to be A-invariant and A tower-linear; raises ArithmeticError when
+    an eigenvalue is no q(i) or the parts' dimensions do not add up to kdim.
     """
     mults, _ = _min_poly(tower.field, op_cols, gens, qs, integral=True)
     present = [i for i, e in enumerate(mults) if e]
     if len(present) == 1:
-        return [(present[0], gens, kdim)]
+        return [(present[0], gens, kdim)], mults
     parts = []
     for i in present:
         others = list(mults)
@@ -1111,46 +1090,54 @@ def _split_level(tower, op_cols, gens, kdim, qs):
         raise ArithmeticError(
             "non-integral eigenvalue: eigenspaces do not exhaust the module"
         )
-    return parts
+    return parts, mults
 
 
-def _word_dims(M, ops):
-    """K-dimensions of the joint generalized eigenspaces, by the exact engine.
+def _word_dims(M, tower, qs, ops):
+    """Dimensions of the joint generalized eigenspaces, and exponents.
 
-    The eigenspaces of A_n, .., A_1 (A_k = X_k + X_k^-1, the K-matrices in
+    The eigenspaces of A_n, .., A_1 (A_k = X_k + X_k^-1, the matrices in
     ops) are split off one level at a time, which needs each span along the
     way to be invariant under the next operator: this holds for any module,
     because the X's are even and commute.  Each level is carried as
-    T-generators and its K-dimension, starting from the mask-0 unit vectors,
+    T-generators and its dimension, starting from the mask-0 unit vectors,
     which requires the generators to be tower-linear, as every module built
-    here is (see _split_level).  Returns {word: K-dimension}.
+    here is (see _split_level).  The split runs over tower's field: over
+    Q(zeta_4l) with M.tower, the K-matrices of ops and the q(i) (the exact
+    engine), or over F_p with a modp.ReducedTower, the reduced matrices and
+    residues.  Returns (dims, exps): dims[word] is the dimension at
+    (q(w_1), .., q(w_n)), and exps[k][i] the largest multiplicity of q(i)
+    in the minimal polynomial of A_k on a level.
     """
-    qs = [q_of(M.model.l, i).raw for i in range(M.model.l)]
-    counts = {}
+    one = tower.field.one_raw
+    exps = {k: [0] * len(qs) for k in ops}
+    dims = {}
     stack = []
     for p in (1, 0):
-        gens = [M.unit_k_vector(t) for t in range(M.dim) if M.parity[t] == p]
+        gens = [{t * tower.rank: one} for t in range(M.dim) if M.parity[t] == p]
         if gens:
-            stack.append((M.n, gens, len(gens) * M.rank, ()))
+            stack.append((M.n, gens, len(gens) * tower.rank, ()))
     while stack:
         k, gens, kdim, word = stack.pop()
         if k == 0:
-            counts[word] = counts.get(word, 0) + kdim
+            dims[word] = dims.get(word, 0) + kdim
             continue
-        parts = _split_level(M.tower, ops[k], gens, kdim, qs)
+        parts, mults = _split_level(tower, ops[k], gens, kdim, qs)
+        exps[k] = [max(a, b) for a, b in zip(exps[k], mults)]
         stack.extend((k - 1, g, d, (i,) + word) for i, g, d in reversed(parts))
-    return counts
+    return dims, exps
 
 
 def _certified_word_dims(M, ops):
     """The word dimensions from the mod-p split, proved over K; None on failure.
 
-    modp.word_dims gives, for every word w, the F_p-dimension d_p(w) of the
-    joint generalized eigenspace of the reduced operators at the residues of
-    (q(w_1), .., q(w_n)), and exponents a_k,i.  The K work is one
-    certificate per operator: P_k(A_k) = prod_i (A_k - q(i))^a_k,i kills
-    every mask-0 unit vector e_t, by mat_vec alone.  Proof that then
-    d_p(w) = dim_K E_w for every word, where N = dim * rank:
+    _word_dims over modp.ReducedTower gives, for every word w, the
+    F_p-dimension d_p(w) of the joint generalized eigenspace of the reduced
+    operators at the residues of (q(w_1), .., q(w_n)), and exponents a_k,i.
+    The K work is one certificate per operator: P_k(A_k) =
+    prod_i (A_k - q(i))^a_k,i kills every mask-0 unit vector e_t, by
+    mat_vec alone.  Proof that then d_p(w) = dim_K E_w for every word,
+    where N = dim * rank:
 
     - A_k is tower-linear, so P_k(A_k) kills the T-span of the e_t, which
       is K^N.  The q(i) are distinct mod p, hence distinct in K, so K^N is
@@ -1165,22 +1152,24 @@ def _certified_word_dims(M, ops):
       F_p joint generalized eigenspace at w, whose dimension the split mod
       p computes exactly (the reduced A_k commute and are tower-linear, as
       the A_k are), so d_p(w) >= dim_K E_w.
-    - The d_p(w) sum to N (checked), and so do the dim_K E_w: each
-      inequality is an equality.
+    - The d_p(w) sum to N: the two parity levels that start the split have
+      dimensions summing to N, and _split_level checks on every level that
+      its parts' dimensions add up to the level's.  So do the dim_K E_w:
+      each inequality is an equality.
 
     The exponents serve only the certificate: any with which it passes
     will do, and the ones mod p are those of the F_p minimal polynomials.
 
     Any failure returns None: a denominator divisible by p, colliding
-    residues of the q(i), a root mod p outside them, an F_p total other
-    than N, or a failed certificate (an eigenvalue over K that only
-    reduces to a q(i), or an exponent mod p below the one over K).
+    residues of the q(i), a root mod p outside them, F_p parts that do not
+    add up to their level, or a failed certificate (an eigenvalue over K
+    that only reduces to a q(i), or an exponent mod p below the one over K).
     """
     try:
-        residues = modp.Residues.for_l(M.model.l)
-        reduced = {k: residues.matrix(cols) for k, cols in ops.items()}
-        dims, exps = modp.word_dims(residues, reduced, M.dim, M.parity, M.tower)
-    except modp.Decline:
+        reduced = modp.ReducedTower(M.model.l, M.tower)
+        ops_p = {k: reduced.matrix(cols) for k, cols in ops.items()}
+        dims, exps = _word_dims(M, reduced, reduced.qs, ops_p)
+    except ArithmeticError:  # modp.Decline, or the split's own errors
         return None
     qs = [q_of(M.model.l, i).raw for i in range(M.model.l)]
     for k, cols in ops.items():
@@ -1197,14 +1186,14 @@ def formal_character(M):
     generalized eigenspace at (q(w_1), .., q(w_n)), divided by the tower rank
     and by the word's intrinsic dimension factor; inexact divisions raise.
     The dimensions come from the mod-p split, certified over K (see
-    _certified_word_dims); when that declines, the exact engine (_word_dims)
-    computes them and raises its own errors.
+    _certified_word_dims); when that declines, the same split runs over K
+    (_word_dims with M.tower) and raises its own errors.
     """
     l = M.model.l
     ops = {k: _op_x_plus_xinv(M, k) for k in range(1, M.n + 1)}
     counts = _certified_word_dims(M, ops)
     if counts is None:
-        counts = _word_dims(M, ops)
+        counts = _word_dims(M, M.tower, [q_of(l, i).raw for i in range(l)], ops)[0]
     out = {}
     for word, kdim in counts.items():
         denom = M.rank * _word_d_factor(l, word)
@@ -1366,26 +1355,35 @@ def circled_star(M, theta_M, N, theta_N):
 
 
 def _check_odd_involution(M, theta):
-    """theta: a K-matrix; must be odd, square to one, intertwine."""
-    for j, col in enumerate(theta):
-        if any(M.k_parity(i) == M.k_parity(j) for i in col):
-            raise ValueError("declared involution is not odd")
+    """theta: a K-matrix; must be tower-linear, odd, square to one, intertwine.
+
+    M's generators must be tower-linear, as verify_relations checks.  Then
+    theta^2 - 1 and theta G - (-1)^|G| G theta are tower-linear too, so each
+    vanishes when it kills every mask-0 unit vector e_t: both sides are
+    applied to the e_t by mat_vec only.
+    """
+    if theta != _derive_translates(M.tower, list(theta)):
+        raise ValueError("declared involution is not tower-linear")
     red = M.field.red
-    minus = (-M.field.one).raw
-    sq = linalg.mat_mul(theta, theta, red)
-    for k, col in enumerate(sq):
-        linalg.vec_add_into(col, {k: minus})
-    if not linalg.mat_is_zero(sq):
-        raise ValueError("declared involution does not square to one")
+    one, minus = M.field.one.raw, (-M.field.one).raw
+    heads = range(0, M.k_dim(), M.rank)  # the K-indices of the e_t
+    if any(M.k_parity(i) == M.k_parity(c) for c in heads for i in theta[c]):
+        raise ValueError("declared involution is not odd")
+    for c in heads:
+        sq = linalg.mat_vec(theta, theta[c], red)
+        linalg.vec_add_into(sq, {c: minus})
+        if sq:
+            raise ValueError("declared involution does not square to one")
     for key in M.gen_keys():
         G = M.gen(key)
-        # theta G = (-1)^|G| G theta
-        diff = linalg.mat_mul(theta, G, red)
-        sign = M.field.one.raw if key[0] == "C" else minus
-        for col, other in zip(diff, linalg.mat_mul(G, theta, red)):
-            linalg.vec_add_into(col, linalg.vec_scale(other, sign, red))
-        if not linalg.mat_is_zero(diff):
-            raise ValueError(f"declared involution fails to intertwine {key}")
+        sign = one if key[0] == "C" else minus
+        for c in heads:
+            # theta G e_t = (-1)^|G| G theta e_t
+            diff = linalg.mat_vec(theta, G[c], red)
+            other = linalg.mat_vec(G, theta[c], red)
+            linalg.vec_add_into(diff, linalg.vec_scale(other, sign, red))
+            if diff:
+                raise ValueError(f"declared involution fails to intertwine {key}")
 
 
 def theta_for_end_letter(M_L):
@@ -1562,12 +1560,12 @@ def discover_square_root(M, vectors):
             tracker = linalg.Tracker(field)
             basis = []
             for v in vs:
-                for tv in _translates(M.tower, v):
+                for tv in M.tower.translates(v):
                     if tracker.insert(tv, len(basis)) is None:
                         basis.append(tv)
             trace = field.zero
             for s, v in enumerate(basis):
-                coords = tracker.express(_r_translate(M.tower, v, 1 << k))
+                coords = tracker.express(M.tower.r_translate(v, 1 << k))
                 if coords is None:
                     break
                 raw = coords.get(s)
@@ -1635,7 +1633,7 @@ def invariance_witness(M, image, gen_key):
     """
     ech = linalg.Echelon(M.field)
     for _, w in image:
-        for tw in _translates(M.tower, w):
+        for tw in M.tower.translates(w):
             ech.insert(tw)
     G = M.gen(gen_key)
     for t, w in image:

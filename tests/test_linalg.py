@@ -1,11 +1,11 @@
-"""Sparse exact linear algebra over the cyclotomic field."""
+"""Sparse exact linear algebra over the cyclotomic field and over F_p."""
 
 import random
 from fractions import Fraction
 
 from hypothesis import given, strategies as st
 
-from heckeclifford import kernels, linalg
+from heckeclifford import kernels, linalg, modp
 from heckeclifford.scalars import CycField
 
 
@@ -281,6 +281,126 @@ def test_pivots_do_not_depend_on_key_order(family, rng):
     assert linalg.nullspace_combinations(field, list(enumerate(vs))) == (
         linalg.nullspace_combinations(field, list(enumerate(vs2)))
     )
+
+
+def _dense_rank_mod(rows, p):
+    """Rank mod p by dense Gaussian elimination (the F_p oracle)."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = pow(rows[rank][col], -1, p)
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                f = rows[r][col] * inv
+                rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def _residue_vec(row, p):
+    return {i: x % p for i, x in enumerate(row) if x % p}
+
+
+def _combine_mod(p, coeffs, vectors):
+    acc = {}
+    for tag, c in coeffs.items():
+        for i, x in vectors[tag].items():
+            acc[i] = (acc.get(i, 0) + c * x) % p
+    return {i: x for i, x in acc.items() if x}
+
+
+@st.composite
+def _residue_family(draw):
+    """Residue rows, some combinations of earlier ones, and queries, mod p.
+
+    Small primes make chance dependencies mod p common.
+    """
+    p = draw(st.sampled_from([2, 3, 5, 13, modp.prime_and_root(2)[0]]))
+    n = draw(st.integers(1, 6))
+    entry = st.one_of(st.just(0), st.integers(1, p - 1))
+    row = st.lists(entry, min_size=n, max_size=n)
+
+    def combination(rows):
+        cs = draw(st.lists(st.integers(0, p - 1), min_size=len(rows), max_size=len(rows)))
+        return [sum(c * r[i] for c, r in zip(cs, rows)) % p for i in range(n)]
+
+    rows = [draw(row)]
+    for _ in range(draw(st.integers(0, 6))):
+        rows.append(combination(rows) if draw(st.booleans()) else draw(row))
+    queries = [
+        combination(rows) if draw(st.booleans()) else draw(row)
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    return p, rows, queries
+
+
+@given(_residue_family())
+def test_elimination_over_a_prime_field_matches_dense_oracle(family):
+    p, rows, queries = family
+    field = modp.PrimeField(p)
+    vs = [_residue_vec(r, p) for r in rows]
+    rank = _dense_rank_mod(rows, p)
+    ech, tracker = _build(field, vs)
+    assert linalg.rank_of(field, vs) == ech.dim == tracker.dim == rank
+    for q_row in queries:
+        q = _residue_vec(q_row, p)
+        inside = _dense_rank_mod(rows + [q_row], p) == rank
+        assert ech.contains(q) == tracker.contains(q) == inside
+        coords = tracker.express(q)
+        if inside:
+            assert all(0 < c < p for c in coords.values())
+            assert _combine_mod(p, coords, vs) == q
+        else:
+            assert coords is None
+    deps = linalg.nullspace_combinations(field, list(enumerate(vs)))
+    assert len(deps) == len(vs) - rank
+    for dep in deps:
+        assert dep and all(0 < c < p for c in dep.values())
+        assert not _combine_mod(p, dep, vs)
+
+
+def _least_prime_residues(l):
+    """Reduction of Q(zeta_4l) at the least prime p = 1 mod 4l.
+
+    At so small a p the rank of a p-integral family drops mod p more often
+    than at the prime of modp.prime_and_root.
+    """
+    m = 4 * l
+    p = next(q for q in range(m + 1, 1000, m) if modp.is_prime(q))
+    omega = next(
+        w
+        for w in range(2, p)
+        if pow(w, m, p) == 1 and all(pow(w, m // r, p) != 1 for r in (2, 3) if m % r == 0)
+    )
+    return modp.Residues(l, p, omega)
+
+
+def _reduce(res, v):
+    return {i: r for i, x in v.items() if (r := res.of(x))}
+
+
+@given(_field_family())
+def test_rank_mod_p_never_exceeds_the_rank_over_k(family):
+    field, _, vs, _, _ = family
+    rank = linalg.rank_of(field, vs)
+    for res in (modp.Residues.for_l(field.l), _least_prime_residues(field.l)):
+        reduced = [_reduce(res, v) for v in vs]
+        assert linalg.rank_of(modp.PrimeField(res.p), reduced) <= rank
+
+
+@given(_family())
+def test_rank_mod_p_equals_the_dense_rank_over_k(family):
+    # integer rows of entries at most 3 in absolute value and at most six
+    # rows: every minor is below p, so no rank drops mod p
+    l, rows, _, js = family
+    field = CycField.for_l(l)
+    res = modp.Residues.for_l(l)
+    vs = [_reduce(res, _zeta_vec(field, r, j)) for r, j in zip(rows, js)]
+    assert linalg.rank_of(modp.PrimeField(res.p), vs) == _dense_rank(rows)
 
 
 def test_monomial_pivot_beats_smaller_index():

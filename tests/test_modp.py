@@ -115,14 +115,18 @@ def _jordan_module(c):
 
 
 class _Fallbacks:
-    """Counts the exact engine's runs inside formal_character."""
+    """Counts the exact engine's runs inside formal_character.
+
+    _word_dims also runs the mod-p split, over a modp.ReducedTower; only its
+    runs over the module's own tower, over K, are counted.
+    """
 
     def __init__(self, monkeypatch):
         self.calls = 0
 
-        def counted(M, ops):
-            self.calls += 1
-            return _word_dims(M, ops)
+        def counted(M, tower, qs, ops):
+            self.calls += tower is M.tower
+            return _word_dims(M, tower, qs, ops)
 
         monkeypatch.setattr(supermodules, "_word_dims", counted)
 
@@ -135,9 +139,8 @@ def test_off_q_eigenvalue_congruent_to_a_q_still_raises(monkeypatch):
     b = f.from_int(p + 1)
     M = _rank1_module(3, [[b]], [[b.inverse()]])
     ops = {1: _op_x_plus_xinv(M, 1)}
-    res = modp.Residues.for_l(3)
-    reduced = {1: res.matrix(ops[1])}
-    dims, _ = modp.word_dims(res, reduced, M.dim, M.parity, M.tower)
+    red = modp.ReducedTower(3, M.tower)
+    dims, _ = _word_dims(M, red, red.qs, {1: red.matrix(ops[1])})
     assert dims == {(0,): 2}
     assert _certified_word_dims(M, ops) is None
     fallbacks = _Fallbacks(monkeypatch)
@@ -153,9 +156,9 @@ def test_colliding_residues_fall_back(monkeypatch):
     fake.qs = [fake.qs[0], fake.qs[1], fake.qs[0]]
     M = _jordan_module(Fraction(1))
     ops = {1: _op_x_plus_xinv(M, 1)}
-    with pytest.raises(modp.Decline, match="collide"):
-        modp.word_dims(fake, {1: fake.matrix(ops[1])}, M.dim, M.parity, M.tower)
     monkeypatch.setattr(modp.Residues, "for_l", lambda l: fake)
+    with pytest.raises(modp.Decline, match="collide"):
+        modp.ReducedTower(3, M.tower)
     fallbacks = _Fallbacks(monkeypatch)
     assert formal_character(M) == WordSum.word((1,), 2)
     assert fallbacks.calls == 1
@@ -177,7 +180,7 @@ def test_denominator_divisible_by_p_falls_back(monkeypatch):
     p, _ = modp.prime_and_root(3)
     M = _jordan_module(Fraction(1, p))
     with pytest.raises(modp.Decline, match="denominator"):
-        modp.Residues.for_l(3).matrix(_op_x_plus_xinv(M, 1))
+        modp.ReducedTower(3, M.tower).matrix(_op_x_plus_xinv(M, 1))
     fallbacks = _Fallbacks(monkeypatch)
     assert formal_character(M) == WordSum.word((1,), 2)
     assert fallbacks.calls == 1

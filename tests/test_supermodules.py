@@ -206,9 +206,20 @@ def test_perturbed_module_fails_relations():
     z = M.tower.zero
     rows = [[_column(M, ("T", 1), c).get(r, z) for c in range(M.dim)] for r in range(M.dim)]
     rows[0][0] = M.tower.scalar(f.zeta_pow(2))
-    M.gens[("T", 1)] = _kmat_from_rows(M.tower, rows)
+    gens = {**M.gens, ("T", 1): _kmat_from_rows(M.tower, rows)}
+    M = MatrixSupermodule(M.model, M.n, M.mu, M.parity, gens)
     report = verify_relations(M)
     assert "(T1 + xi C1C2) X1 T1 = X2" in report
+
+
+def test_generators_are_read_only_after_verification():
+    # word chains are cached per module, so replacing a generator in place
+    # would leave verify_relations answering for the old matrices
+    M = build_L01()
+    assert verify_relations(M) == []
+    with pytest.raises(TypeError):
+        M.gens[("T", 1)] = M.gen(("X", 1, 1))
+    assert verify_relations(M) == []
 
 
 def test_build_L_ij_entries():
@@ -261,6 +272,31 @@ def test_circled_star_dimensions():
     assert formal_character(S) == WordSum.word((0, 1))
     S00 = circled_star(L0, th0, L0, th0)
     assert S00.dim == 2
+
+
+@pytest.mark.parametrize(
+    "perturb, message",
+    [
+        (lambda rt: [[1, -rt], [rt, 0]], "is not odd"),
+        (lambda rt: [[0, -2 * rt], [rt, 0]], "does not square to one"),
+        (lambda rt: [[0, 1], [1, 0]], r"fails to intertwine \('C', 1\)"),
+        (None, "is not tower-linear"),
+    ],
+    ids=["odd", "square", "intertwine", "tower-linear"],
+)
+def test_circled_star_rejects_a_false_involution(perturb, message):
+    # the end letter over a rank-2 tower; its canonical involution is
+    # [[0, -rt], [rt, 0]], rt = sqrt(-1)
+    L0 = build_L(3, 0, ScalarModel.for_indices(3, [1]))
+    theta = theta_for_end_letter(L0)
+    if perturb is None:
+        # the column of e_0 r is no longer theta(e_0) r
+        theta[1] = linalg.vec_scale(theta[1], L0.field.from_int(2).raw, L0.field.red)
+    else:
+        rt = L0.tower.scalar(L0.field.sqrt_minus1)
+        theta = _kmat_from_rows(L0.tower, perturb(rt))
+    with pytest.raises(ValueError, match=f"declared involution {message}"):
+        circled_star(L0, theta, L0, theta_for_end_letter(L0))
 
 
 def test_circled_star_with_trivial_factor():
@@ -540,7 +576,7 @@ def test_certified_split_matches_generalized_eigs(case):
             oracle[i] = len(eig)
             assert depth == max(m for j, m in blocks if j == i)
     assert oracle == want
-    parts = _split_level(Tower(field), A, basis, len(basis), qs)
+    parts, _ = _split_level(Tower(field), A, basis, len(basis), qs)
     assert [i for i, _, _ in parts] == sorted(want)
     assert {i: len(vs) for i, vs, _ in parts} == want
     for i, vs, kdim in parts:
@@ -798,7 +834,8 @@ def k_basis_character(M):
             counts[word] = counts.get(word, 0) + len(vectors)
             continue
         op = _op_x_plus_xinv(M, k)
-        for i, eig, kdim in _split_level(Tower(M.field), op, vectors, len(vectors), qs):
+        parts, _ = _split_level(Tower(M.field), op, vectors, len(vectors), qs)
+        for i, eig, kdim in parts:
             assert kdim == len(eig)
             stack.append((k - 1, eig, (i,) + word))
     out = {}
@@ -823,7 +860,12 @@ def _assert_modp_agrees(M):
     ops = {k: _op_x_plus_xinv(M, k) for k in range(1, M.n + 1)}
     got = _certified_word_dims(M, ops)
     assert got is not None, M
-    assert got == _word_dims(M, ops), M
+    assert got == _exact_word_dims(M, ops), M
+
+
+def _exact_word_dims(M, ops):
+    qs = [q_of(M.model.l, i).raw for i in range(M.model.l)]
+    return _word_dims(M, M.tower, qs, ops)[0]
 
 
 @pytest.mark.parametrize("l", [2, 3, 4, 5])
@@ -835,7 +877,7 @@ def test_modp_characters_agree_on_every_relation_suite_module(l, monkeypatch):
     def checked(M, ops):
         seen.append(M)
         _assert_modp_agrees(M)
-        return _word_dims(M, ops)
+        return _exact_word_dims(M, ops)
 
     def no_split(M, vectors):
         raise AssertionError("a relation suite module split its ring")
@@ -920,9 +962,10 @@ def _heads(field, tower, dim):
 def test_tower_generator_split_matches_k_basis_split(case):
     field, tower, A, dim, qs = case
     kdim = dim * tower.rank
-    got = _split_level(tower, A, _heads(field, tower, dim), kdim, qs)
-    want = _split_level(Tower(field), A, _unit_basis(kdim, field), kdim, qs)
+    got, got_mults = _split_level(tower, A, _heads(field, tower, dim), kdim, qs)
+    want, want_mults = _split_level(Tower(field), A, _unit_basis(kdim, field), kdim, qs)
     assert [(i, d) for i, _, d in got] == [(i, d) for i, _, d in want]
+    assert got_mults == want_mults
     masks = _mask_matrices(tower, dim)
     for (i, gens, d), (_, vectors, _) in zip(got, want):
         translates = [linalg.mat_vec(R, g, field.red) for g in gens for R in masks]
@@ -959,7 +1002,7 @@ def test_modp_word_dims_decline_off_q_eigenvalue(case):
     M = _one_operator_module(tower, A, dim, len(qs))
     assert _certified_word_dims(M, {1: A}) is None
     with pytest.raises(ArithmeticError, match="non-integral"):
-        _word_dims(M, {1: A})
+        _exact_word_dims(M, {1: A})
 
 
 def test_tower_generator_split_counts_a_non_free_eigenspace():
@@ -973,7 +1016,7 @@ def test_tower_generator_split_counts_a_non_free_eigenspace():
     )
     A = _kmat_from_rows(tower, [[lam]])
     qs = [q_of(3, i).raw for i in range(3)]
-    parts = _split_level(tower, A, _heads(field, tower, 1), 2, qs)
+    parts, _ = _split_level(tower, A, _heads(field, tower, 1), 2, qs)
     assert [(i, len(gens), d) for i, gens, d in parts] == [(0, 1, 1), (1, 1, 1)]
 
 
