@@ -548,18 +548,3 @@ class HeckeClifford:
             )
             work = work - self.multiply(t_rep, inner)
         return {w: e for w, e in result.items() if not e.is_zero()}
-
-
-def sigma(h):
-    """The order-reversing algebra automorphism."""
-    return h.algebra.sigma(h)
-
-
-def tau(h):
-    """The Clifford-twisted antiautomorphism."""
-    return h.algebra.tau(h)
-
-
-def coset_decompose(h, mu):
-    """Unique expansion over minimal coset representatives of the parabolic."""
-    return h.algebra.coset_decompose(h, mu)

@@ -2,8 +2,8 @@
 
 Vectors are dicts {index: raw}, matrices are column-major lists of such dicts,
 where raw is the field's element format: the kernel-level one of Q(zeta_4l)
-(scalars.CycField, whose vector functions are the ones here) or an int
-residue (modp.PrimeField).  A Tracker is an Echelon that also tracks each row
+(scalars.CycField, the only caller of the vector functions here outside the
+tests) or an int residue (modp.PrimeField).  A Tracker is an Echelon that also tracks each row
 as a combination of the inserted vectors; both run one elimination loop,
 _eliminate, over pivot rows stored without their unit pivot entry, through
 the field's pivot, raw_inverse, scale, submul_into, neg and one_raw.  The

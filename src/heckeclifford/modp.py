@@ -11,17 +11,18 @@ denominator is prime to p onto F_p.
 A residue is an int in [0, p), a vector a dict {index: nonzero residue}, a
 matrix a column-major list of such dicts, as in linalg.  PrimeField gives
 linalg's elimination and the split their F_p vector operations, and
-ReducedTower the reduced tower data.  Nothing here proves anything over
-Q(zeta_4l): formal_character turns the F_p dimensions into exact ones with
-one annihilation certificate per operator (see _certified_word_dims).  A
-reduction that cannot be made raises Decline.
+ReducedTower the reduced tower data, on which Tower's own r-translate loop
+runs.  Nothing here proves anything over Q(zeta_4l): formal_character turns
+the F_p dimensions into exact ones with one annihilation certificate per
+operator (see _certified_word_dims).  A reduction that cannot be made raises
+Decline.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .scalars import CycField, q_of
+from .scalars import CycField, Tower, q_of
 
 PRIME_BOUND = 1 << 31
 
@@ -168,7 +169,12 @@ class ReducedTower:
 
     The split reads field, rank and translates off it as off a Tower, and
     qs, the residues of the q(i), which must be distinct, else it could not
-    tell their eigenspaces apart.  matrix reduces a K-matrix of the tower.
+    tell their eigenspaces apart.  The r-translates are Tower's own, run on
+    PrimeField and the residues disc_raws of the per-mask discriminants.
+    That loop has no zero test, so a vanishing disc residue raises Decline.
+    For towers of the d_i this cannot happen once the q(i) are distinct mod
+    p: d_i = q(i)^2/4 - 1 = 0 means q(i) = +-2 = q(0) or q(l-1) mod p.
+    matrix reduces a K-matrix of the tower.
     """
 
     def __init__(self, l, tower):
@@ -178,27 +184,12 @@ class ReducedTower:
         self.qs = residues.qs
         self.field = PrimeField(residues.p)
         self.rank = tower.rank
-        self.discs = [residues.of(tower.disc_of_mask(m).raw) for m in range(self.rank)]
+        self.disc_raws = [residues.of(d) for d in tower.disc_raws]
+        if 0 in self.disc_raws:
+            raise Decline("a discriminant vanishes mod p")
 
-    def translates(self, v):
-        """The r-translates v r^mask mod p, mask = 0 (v itself) first.
-
-        As Tower.translates: the entry at t * rank + a moves to
-        t * rank + (a ^ mask), times discs[a & mask] when that is not 0.
-        """
-        low, p = self.rank - 1, self.field.p
-        out = [v]
-        for mask in range(1, self.rank):
-            w = {}
-            for k, x in v.items():
-                common = k & low & mask
-                if common:
-                    x = x * self.discs[common] % p
-                    if not x:
-                        continue
-                w[k ^ mask] = x
-            out.append(w)
-        return out
+    r_translate = Tower.r_translate
+    translates = Tower.translates
 
     def matrix(self, cols):
         """Residues of a K-matrix; Decline when p divides a denominator."""

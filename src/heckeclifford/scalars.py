@@ -340,8 +340,9 @@ class CycField:
         return f"CycField(l={self.l})"
 
 
+@lru_cache(maxsize=None)
 def q_of(l, i):
-    """The eigenvalue parameter 2*(q^(2i+1) + q^-(2i+1))/(q + q^-1)."""
+    """The eigenvalue parameter 2*(q^(2i+1) + q^-(2i+1))/(q + q^-1), cached."""
     if l < 2:
         raise ValueError("need l >= 2")
     if not 0 <= i <= l - 1:
@@ -492,13 +493,13 @@ class Tower:
         self.field = field
         self.discs = discs
         self.rank = 1 << len(discs)
-        self._dmask = [field.one]
+        self.disc_raws = [field.one_raw]
         for mask in range(1, self.rank):
             p = field.one
             for k, d in enumerate(discs):
                 if mask >> k & 1:
                     p = p * d
-            self._dmask.append(p)
+            self.disc_raws.append(p.raw)
         self.zero = TowerElem(self, [field.zero] * self.rank)
         self.one = TowerElem(
             self, [field.one] + [field.zero] * (self.rank - 1)
@@ -516,23 +517,22 @@ class Tower:
         return Tower(field, seen)
 
     def disc_of_mask(self, mask):
-        return self._dmask[mask]
+        return FieldElem(self.field, self.disc_raws[mask])
 
     def r_translate(self, v, mask):
         """The K-vector v times the r-monomial mask, by the regular representation.
 
-        r^a r^mask = d r^(a ^ mask) with d = disc_of_mask(a & mask), so the entry
+        r^a r^mask = d r^(a ^ mask) with d = disc_raws[a & mask], so the entry
         x at index t * rank + a moves to t * rank + (a ^ mask), times d when
-        a & mask is not 0 and unscaled otherwise.
+        a & mask is not 0 and unscaled otherwise.  Only field.mul, rank and
+        disc_raws are read, so modp.ReducedTower runs this loop over F_p; a
+        nonzero d keeps every moved entry nonzero.
         """
-        low = self.rank - 1
-        red = self.field.red
+        low, mul, discs = self.rank - 1, self.field.mul, self.disc_raws
         out = {}
         for k, x in v.items():
             common = k & low & mask
-            if common:
-                x = kernels.felem_mul(x, self._dmask[common].raw, red)
-            out[k ^ mask] = x
+            out[k ^ mask] = mul(x, discs[common]) if common else x
         return out
 
     def translates(self, v):

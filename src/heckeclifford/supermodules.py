@@ -7,11 +7,12 @@ restriction of scalars to F, as K-matrices: column-major lists of sparse raw
 columns in the format of linalg, where index t * rank + mask is basis vector t
 times the r-monomial mask, so a tower entry is its rank x rank regular block.
 Every generator is tower-linear: its mask-0 columns fix the others, so each
-constructor writes only those and derives the rest (_derive_translates).
-All rank, kernel and membership computations therefore pivot over the genuine
-field; module-level dimensions are field dimensions divided by the tower
-rank, and an inexact division is reported so the caller can split the ring
-and rebuild.
+constructor writes only those and derives the rest (_derive_translates).  All
+rank, kernel and membership computations therefore pivot over the genuine
+field; module-level dimensions are field dimensions divided by the tower rank,
+and an inexact division is reported so the caller can split the ring and
+rebuild.  Vector arithmetic goes only through the field object (M.field, or
+tower.field in the split), never through the raw element format.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from fractions import Fraction
 from types import MappingProxyType
 
-from . import kernels, linalg, modp
+from . import linalg, modp
 from .algebra import HeckeClifford, NormalMonomial
 from .grothendieck import WordSum, e_drop, shuffle
 from .scalars import (
@@ -59,7 +60,7 @@ def _k_positions(rank, positions):
     return [p * rank + m for p in positions for m in range(rank)]
 
 
-def _scatter(out, mat, rows, cols, scale=None, red=None):
+def _scatter(field, out, mat, rows, cols, scale=None):
     """out += scale * mat, with row k of mat on row rows[k], column k on cols[k].
 
     scale is a raw base-field element, such as an odd sign; None means one.
@@ -67,8 +68,8 @@ def _scatter(out, mat, rows, cols, scale=None, red=None):
     for k, col in enumerate(mat):
         if col:
             if scale is not None:
-                col = linalg.vec_scale(col, scale, red)
-            linalg.vec_add_into(out[cols[k]], {rows[i]: v for i, v in col.items()})
+                col = field.scale(col, scale)
+            field.add_into(out[cols[k]], {rows[i]: v for i, v in col.items()})
     return out
 
 
@@ -193,8 +194,7 @@ class MatrixSupermodule:
         if cached is None:
             if seq:
                 G = self.gen(seq[0])
-                red = self.field.red
-                cached = [linalg.mat_vec(G, v, red) for v in self._chain(seq[1:])]
+                cached = [self.field.mat_vec(G, v) for v in self._chain(seq[1:])]
             else:
                 cached = [self.unit_k_vector(t) for t in range(self.dim)]
             self._rho_cache[seq] = cached
@@ -296,8 +296,8 @@ def verify_relations(M):
             for coeff, word in terms:
                 col = M._chain(word)[t]
                 if coeff != 1:
-                    col = linalg.vec_scale(col, scale[coeff], field.red)
-                linalg.vec_add_into(total, col)
+                    col = field.scale(col, scale[coeff])
+                field.add_into(total, col)
             if total:
                 violations.append(name)
                 break
@@ -402,8 +402,8 @@ def direct_sum(M, N):
     gens = {}
     for key in M.gen_keys():
         cols = _zero_kmat(len(parity), M.rank)
-        _scatter(cols, M.gen(key), place_m, place_m)
-        gens[key] = _scatter(cols, N.gen(key), place_n, place_n)
+        _scatter(M.field, cols, M.gen(key), place_m, place_m)
+        gens[key] = _scatter(M.field, cols, N.gen(key), place_n, place_n)
     return MatrixSupermodule(M.model, M.n, M.mu, parity, gens)
 
 
@@ -675,12 +675,12 @@ def _product_basis(left, right):
     return {p: k for k, p in enumerate(order)}, [parity[p] for p in order]
 
 
-def _tensor_one(G, rank, pos, left_dim, right_dim):
+def _tensor_one(G, field, rank, pos, left_dim, right_dim):
     """G (x) 1 on the tensor basis pos, for a K-matrix G of the left factor."""
     out = _zero_kmat(len(pos), rank)
     for b in range(right_dim):
         place = _k_positions(rank, [pos[(a, b)] for a in range(left_dim)])
-        _scatter(out, G, place, place)
+        _scatter(field, out, G, place, place)
     return out
 
 
@@ -690,7 +690,7 @@ def _one_tensor(G, field, rank, pos, left_parity, right_dim, odd):
     out = _zero_kmat(len(pos), rank)
     for a, p in enumerate(left_parity):
         place = _k_positions(rank, [pos[(a, b)] for b in range(right_dim)])
-        _scatter(out, G, place, place, minus if odd and p else None, field.red)
+        _scatter(field, out, G, place, place, minus if odd and p else None)
     return out
 
 
@@ -702,7 +702,7 @@ def tensor_product(M, N):
     m = M.n
     gens = {}
     for key in M.gen_keys():
-        gens[key] = _tensor_one(M.gen(key), M.rank, pos, M.dim, N.dim)
+        gens[key] = _tensor_one(M.gen(key), M.field, M.rank, pos, M.dim, N.dim)
     for key in N.gen_keys():
         new_key = (key[0], key[1] + m) + key[2:]
         gens[new_key] = _one_tensor(
@@ -752,7 +752,7 @@ def induce(M):
                     # most coefficients are one; scaling by it would cost
                     # a multiplication per entry
                     scale = None if coeff == one else coeff.raw
-                    _scatter(cols, M.rho(mono), rows, heads[wk], scale, field.red)
+                    _scatter(field, cols, M.rho(mono), rows, heads[wk], scale)
         gens[key] = _derive_translates(M.tower, cols)
     return MatrixSupermodule(M.model, n, (n,), parity, gens)
 
@@ -771,9 +771,9 @@ def sigma_twist(M):
     minus = (-f.one).raw
     for j in range(1, n):
         # T_j = xi - T_(n-j)
-        cols = [linalg.vec_scale(c, minus, f.red) for c in M.gen(("T", n - j))]
+        cols = [f.scale(c, minus) for c in M.gen(("T", n - j))]
         for k, col in enumerate(cols):
-            linalg.vec_add_into(col, {k: f.xi.raw})
+            f.add_into(col, {k: f.xi.raw})
         gens[("T", j)] = cols
     return MatrixSupermodule(M.model, n, (n,), M.parity, gens)
 
@@ -847,7 +847,7 @@ def _subquotient(M, tracker, vectors, dropped, mu, extra_ops):
     def restrict(G, name):
         cols = _zero_kmat(len(order), rank)
         for s, v in enumerate(vectors):
-            coords = tracker.express(linalg.mat_vec(G, v, M.field.red))
+            coords = tracker.express(M.field.mat_vec(G, v))
             if coords is None:
                 raise NotInvariantError(f"span not closed under {name}")
             kept = {place[tag]: x for tag, x in coords.items() if tag in place}
@@ -914,7 +914,7 @@ def _op_x_plus_xinv(M, k):
     out = []
     for ca, cb in zip(a, b):
         col = dict(ca)
-        linalg.vec_add_into(col, cb)
+        M.field.add_into(col, cb)
         out.append(col)
     return out
 
@@ -1280,14 +1280,7 @@ def type_of(M):
         equations = {}
 
         def eq_add(a, b, out_mask, u, raw):
-            eqk = (a, b, out_mask)
-            row = equations.setdefault(eqk, {})
-            cur = row.get(u)
-            s = raw if cur is None else kernels.felem_add(cur, raw)
-            if kernels.felem_is_zero(s):
-                row.pop(u, None)
-            else:
-                row[u] = s
+            field.add_into(equations.setdefault((a, b, out_mask), {}), {u: raw})
 
         # K-entry (x, out) of column (y, mask) is the r^out-coordinate of
         # G[x][y] * r^mask
@@ -1300,7 +1293,7 @@ def type_of(M):
                     if M.parity[a] != M.parity[x]:
                         eq_add(a, y, out, uidx[(a, x, mask)], raw)
                 # term -s (G J)[x][b] involves unknowns J[y][b]
-                neg = raw if odd else kernels.felem_neg(raw)
+                neg = raw if odd else field.neg(raw)
                 for b in range(M.dim):
                     if M.parity[y] != M.parity[b]:
                         eq_add(x, b, out, uidx[(y, b, mask)], neg)
@@ -1329,10 +1322,10 @@ def circled_star(M, theta_M, N, theta_N):
     R = tensor_product(M, N)
     if theta_M is None or theta_N is None:
         return R
-    red = M.field.red
-    rt = M.field.sqrt_minus1.raw
+    f = M.field
+    rt = f.sqrt_minus1.raw
     pos, _ = _product_basis(M.parity, N.parity)
-    theta_l = _tensor_one(theta_M, R.rank, pos, M.dim, N.dim)
+    theta_l = _tensor_one(theta_M, f, R.rank, pos, M.dim, N.dim)
     theta_r = tensor_theta_right(M, N, theta_N)
     units = [
         R.unit_k_vector(pos[(a, b)])
@@ -1344,12 +1337,11 @@ def circled_star(M, theta_M, N, theta_N):
     vectors = []
     for u in units:
         v = dict(u)
-        w = linalg.mat_vec(theta_l, linalg.mat_vec(theta_r, u, red), red)
-        linalg.vec_submul_into(v, w, rt, red)
+        f.submul_into(v, f.mat_vec(theta_l, f.mat_vec(theta_r, u)), rt)
         vectors.append(v)
     for u in units:
-        v = linalg.mat_vec(theta_r, u, red)
-        linalg.vec_submul_into(v, linalg.mat_vec(theta_l, u, red), rt, red)
+        v = f.mat_vec(theta_r, u)
+        f.submul_into(v, f.mat_vec(theta_l, u), rt)
         vectors.append(v)
     return submodule(R, vectors, mu=R.mu)
 
@@ -1364,14 +1356,14 @@ def _check_odd_involution(M, theta):
     """
     if theta != _derive_translates(M.tower, list(theta)):
         raise ValueError("declared involution is not tower-linear")
-    red = M.field.red
-    one, minus = M.field.one.raw, (-M.field.one).raw
+    f = M.field
+    one, minus = f.one.raw, (-f.one).raw
     heads = range(0, M.k_dim(), M.rank)  # the K-indices of the e_t
     if any(M.k_parity(i) == M.k_parity(c) for c in heads for i in theta[c]):
         raise ValueError("declared involution is not odd")
     for c in heads:
-        sq = linalg.mat_vec(theta, theta[c], red)
-        linalg.vec_add_into(sq, {c: minus})
+        sq = f.mat_vec(theta, theta[c])
+        f.add_into(sq, {c: minus})
         if sq:
             raise ValueError("declared involution does not square to one")
     for key in M.gen_keys():
@@ -1379,9 +1371,8 @@ def _check_odd_involution(M, theta):
         sign = one if key[0] == "C" else minus
         for c in heads:
             # theta G e_t = (-1)^|G| G theta e_t
-            diff = linalg.mat_vec(theta, G[c], red)
-            other = linalg.mat_vec(G, theta[c], red)
-            linalg.vec_add_into(diff, linalg.vec_scale(other, sign, red))
+            diff = f.mat_vec(theta, G[c])
+            f.add_into(diff, f.scale(f.mat_vec(G, theta[c]), sign))
             if diff:
                 raise ValueError(f"declared involution fails to intertwine {key}")
 
@@ -1456,7 +1447,7 @@ def _block_iij(l, i, j, W, M3):
         defining_vector(pos[(idx_t1t2, 1)]),
     ]
     c1 = M3.gen(("C", 1))
-    cys = [linalg.mat_vec(c1, y, f.red) for y in ys]
+    cys = [f.mat_vec(c1, y) for y in ys]
     M = submodule(M3, ys + cys, mu=(3,))
     bad = verify_relations(M)
     if bad:
@@ -1637,7 +1628,7 @@ def invariance_witness(M, image, gen_key):
             ech.insert(tw)
     G = M.gen(gen_key)
     for t, w in image:
-        out = linalg.mat_vec(G, w, M.field.red)
+        out = M.field.mat_vec(G, w)
         if not ech.contains(out):
             name = f"T{gen_key[1]}" if gen_key[0] == "T" else str(gen_key)
             return False, f"{name} * (eigenvalue-shifted image of e_{t}) not in N"

@@ -11,16 +11,24 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from heckeclifford import kernels, modp, supermodules
 from heckeclifford.grothendieck import WordSum
-from heckeclifford.scalars import CycField, ScalarModel, cyclotomic_polynomial
+from heckeclifford.scalars import (
+    CycField,
+    FieldElem,
+    ScalarModel,
+    Tower,
+    cyclotomic_polynomial,
+)
 from heckeclifford.supermodules import (
     MatrixSupermodule,
     _certified_word_dims,
     _kmat_from_rows,
     _op_x_plus_xinv,
     _word_dims,
+    build_L,
     build_L_ij_star_L_i,
     formal_character,
     induce,
@@ -162,6 +170,62 @@ def test_colliding_residues_fall_back(monkeypatch):
     fallbacks = _Fallbacks(monkeypatch)
     assert formal_character(M) == WordSum.word((1,), 2)
     assert fallbacks.calls == 1
+
+
+def test_vanishing_disc_residue_falls_back(monkeypatch):
+    # d_i = 0 mod p would make q(i) = +-2 = q(0) or q(l-1) mod p, a
+    # collision, so the zero is planted in the residues as well
+    M = build_L(4, 1)
+    fake = modp.Residues(4, *modp.prime_and_root(4))
+    of, disc = fake.of, M.tower.disc_raws[1]
+    monkeypatch.setattr(fake, "of", lambda raw: 0 if raw == disc else of(raw))
+    monkeypatch.setattr(modp.Residues, "for_l", lambda l: fake)
+    with pytest.raises(modp.Decline, match="vanishes"):
+        modp.ReducedTower(4, M.tower)
+    fallbacks = _Fallbacks(monkeypatch)
+    assert formal_character(M) == WordSum.word((1,), 1)
+    assert fallbacks.calls == 1
+
+
+@st.composite
+def _tower_vector(draw):
+    """(l, tower, v): a tower of rank 1, 2 or 4 over Q(zeta_4l), a K-vector."""
+    l = draw(st.integers(2, 5))
+    field = CycField.for_l(l)
+    js = draw(st.lists(st.integers(0, 4 * l - 1), max_size=2, unique=True))
+    tower = Tower(field, [field.zeta_pow(j) + 3 for j in js])
+    elem = st.builds(
+        field.elem,
+        st.lists(st.integers(-9, 9), min_size=field.degree, max_size=field.degree),
+        st.integers(1, 6),
+    )
+    entries = draw(st.dictionaries(st.integers(0, 3 * tower.rank - 1), elem))
+    return l, tower, {k: x.raw for k, x in entries.items() if not x.is_zero()}
+
+
+@given(_tower_vector())
+def test_r_translates_match_tower_products_over_k_and_f_p(case):
+    # the one r-translate loop, run by Tower over K and by ReducedTower over
+    # F_p, against products of tower elements by the r-monomials
+    l, tower, v = case
+    field, rank = tower.field, tower.rank
+    elems = {}
+    for k, x in v.items():
+        t, a = divmod(k, rank)
+        elems.setdefault(t, [field.zero] * rank)[a] = FieldElem(field, x)
+    want = []
+    for mask in range(rank):
+        r = tower.elem([field.one if b == mask else field.zero for b in range(rank)])
+        w = {}
+        for t, coords in elems.items():
+            for a, c in enumerate((tower.elem(coords) * r).coords):
+                if not c.is_zero():
+                    w[t * rank + a] = c.raw
+        want.append(w)
+    assert tower.translates(v) == want
+    reduced = modp.ReducedTower(l, tower)
+    (v_p,) = reduced.matrix([v])
+    assert reduced.translates(v_p) == reduced.matrix(want)
 
 
 def test_jordan_block_vanishing_mod_p_falls_back(monkeypatch):

@@ -253,6 +253,16 @@ def test_q_of_range_errors():
         q_of(1, 0)
 
 
+def test_q_of_is_cached_per_l_and_i():
+    # FieldElem is immutable, so one object per (l, i) serves every caller;
+    # the range checks still run on arguments the cache has not seen
+    assert q_of(4, 1) is q_of(4, 1)
+    assert discriminant(4, 1) == q_of(4, 1) * q_of(4, 1) * Fraction(1, 4) - 1
+    for l, i in ((4, 4), (4, -1), (1, 0), (0, 0)):
+        with pytest.raises(ValueError):
+            q_of(l, i)
+
+
 def test_q_of_numeric_cross_check():
     for l in (2, 3, 4, 5, 6):
         for i in range(l):

@@ -1,7 +1,9 @@
 """Builders, relation verification, characters, types, and the rank suites."""
 
+import ast
 import gc
 import hashlib
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -1258,3 +1260,34 @@ def test_epsilon_and_delta_match_k_basis_chains(build):
             want = submodule(M, spaces, mu=(M.n - m, m) if M.n > m else (m,))
             assert (D.dim, D.mu) == (want.dim, want.mu)
             assert formal_character(D) == formal_character(want)
+
+
+def test_supermodules_reaches_arithmetic_through_the_field():
+    """supermodules does its vector arithmetic only through M.field.
+
+    It imports no kernels, reads no reduction table .red and calls no K
+    vector function of linalg, so what a raw element is and how it reduces
+    is decided in scalars/linalg for Q(zeta_4l) and in modp for F_p only.
+    """
+
+    def k_vector_op(name):
+        return name.startswith("vec_") or name == "mat_vec"
+
+    tree = ast.parse(Path(supermodules.__file__).read_text())
+    bad = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            module = getattr(node, "module", None) or ""
+            names = [module] + [a.name for a in node.names]
+            bad += [n for n in names if "kernels" in n]
+            if module == "linalg":
+                bad += [n for n in names[1:] if k_vector_op(n)]
+        elif isinstance(node, ast.Attribute):
+            owner = getattr(node.value, "id", None)
+            if (
+                node.attr == "red"
+                or owner == "kernels"
+                or (owner == "linalg" and k_vector_op(node.attr))
+            ):
+                bad.append(ast.unparse(node))
+    assert bad == []
