@@ -1,9 +1,10 @@
-"""Benchmark the compiled arithmetic kernels against the pure-Python fallback.
+"""Benchmark the arithmetic kernels and what runs on them.
 
 Times single field multiplications, and elimination of seeded rank-deficient
 families over Q(zeta_16) through linalg.Echelon and linalg.Tracker with the
-number of field inversions it makes.  Whether the compiled backend earns its
-place is decided on the end-to-end benchmark (benchsuite/run.py), not here.
+number of field inversions it makes.  Whether a change to the kernels earns
+its place is decided on the end-to-end benchmark (benchsuite/run.py), not
+here.
 
 Also times the two engines behind formal_character, the exact split over the
 field and the mod-p split with its certificate, on every module that
@@ -16,28 +17,23 @@ Run:  python benchmarks/bench_kernels.py
 import random
 import time
 
-from heckeclifford import _pykernels, kernels, linalg, supermodules
+from heckeclifford import kernels, linalg, supermodules
 from heckeclifford.scalars import CycField, q_of
 
-try:
-    from heckeclifford import _ckernels
-except ImportError:
-    _ckernels = None
 
-
-def rand_raw(rng, m, impl):
-    return impl.felem_normalize(
+def rand_raw(rng, m):
+    return kernels.felem_normalize(
         [rng.randint(-99, 99) for _ in range(m)], rng.randint(1, 40)
     )
 
 
-def bench_mul(impl, field, n=20000, seed=5):
+def bench_mul(field, n=20000, seed=5):
     rng = random.Random(seed)
-    elems = [rand_raw(rng, field.degree, impl) for _ in range(64)]
+    elems = [rand_raw(rng, field.degree) for _ in range(64)]
     t0 = time.perf_counter()
     acc = elems[0]
     for k in range(n):
-        acc = impl.felem_mul(elems[k % 64], elems[(k * 7 + 3) % 64], field.red)
+        acc = kernels.felem_mul(elems[k % 64], elems[(k * 7 + 3) % 64], field.red)
     return time.perf_counter() - t0
 
 
@@ -126,22 +122,14 @@ def bench_characters(modules):
 
 
 def main():
-    backends = [("python", _pykernels)]
-    if _ckernels is not None:
-        backends.append(("cython", _ckernels))
+    print(f"-- {kernels.BACKEND} backend")
     for l in (2, 5):
         field = CycField.for_l(l)
         print(f"-- field degree {field.degree} (l = {l})")
-        base = None
-        for name, impl in backends:
-            tm = bench_mul(impl, field)
-            base = base or tm
-            print(f"  {name:7s} mul x20000: {tm:7.3f}s ({base / tm:4.2f}x)")
-    if _ckernels is None:
-        print("compiled backend unavailable; only the fallback was timed")
+        print(f"  mul x20000: {bench_mul(field):7.3f}s")
     field = CycField.for_l(4)
     tm, calls = bench_eliminate(field)
-    print(f"-- elimination over Q(zeta_16), {kernels.BACKEND} backend")
+    print("-- elimination over Q(zeta_16)")
     print(f"  32 families x Echelon + Tracker: {tm:7.3f}s, {calls} raw_inverse calls")
     for l in (3, 5):
         modules = suite_modules(l)

@@ -44,6 +44,16 @@ def perm_right_mult_s(w, i):
     return tuple(lst)
 
 
+def t_indices(mu):
+    """T indices available inside the parabolic of shape mu."""
+    out = []
+    s = 1
+    for part in mu:
+        out.extend(range(s, s + part - 1))
+        s += part
+    return out
+
+
 @lru_cache(maxsize=None)
 def reduced_word(w):
     """Lexicographically smallest reduced word, via greedy left descents."""
@@ -467,15 +477,6 @@ class HeckeClifford:
             self.block_of(mu, p + 1) == self.block_of(mu, v)
             for p, v in enumerate(w)
         )
-
-    def t_indices(self, mu):
-        """T indices available inside the parabolic of shape mu."""
-        out = []
-        s = 1
-        for part in mu:
-            out.extend(range(s, s + part - 1))
-            s += part
-        return out
 
     def min_coset_rep(self, mu, w):
         """Minimal length representative of w S_mu and the remainder in S_mu."""

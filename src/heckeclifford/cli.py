@@ -26,8 +26,12 @@ from .supermodules import relation_suites
 def _write(text, args):
     """Write a report to --out when given, else to stdout."""
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:  # a usage error, exit 2 as argparse does
+            sys.stderr.write(f"cannot write report to {args.out}: {exc.strerror}\n")
+            raise SystemExit(2) from exc
     else:
         sys.stdout.write(text)
 
@@ -102,6 +106,9 @@ def cmd_char(args):
 
 def cmd_crystal(args):
     if args.which == "binfty":
+        if args.lam is not None:
+            print("binfty takes no --lambda", file=sys.stderr)
+            return 2
         graph = generate_binfty(args.l, args.depth)
         lam = None
     else:

@@ -1,26 +1,98 @@
-"""Arithmetic backend selection.
+"""Arithmetic kernels for cyclotomic field elements.
 
-Prefers the compiled extension, falls back to the pure-Python implementation.
-Set HECKECLIFFORD_PURE=1 to force the fallback (used by the benchmark and by
-tests that compare the two backends).
+A raw element is a pair ``(nums, den)`` where ``nums`` is a tuple of ints of
+length equal to the field degree (coefficients of powers of the root, low
+degree first) and ``den`` is a positive int.  Canonical form: the gcd of all
+numerators and the denominator is 1, and the zero element is ``((0,..,0), 1)``.
+
+``red`` is the reduction table of the field: ``red[t]`` gives the integer
+coefficient vector of x^(m+t) modulo the minimal polynomial, for
+``0 <= t <= m-2``.
 """
 
-import os
+from math import gcd
 
-if os.environ.get("HECKECLIFFORD_PURE") == "1":
-    from . import _pykernels as impl
-else:
-    try:
-        from . import _ckernels as impl  # type: ignore[no-redef]
-    except ImportError:
-        from . import _pykernels as impl
+BACKEND = "python"
 
-BACKEND = impl.BACKEND
-felem_normalize = impl.felem_normalize
-felem_is_zero = impl.felem_is_zero
-felem_neg = impl.felem_neg
-felem_add = impl.felem_add
-felem_sub = impl.felem_sub
-felem_scale = impl.felem_scale
-felem_mul = impl.felem_mul
-felem_submul = impl.felem_submul
+
+def felem_normalize(nums, den):
+    if den < 0:
+        den = -den
+        nums = [-x for x in nums]
+    g = den
+    for x in nums:
+        if x:
+            g = gcd(g, x)
+            if g == 1:
+                break
+    if g > 1:
+        return (tuple(x // g for x in nums), den // g)
+    return (tuple(nums), den)
+
+
+def felem_is_zero(a):
+    for x in a[0]:
+        if x:
+            return False
+    return True
+
+
+def felem_neg(a):
+    return (tuple(-x for x in a[0]), a[1])
+
+
+def felem_add(a, b):
+    an, ad = a
+    bn, bd = b
+    if ad == bd:
+        return felem_normalize([x + y for x, y in zip(an, bn)], ad)
+    return felem_normalize([x * bd + y * ad for x, y in zip(an, bn)], ad * bd)
+
+
+def felem_sub(a, b):
+    an, ad = a
+    bn, bd = b
+    if ad == bd:
+        return felem_normalize([x - y for x, y in zip(an, bn)], ad)
+    return felem_normalize([x * bd - y * ad for x, y in zip(an, bn)], ad * bd)
+
+
+def felem_scale(a, p, q):
+    """Multiply by the rational p/q."""
+    if p == 0:
+        return (tuple(0 for _ in a[0]), 1)
+    return felem_normalize([x * p for x in a[0]], a[1] * q)
+
+
+def _mul_reduced(an, bn, red):
+    m = len(an)
+    conv = [0] * (2 * m - 1)
+    for i, ai in enumerate(an):
+        if ai:
+            for j, bj in enumerate(bn):
+                if bj:
+                    conv[i + j] += ai * bj
+    for t in range(2 * m - 2, m - 1, -1):
+        c = conv[t]
+        if c:
+            row = red[t - m]
+            for k in range(m):
+                rk = row[k]
+                if rk:
+                    conv[k] += c * rk
+    return conv[:m]
+
+def felem_mul(a, b, red):
+    an, ad = a
+    bn, bd = b
+    return felem_normalize(_mul_reduced(an, bn, red), ad * bd)
+
+
+def felem_submul(a, b, c, red):
+    """a - b*c, fused (one normalization)."""
+    an, ad = a
+    pn = _mul_reduced(b[0], c[0], red)
+    pd = b[1] * c[1]
+    if ad == pd:
+        return felem_normalize([x - y for x, y in zip(an, pn)], ad)
+    return felem_normalize([x * pd - y * ad for x, y in zip(an, pn)], ad * pd)

@@ -21,7 +21,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from . import linalg, modp
-from .algebra import HeckeClifford, NormalMonomial
+from .algebra import HeckeClifford, NormalMonomial, t_indices
 from .grothendieck import WordSum, e_drop, shuffle
 from .scalars import (
     FieldElem,
@@ -130,12 +130,7 @@ class MatrixSupermodule:
     # -- structure ---------------------------------------------------------
 
     def t_indices(self):
-        out = []
-        s = 1
-        for part in self.mu:
-            out.extend(range(s, s + part - 1))
-            s += part
-        return out
+        return t_indices(self.mu)
 
     def gen_keys(self):
         return _gen_keys(self.n, self.mu)
@@ -210,7 +205,7 @@ class MatrixSupermodule:
 # -- relation verification ----------------------------------------------------
 
 
-def _relation_list(n, t_indices):
+def _relation_list(n, ts):
     """Names and residuals of all defining relations.
 
     A residual is a list of (coeff, word) terms, coeff 1, -1, "xi" or "-xi";
@@ -218,7 +213,7 @@ def _relation_list(n, t_indices):
     left, and () is the identity.  A relation holds when its residual, the
     sum of coeff * word, is the zero map.
     """
-    ts = sorted(set(t_indices))
+    ts = sorted(set(ts))
     rels = []
 
     def commute(name, a, b, sign=-1):
@@ -787,10 +782,7 @@ def _gen_keys(n, mu):
         keys.append(("X", k, 1))
         keys.append(("X", k, -1))
         keys.append(("C", k))
-    s = 1
-    for part in mu:
-        keys.extend(("T", j) for j in range(s, s + part - 1))
-        s += part
+    keys.extend(("T", j) for j in t_indices(mu))
     return keys
 
 

@@ -10,6 +10,7 @@ from heckeclifford.algebra import (
     perm_identity,
     perm_length,
     reduced_word,
+    t_indices,
 )
 from heckeclifford.scalars import CycField
 
@@ -217,7 +218,7 @@ def test_coset_decompose_roundtrip_random():
             h = _random_element(rng, a, nterms=3)
             d = a.coset_decompose(h, mu)
             total = a.zero()
-            t_ok = set(a.t_indices(mu))
+            t_ok = set(t_indices(mu))
             for w, hw in d.items():
                 # h_w really lives in the parabolic
                 for m in hw.terms:

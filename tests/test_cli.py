@@ -6,6 +6,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from heckeclifford import realizations
 from heckeclifford.cli import main
 
@@ -86,6 +88,24 @@ def test_blambda_bad_lambda_is_usage_error(capsys):
         code, out = run_cli(["crystal", "blambda", "--l", "2", *lam], capsys)
         assert code == 2, lam
         assert out == ""
+
+
+def test_binfty_rejects_lambda(capsys):
+    assert main(["crystal", "binfty", "--l", "2", "--lambda", "1,0"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "binfty takes no --lambda\n"
+
+
+def test_unwritable_out_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "x.json"
+    with pytest.raises(SystemExit) as exit_:
+        main(["serre", "--l", "2", "--out", str(path)])
+    assert exit_.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"cannot write report to {path}: No such file or directory\n"
+    assert not path.parent.exists()
 
 
 def test_usage_error_exit2():

@@ -1,58 +1,103 @@
-"""The two arithmetic backends must agree operation by operation."""
+"""The field kernels against Fraction polynomial arithmetic modulo Phi_4l."""
 
-import random
+from fractions import Fraction
+from math import gcd
 
-import pytest
+from hypothesis import given, strategies as st
 
-from heckeclifford import _pykernels
-from heckeclifford.scalars import CycField
+from heckeclifford import kernels
+from heckeclifford.scalars import CycField, cyclotomic_polynomial
 
-try:
-    from heckeclifford import _ckernels
-except ImportError:  # pragma: no cover
-    _ckernels = None
-
-
-def _rand_raw(rng, m):
-    nums = [rng.randint(-50, 50) for _ in range(m)]
-    return _pykernels.felem_normalize(nums, rng.randint(1, 30))
+# numerator scales: machine words, past 2^62, and products past 2^127
+_SCALES = (1, 2**62 + 1, 2**100 + 3)
+_DEN = st.integers(1, 10**6)
+_NONZERO = st.integers(-(10**6), 10**6).filter(bool)
 
 
-@pytest.mark.skipif(_ckernels is None, reason="compiled backend not built")
-def test_backends_agree():
-    rng = random.Random(99)
-    for l in (2, 4, 6):
-        field = CycField.for_l(l)
-        m = field.degree
-        red = field.red
-        for _ in range(200):
-            a = _rand_raw(rng, m)
-            b = _rand_raw(rng, m)
-            c = _rand_raw(rng, m)
-            assert _pykernels.felem_add(a, b) == _ckernels.felem_add(a, b)
-            assert _pykernels.felem_sub(a, b) == _ckernels.felem_sub(a, b)
-            assert _pykernels.felem_neg(a) == _ckernels.felem_neg(a)
-            assert _pykernels.felem_mul(a, b, red) == _ckernels.felem_mul(a, b, red)
-            assert _pykernels.felem_submul(a, b, c, red) == _ckernels.felem_submul(
-                a, b, c, red
-            )
-            assert _pykernels.felem_is_zero(a) == _ckernels.felem_is_zero(a)
-            p, q = rng.randint(-9, 9), rng.randint(1, 9)
-            assert _pykernels.felem_scale(a, p, q) == _ckernels.felem_scale(a, p, q)
+def _value(raw):
+    nums, den = raw
+    return [Fraction(x, den) for x in nums]
+
+
+def _reduced_product(a, b, l):
+    """a*b as Fraction polynomials, by long division modulo Phi_4l."""
+    phi = cyclotomic_polynomial(4 * l)
+    m = len(phi) - 1
+    conv = [Fraction(0)] * (2 * m - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            conv[i + j] += x * y
+    for t in range(2 * m - 2, m - 1, -1):
+        c = conv[t]
+        for k in range(m + 1):
+            conv[t - m + k] -= c * phi[k]
+    return conv[:m]
+
+
+def _assert_canonical(raw, m):
+    nums, den = raw
+    assert isinstance(nums, tuple) and len(nums) == m
+    assert den > 0
+    assert gcd(*nums, den) == 1
+    if not any(nums):
+        assert raw == ((0,) * m, 1)
+    assert kernels.felem_is_zero(raw) == (not any(nums))
+
+
+@st.composite
+def _numerators(draw, m):
+    scale = draw(st.sampled_from(_SCALES))
+    digit = st.integers(-9, 9)
+    return [draw(digit) * scale + draw(digit) for _ in range(m)]
+
+
+@st.composite
+def _case(draw):
+    l = draw(st.integers(2, 8))
+    m = CycField.for_l(l).degree
+    raws = [
+        kernels.felem_normalize(draw(_numerators(m)), draw(_DEN)) for _ in range(3)
+    ]
+    nums, den = draw(_numerators(m)), draw(_NONZERO)
+    p, q = draw(st.sampled_from(_SCALES)) * draw(st.integers(-9, 9)), draw(_NONZERO)
+    return l, raws, (nums, den), (p, q)
+
+
+@given(_case())
+def test_kernels_match_fraction_polynomial_arithmetic(case):
+    l, (a, b, c), (nums, den), (p, q) = case
+    red = CycField.for_l(l).red
+    m = len(cyclotomic_polynomial(4 * l)) - 1
+    va, vb, vc = _value(a), _value(b), _value(c)
+    bc = _reduced_product(vb, vc, l)
+    results = [
+        (kernels.felem_normalize(nums, den), [Fraction(x, den) for x in nums]),
+        (kernels.felem_add(a, b), [x + y for x, y in zip(va, vb)]),
+        (kernels.felem_sub(a, b), [x - y for x, y in zip(va, vb)]),
+        (kernels.felem_neg(a), [-x for x in va]),
+        (kernels.felem_mul(b, c, red), bc),
+        (kernels.felem_submul(a, b, c, red), [x - y for x, y in zip(va, bc)]),
+        (kernels.felem_scale(a, p, q), [x * Fraction(p, q) for x in va]),
+        # zero results
+        (kernels.felem_sub(a, a), [0] * m),
+        (kernels.felem_add(a, kernels.felem_neg(a)), [0] * m),
+        (kernels.felem_submul(kernels.felem_mul(b, c, red), b, c, red), [0] * m),
+        (kernels.felem_scale(a, 0, q), [0] * m),
+    ]
+    for raw, want in results:
+        _assert_canonical(raw, m)
+        assert _value(raw) == want
 
 
 def test_normalize_canonical_forms():
-    for impl in [k for k in (_pykernels, _ckernels) if k is not None]:
-        assert impl.felem_normalize([0, 0], 7) == ((0, 0), 1)
-        assert impl.felem_normalize([2, 4], -2) == ((-1, -2), 1)
-        assert impl.felem_normalize([3, 6], 12) == ((1, 2), 4)
-        # a negative norm reaches felem_scale as a negative denominator
-        a = ((3, -6, 0, 9), 4)
-        assert impl.felem_scale(a, 2, -9) == impl.felem_scale(a, -2, 9)
-        assert impl.felem_scale(a, 2, -9) == ((-1, 2, 0, -3), 6)
+    assert kernels.felem_normalize([0, 0], 7) == ((0, 0), 1)
+    assert kernels.felem_normalize([2, 4], -2) == ((-1, -2), 1)
+    assert kernels.felem_normalize([3, 6], 12) == ((1, 2), 4)
+    # a negative norm reaches felem_scale as a negative denominator
+    a = ((3, -6, 0, 9), 4)
+    assert kernels.felem_scale(a, 2, -9) == kernels.felem_scale(a, -2, 9)
+    assert kernels.felem_scale(a, 2, -9) == ((-1, 2, 0, -3), 6)
 
 
 def test_selected_backend_exposed():
-    from heckeclifford import kernels
-
     assert kernels.BACKEND in ("python", "cython")
