@@ -8,7 +8,9 @@ graphs can also be emitted as DOT digraphs with color-labelled edges.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 
 from .cartan import parse_weight, pairing
@@ -23,15 +25,31 @@ from .realizations import (
 from .supermodules import relation_suites
 
 
+def _unwritable(path, reason):
+    """A usage error, exit 2 as argparse does."""
+    sys.stderr.write(f"cannot write report to {path}: {reason}\n")
+    raise SystemExit(2)
+
+
+def _check_out(path):
+    """Exit 2 before any report is computed when the directory of --out is
+    missing or read-only; nothing is created, so no empty file is left."""
+    parent = os.path.dirname(path) or "."
+    if not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+        _unwritable(path, os.strerror(code))
+    if not os.access(parent, os.W_OK):
+        _unwritable(path, os.strerror(errno.EACCES))
+
+
 def _write(text, args):
     """Write a report to --out when given, else to stdout."""
     if args.out:
         try:
             with open(args.out, "w") as fh:
                 fh.write(text)
-        except OSError as exc:  # a usage error, exit 2 as argparse does
-            sys.stderr.write(f"cannot write report to {args.out}: {exc.strerror}\n")
-            raise SystemExit(2) from exc
+        except OSError as exc:
+            _unwritable(args.out, exc.strerror)
     else:
         sys.stdout.write(text)
 
@@ -198,6 +216,8 @@ def main(argv=None):
         ap.error("--l must be at least 2")
     if getattr(args, "depth", 0) is not None and getattr(args, "depth", 0) < 0:
         ap.error("--depth must be nonnegative")
+    if args.out:
+        _check_out(args.out)
     try:
         return args.func(args)
     except (ArithmeticError, ValueError, ConsistencyFailure) as exc:

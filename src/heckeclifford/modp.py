@@ -11,11 +11,11 @@ denominator is prime to p onto F_p.
 A residue is an int in [0, p), a vector a dict {index: nonzero residue}, a
 matrix a column-major list of such dicts, as in linalg.  PrimeField gives
 linalg's elimination and the split their F_p vector operations, and
-ReducedTower the reduced tower data, on which Tower's own r-translate loop
-runs.  Nothing here proves anything over Q(zeta_4l): formal_character turns
-the F_p dimensions into exact ones with one annihilation certificate per
-operator (see _certified_word_dims).  A reduction that cannot be made raises
-Decline.
+ReducedTower the reduced tower data, on which Tower's own r-translate and
+mat_vec loops run.  Nothing here proves anything over Q(zeta_4l):
+formal_character turns the F_p dimensions into exact ones with one
+annihilation certificate per operator (see _certified_word_dims).  A
+reduction that cannot be made raises Decline.
 """
 
 from __future__ import annotations
@@ -167,14 +167,15 @@ class PrimeField:
 class ReducedTower:
     """A scalars.Tower reduced mod p, for the eigenspace split over F_p.
 
-    The split reads field, rank and translates off it as off a Tower, and
-    qs, the residues of the q(i), which must be distinct, else it could not
-    tell their eigenspaces apart.  The r-translates are Tower's own, run on
-    PrimeField and the residues disc_raws of the per-mask discriminants.
-    That loop has no zero test, so a vanishing disc residue raises Decline.
+    The split reads field, rank, translates and mat_vec off it as off a
+    Tower, and qs, the residues of the q(i), which must be distinct, else it
+    could not tell their eigenspaces apart.  The r-translates and mat_vec
+    are Tower's own, run on PrimeField and the residues disc_raws of the
+    per-mask discriminants.  The r-translate loop has no zero test, so a
+    vanishing disc residue raises Decline.
     For towers of the d_i this cannot happen once the q(i) are distinct mod
     p: d_i = q(i)^2/4 - 1 = 0 means q(i) = +-2 = q(0) or q(l-1) mod p.
-    matrix reduces a K-matrix of the tower.
+    matrix reduces the mask-0 columns of a tower-linear map.
     """
 
     def __init__(self, l, tower):
@@ -190,8 +191,9 @@ class ReducedTower:
 
     r_translate = Tower.r_translate
     translates = Tower.translates
+    mat_vec = Tower.mat_vec
 
     def matrix(self, cols):
-        """Residues of a K-matrix; Decline when p divides a denominator."""
+        """Residues of mask-0 columns; Decline when p divides a denominator."""
         of = self.residues.of
         return [{i: r for i, x in col.items() if (r := of(x))} for col in cols]

@@ -5,8 +5,10 @@ zeta, reduced modulo the 4l-th cyclotomic polynomial, with rational
 coefficients held as an integer vector over a common denominator.  The tower
 type adjoins at most two square roots r_k with r_k^2 = d_k for nonzero
 discriminants d_k in the field; it is a quotient ring, not necessarily a
-field, and offers no division.  When a discriminant is a square in the field,
-a module span over the tower is not free; supermodules reports that as an
+field, and offers no division.  On K-vectors (index t * rank + mask) it
+gives the r-translates and mat_vec, which applies a tower-linear map stored
+as its mask-0 columns.  When a discriminant is a square in the field, a
+module span over the tower is not free; supermodules reports that as an
 InexactDivisionError, reads the square root off the trace of r_k on the span
 and rebuilds in the ring that `Tower.split` leaves.
 """
@@ -538,6 +540,23 @@ class Tower:
     def translates(self, v):
         """The r-translates v r^mask of a K-vector, mask = 0 (v itself) first."""
         return [v] + [self.r_translate(v, mask) for mask in range(1, self.rank)]
+
+    def mat_vec(self, cols, v):
+        """G v for the tower-linear map G stored as its mask-0 columns G(e_t).
+
+        G maps the part sum_t x_t e_t r^m of v to (sum_t x_t G(e_t)) r^m: one
+        field.mat_vec per mask that v meets, then the r-translate.
+        """
+        rank, field = self.rank, self.field
+        if rank == 1:
+            return field.mat_vec(cols, v)
+        parts = {}
+        for k, x in v.items():
+            parts.setdefault(k % rank, {})[k // rank] = x
+        out = field.mat_vec(cols, parts.pop(0, {}))
+        for mask, part in parts.items():
+            field.add_into(out, self.r_translate(field.mat_vec(cols, part), mask))
+        return out
 
     def scalar(self, x):
         if isinstance(x, int):

@@ -1,18 +1,17 @@
 """Z/2-graded exact matrix representations over the scalar tower.
 
-A module keeps one matrix per generator X_k^{+-1}, C_k, T_j (T indices
+A module keeps one map per generator X_k^{+-1}, C_k, T_j (T indices
 restricted to the parabolic shape) on a graded basis over the tower
-F[r_1, r_2]/(r_k^2 - d_k), F = Q(zeta_4l).  The matrices are stored only after
-restriction of scalars to F, as K-matrices: column-major lists of sparse raw
-columns in the format of linalg, where index t * rank + mask is basis vector t
-times the r-monomial mask, so a tower entry is its rank x rank regular block.
-Every generator is tower-linear: its mask-0 columns fix the others, so each
-constructor writes only those and derives the rest (_derive_translates).  All
-rank, kernel and membership computations therefore pivot over the genuine
-field; module-level dimensions are field dimensions divided by the tower rank,
-and an inexact division is reported so the caller can split the ring and
-rebuild.  Vector arithmetic goes only through the field object (M.field, or
-tower.field in the split), never through the raw element format.
+F[r_1, r_2]/(r_k^2 - d_k), F = Q(zeta_4l).  Vectors are K-vectors, after
+restriction of scalars to F: sparse raw dicts as in linalg, where index
+t * rank + mask is basis vector t times the r-monomial mask.  A map over the
+tower is tower-linear, so it is stored as its images of the mask-0 unit
+vectors e_t, dim K-vectors with column t = G(e_t), and applied by
+tower.mat_vec.  All rank, kernel and membership computations pivot over the
+genuine field; module-level dimensions are field dimensions divided by the
+tower rank, and an inexact division is reported so the caller can split the
+ring and rebuild.  Vector arithmetic goes only through the tower and field
+objects (M.tower, M.field), never through the raw element format.
 """
 
 from __future__ import annotations
@@ -51,65 +50,48 @@ class NotInvariantError(ValueError):
     """A subspace was not closed under a generator it must be closed under."""
 
 
-def _zero_kmat(dim, rank):
-    return [dict() for _ in range(dim * rank)]
-
-
 def _k_positions(rank, positions):
     """K-index map of the tower index map t -> positions[t]."""
     return [p * rank + m for p in positions for m in range(rank)]
 
 
 def _scatter(field, out, mat, rows, cols, scale=None):
-    """out += scale * mat, with row k of mat on row rows[k], column k on cols[k].
+    """out += scale * mat: column t of mat on column cols[t], row k on rows[k].
 
     scale is a raw base-field element, such as an odd sign; None means one.
     """
-    for k, col in enumerate(mat):
+    for t, col in enumerate(mat):
         if col:
             if scale is not None:
                 col = field.scale(col, scale)
-            field.add_into(out[cols[k]], {rows[i]: v for i, v in col.items()})
+            field.add_into(out[cols[t]], {rows[k]: v for k, v in col.items()})
     return out
 
 
-def _derive_translates(tower, cols):
-    """Fill the columns of a tower-linear K-matrix from its mask-0 columns.
-
-    Column t * rank + mask is G(e_t r^mask) = G(e_t) r^mask.  Every
-    constructor that computes columns (_kmat_from_rows, induce, submodule,
-    quotient) writes only the mask-0 ones and derives the rest here.
-    """
-    for c in range(0, len(cols), tower.rank):
-        cols[c : c + tower.rank] = tower.translates(cols[c])
-    return cols
-
-
 def _kmat_from_rows(tower, rows):
-    """Dense row-major lists (TowerElem/FieldElem/int) to a K-matrix.
+    """Dense row-major lists (TowerElem/FieldElem/int) to mask-0 columns.
 
-    Entry (i, j)'s r-monomial coordinates go to rows i * rank + mask of
-    column j * rank; the other columns are derived (_derive_translates).
+    Entry (i, j)'s r-monomial coordinates go to rows i * rank + mask of column j.
     """
     rank = tower.rank
-    cols = _zero_kmat(len(rows), rank)
+    cols = [{} for _ in rows]
     for i, row in enumerate(rows):
         for j, v in enumerate(row):
             if isinstance(v, (int, FieldElem)):
                 v = tower.scalar(v)
             for mask, c in enumerate(v.coords):
                 if not c.is_zero():
-                    cols[j * rank][i * rank + mask] = c.raw
-    return _derive_translates(tower, cols)
+                    cols[j][i * rank + mask] = c.raw
+    return cols
 
 
 class MatrixSupermodule:
-    """K-matrices of all generators of a parabolic on a graded basis.
+    """The generators of a parabolic on a graded basis over the tower.
 
     parity is even-block-first; mu is the parabolic composition (the full
-    algebra is mu = (n,)).  gens maps each generator key to its K-matrix; it
-    is read-only, because word chains are cached (_chain): a module with
-    other generators is a new module.
+    algebra is mu = (n,)).  gens maps each generator key to its dim mask-0
+    columns (else ValueError); it is read-only, because word chains are
+    cached (_chain): a module with other generators is a new module.
     """
 
     def __init__(self, model, n, mu, parity, gens):
@@ -125,6 +107,10 @@ class MatrixSupermodule:
         if any(self.parity[k] > self.parity[k + 1] for k in range(self.dim - 1)):
             raise ValueError("basis must be even-block-first")
         self.gens = MappingProxyType(dict(gens))
+        for key, G in self.gens.items():
+            if len(G) != self.dim:
+                n = len(G)
+                raise ValueError(f"generator {key} has {n} columns, not {self.dim}")
         self._rho_cache = {}
 
     # -- structure ---------------------------------------------------------
@@ -180,7 +166,7 @@ class MatrixSupermodule:
         Column t is the image of e_t under the product of the monomial's
         generators, built as a chain of mat_vecs from the right; the chain of
         every suffix is cached, so monomials that end alike share it.  The
-        product is tower-linear, so these columns fix it (_derive_translates).
+        product is tower-linear, so these columns fix it.
         """
         return self._chain(tuple(mono.generator_sequence()))
 
@@ -189,7 +175,7 @@ class MatrixSupermodule:
         if cached is None:
             if seq:
                 G = self.gen(seq[0])
-                cached = [self.field.mat_vec(G, v) for v in self._chain(seq[1:])]
+                cached = [self.tower.mat_vec(G, v) for v in self._chain(seq[1:])]
             else:
                 cached = [self.unit_k_vector(t) for t in range(self.dim)]
             self._rho_cache[seq] = cached
@@ -257,33 +243,24 @@ def _relation_list(n, ts):
 
 
 def verify_relations(M):
-    """Report of parity-structure, tower-linearity and relation defects.
+    """Report of parity-structure and relation defects.
 
-    Each generator must be parity-homogeneous and tower-linear: its columns
-    must be the r-translates of its mask-0 ones (_derive_translates).  A
-    relation's residual is then tower-linear too, so it vanishes exactly
-    when it kills every mask-0 unit vector e_t: each word is applied to the
-    e_t only, through the module's cached word chains (M._chain).  On a
-    module that is not tower-linear the e_t decide nothing, so only its
-    tower-linearity defects are reported, with any parity defects.
+    Each generator must be parity-homogeneous: column t, G(e_t), meets only
+    rows of parity M.parity[t] (G even) or only the other one (G odd).  A
+    relation's residual is tower-linear, as every generator is, so it
+    vanishes exactly when it kills every mask-0 unit vector e_t: each word is
+    applied to the e_t only, through the module's cached word chains.
     """
     field = M.field
     violations = []
-    linear = True
     for key in M.gen_keys():
-        G = M.gen(key)
         odd = key[0] == "C"
         if any(
-            (M.k_parity(i) != M.k_parity(j)) != odd
-            for j, col in enumerate(G)
+            (M.k_parity(i) != M.parity[t]) != odd
+            for t, col in enumerate(M.gen(key))
             for i in col
         ):
             violations.append(f"parity structure of {key}")
-        if G != _derive_translates(M.tower, list(G)):
-            violations.append(f"tower-linearity of {key}")
-            linear = False
-    if not linear:
-        return violations
     scale = {-1: (-field.one).raw, "xi": field.xi.raw, "-xi": (-field.xi).raw}
     for name, terms in _relation_list(M.n, M.t_indices()):
         for t in range(M.dim):
@@ -392,13 +369,14 @@ def direct_sum(M, N):
                 parity.append(p)
                 index.append((1, b))
     pos = {key: k for k, key in enumerate(index)}
-    place_m = _k_positions(M.rank, [pos[(0, a)] for a in range(M.dim)])
-    place_n = _k_positions(M.rank, [pos[(1, b)] for b in range(N.dim)])
+    place_m = [pos[(0, a)] for a in range(M.dim)]
+    place_n = [pos[(1, b)] for b in range(N.dim)]
+    rows_m, rows_n = _k_positions(M.rank, place_m), _k_positions(M.rank, place_n)
     gens = {}
     for key in M.gen_keys():
-        cols = _zero_kmat(len(parity), M.rank)
-        _scatter(M.field, cols, M.gen(key), place_m, place_m)
-        gens[key] = _scatter(M.field, cols, N.gen(key), place_n, place_n)
+        cols = [{} for _ in parity]
+        _scatter(M.field, cols, M.gen(key), rows_m, place_m)
+        gens[key] = _scatter(M.field, cols, N.gen(key), rows_n, place_n)
     return MatrixSupermodule(M.model, M.n, M.mu, parity, gens)
 
 
@@ -577,81 +555,39 @@ def build_L001(model=None):
     return MatrixSupermodule(model, 3, (3,), (0, 0, 0, 0, 1, 1, 1, 1), gens)
 
 
+def _append_letter(M, x, c_rows):
+    """M and one more letter, its own block: X^{+-1} = x = x^-1, C = c_rows."""
+    t, n = M.tower, M.n + 1
+    scalar = [[x if r == c else 0 for c in range(M.dim)] for r in range(M.dim)]
+    gens = dict(M.gens)
+    gens[("X", n, 1)] = _kmat_from_rows(t, scalar)
+    gens[("X", n, -1)] = _kmat_from_rows(t, scalar)
+    gens[("C", n)] = _kmat_from_rows(t, c_rows)
+    return MatrixSupermodule(M.model, n, M.mu + (1,), M.parity, gens)
+
+
 def build_L001_star_L0(model=None):
     """The rank-(3,1) extension of the block-(0,0,1) module by a fourth letter."""
-    base = build_L001(model)
-    t = base.tower
-    f = base.field
-    one, zero = f.one, f.zero
-    eye = [[one if r == c else zero for c in range(8)] for r in range(8)]
-    c4 = [[zero] * 8 for _ in range(8)]
+    c4 = [[0] * 8 for _ in range(8)]
     for r in range(4):
-        c4[r][4 + r] = -one
-        c4[4 + r][r] = -one
-    gens = dict(base.gens)
-    gens[("X", 4, 1)] = _kmat_from_rows(t, eye)
-    gens[("X", 4, -1)] = _kmat_from_rows(t, eye)
-    gens[("C", 4)] = _kmat_from_rows(t, c4)
-    return MatrixSupermodule(base.model, 4, (3, 1), base.parity, gens)
+        c4[r][4 + r] = c4[4 + r][r] = -1
+    return _append_letter(build_L001(model), 1, c4)
 
 
 def build_L_ij_star_L_i(l, i, j, model=None):
     """The 4-dimensional rank-(2,1) realization used in the type-(Q, M) block.
 
-    Basis {X', Y', C1 X', C1 Y'}; the first letter's X-eigenvalue a = +-1 and
-    sqrt(-1) enter the third Clifford generator.
+    build_L_ij on the basis {X', Y', C1 X', C1 Y'} (its X_1 is a = q(i)/2 =
+    +-1, since d_i = 0), and a third letter i: X_3 = a and a C_3 into which
+    sqrt(-1) enters.
     """
     if type_of_letter(l, i) != "Q" or type_of_letter(l, j) != "M":
         raise ValueError("needs (type, type) = (Q, M)")
-    if model is None:
-        model = ScalarModel.for_indices(l, [i, j])
-    t = model.tower
-    f = model.field
-    a = q_of(l, i) * Fraction(1, 2)  # b_+(i) = b_-(i) = +-1
-    at = t.scalar(a)
-    bpj, bmj = model.b(j, 1), model.b(j, -1)
-    qi, qj = q_of(l, i), q_of(l, j)
-    s = t.scalar(f.xi * (qj - qi).inverse())
-    rt = t.scalar(f.sqrt_minus1)
-    z = t.zero
-    aeye = [[at, z, z, z], [z, at, z, z], [z, z, at, z], [z, z, z, at]]
-    gens = {
-        ("X", 1, 1): _kmat_from_rows(t, aeye),
-        ("X", 1, -1): _kmat_from_rows(t, aeye),
-        ("X", 3, 1): _kmat_from_rows(t, aeye),
-        ("X", 3, -1): _kmat_from_rows(t, aeye),
-        ("X", 2, 1): _kmat_from_rows(
-            t, [[bpj, z, z, z], [z, bmj, z, z], [z, z, bpj, z], [z, z, z, bmj]]
-        ),
-        ("X", 2, -1): _kmat_from_rows(
-            t, [[bmj, z, z, z], [z, bpj, z, z], [z, z, bmj, z], [z, z, z, bpj]]
-        ),
-        ("C", 1): _kmat_from_rows(
-            t, [[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]]
-        ),
-        ("C", 2): _kmat_from_rows(
-            t, [[0, 0, 0, -1], [0, 0, 1, 0], [0, 1, 0, 0], [-1, 0, 0, 0]]
-        ),
-        ("C", 3): _kmat_from_rows(
-            t,
-            [
-                [z, z, rt, z],
-                [z, z, z, -rt],
-                [-rt, z, z, z],
-                [z, rt, z, z],
-            ],
-        ),
-        ("T", 1): _kmat_from_rows(
-            t,
-            [
-                [(bpj - at) * s, (at - bmj) * s, z, z],
-                [(bpj - at) * s, (bmj - at) * s, z, z],
-                [z, z, (bpj - at) * s, (bmj - at) * s],
-                [z, z, (at - bpj) * s, (bmj - at) * s],
-            ],
-        ),
-    }
-    return MatrixSupermodule(model, 3, (2, 1), (0, 0, 1, 1), gens)
+    W = build_L_ij(l, i, j, model)
+    t = W.tower
+    rt, z = t.scalar(W.field.sqrt_minus1), t.zero
+    c3 = [[z, z, rt, z], [z, z, z, -rt], [-rt, z, z, z], [z, rt, z, z]]
+    return _append_letter(W, q_of(l, i) * Fraction(1, 2), c3)
 
 
 # -- tensor, induction, twisting ------------------------------------------------
@@ -671,21 +607,22 @@ def _product_basis(left, right):
 
 
 def _tensor_one(G, field, rank, pos, left_dim, right_dim):
-    """G (x) 1 on the tensor basis pos, for a K-matrix G of the left factor."""
-    out = _zero_kmat(len(pos), rank)
+    """G (x) 1 on the tensor basis pos, for a map G of the left factor."""
+    out = [{} for _ in pos]
     for b in range(right_dim):
-        place = _k_positions(rank, [pos[(a, b)] for a in range(left_dim)])
-        _scatter(field, out, G, place, place)
+        place = [pos[(a, b)] for a in range(left_dim)]
+        _scatter(field, out, G, _k_positions(rank, place), place)
     return out
 
 
 def _one_tensor(G, field, rank, pos, left_parity, right_dim, odd):
     """1 (x) G on the tensor basis pos, with the sign (-1)^|a| of an odd G."""
     minus = (-field.one).raw
-    out = _zero_kmat(len(pos), rank)
+    out = [{} for _ in pos]
     for a, p in enumerate(left_parity):
-        place = _k_positions(rank, [pos[(a, b)] for b in range(right_dim)])
-        _scatter(field, out, G, place, place, minus if odd and p else None)
+        place = [pos[(a, b)] for b in range(right_dim)]
+        sign = minus if odd and p else None
+        _scatter(field, out, G, _k_positions(rank, place), place, sign)
     return out
 
 
@@ -722,9 +659,8 @@ def _coset_action(alg, mu, genkey, w):
 def induce(M):
     """Induction from the parabolic of shape M.mu to the full algebra.
 
-    Requires M's generators to be tower-linear, as every module built here
-    is: only the mask-0 columns of each coset block are computed, from the
-    mask-0 columns of M.rho, and the others are derived from them.
+    The mask-0 columns of each coset block are the mask-0 columns of M.rho,
+    scaled and moved to their blocks.
     """
     field = M.field
     n = M.n
@@ -735,11 +671,10 @@ def induce(M):
     pos, parity = _product_basis([0] * len(reps), M.parity)
     blocks = [[pos[(wk, b)] for b in range(M.dim)] for wk in range(len(reps))]
     place = [_k_positions(rank, block) for block in blocks]
-    heads = [[p * rank for p in block] for block in blocks]
     one = field.one
     gens = {}
     for key in _gen_keys(n, (n,)):
-        cols = _zero_kmat(len(pos), rank)
+        cols = [{} for _ in pos]
         for wk, w in enumerate(reps):
             for w2, h in _coset_action(alg, M.mu, key, w).items():
                 rows = place[rep_pos[w2]]
@@ -747,8 +682,8 @@ def induce(M):
                     # most coefficients are one; scaling by it would cost
                     # a multiplication per entry
                     scale = None if coeff == one else coeff.raw
-                    _scatter(field, cols, M.rho(mono), rows, heads[wk], scale)
-        gens[key] = _derive_translates(M.tower, cols)
+                    _scatter(field, cols, M.rho(mono), rows, blocks[wk], scale)
+        gens[key] = cols
     return MatrixSupermodule(M.model, n, (n,), parity, gens)
 
 
@@ -767,8 +702,8 @@ def sigma_twist(M):
     for j in range(1, n):
         # T_j = xi - T_(n-j)
         cols = [f.scale(c, minus) for c in M.gen(("T", n - j))]
-        for k, col in enumerate(cols):
-            f.add_into(col, {k: f.xi.raw})
+        for t, col in enumerate(cols):
+            f.add_into(col, {t * M.rank: f.xi.raw})
         gens[("T", j)] = cols
     return MatrixSupermodule(M.model, n, (n,), M.parity, gens)
 
@@ -826,10 +761,10 @@ def _subquotient(M, tracker, vectors, dropped, mu, extra_ops):
 
     vectors is a T-basis of a span whose r-translates are in the tracker
     under tags (s, mask); each must be parity-homogeneous (else ValueError).
-    For each generator and extra op G, G v_s is expressed in the tracker; its
-    coordinates on the kept vectors, even ones first, are mask-0 column s and
-    the rest are derived.  Raises NotInvariantError unless G keeps the span
-    and the dropped vectors' T-span.
+    For each generator and extra op G (M.dim columns, else ValueError), G v_s
+    is expressed in the tracker; its coordinates on the kept vectors, even
+    ones first, are the restriction's column for v_s.  Raises NotInvariantError
+    unless G keeps the span and the dropped vectors' T-span.
     """
     rank = M.rank
     pars = [_vector_parity(M, v) for v in vectors]
@@ -837,17 +772,19 @@ def _subquotient(M, tracker, vectors, dropped, mu, extra_ops):
     place = {(s, m): k * rank + m for k, s in enumerate(order) for m in range(rank)}
 
     def restrict(G, name):
-        cols = _zero_kmat(len(order), rank)
+        if len(G) != M.dim:
+            raise ValueError(f"{name} has {len(G)} columns, not {M.dim}")
+        cols = [{} for _ in order]
         for s, v in enumerate(vectors):
-            coords = tracker.express(M.field.mat_vec(G, v))
+            coords = tracker.express(M.tower.mat_vec(G, v))
             if coords is None:
                 raise NotInvariantError(f"span not closed under {name}")
             kept = {place[tag]: x for tag, x in coords.items() if tag in place}
             if s >= dropped:
-                cols[place[(s, 0)]] = kept
+                cols[place[(s, 0)] // rank] = kept
             elif kept:
                 raise NotInvariantError(f"quotiented span not closed under {name}")
-        return _derive_translates(M.tower, cols)
+        return cols
 
     gens = {key: restrict(M.gen(key), key) for key in _gen_keys(M.n, mu)}
     out = MatrixSupermodule(M.model, M.n, mu, [pars[s] for s in order], gens)
@@ -859,9 +796,9 @@ def _subquotient(M, tracker, vectors, dropped, mu, extra_ops):
 def submodule(M, k_vectors, mu=None, extra_ops=None):
     """Sub-supermodule on the T-span of the K-vectors (invariance required).
 
-    Its T-basis is tower_span's; generators and extra_ops (names to K-matrices
-    on M, restricted alongside, landing in the output's .extra dict) are
-    restricted by _subquotient.
+    Its T-basis is tower_span's; generators and extra_ops (names to maps on
+    M, stored as generators are, restricted alongside, landing in the
+    output's .extra dict) are restricted by _subquotient.
     """
     basis, tracker = tower_span(M, k_vectors)
     if not basis:
@@ -900,7 +837,7 @@ def quotient(M, k_vectors, mu=None, extra_ops=None):
 
 
 def _op_x_plus_xinv(M, k):
-    """K-matrix of X_k + X_k^-1."""
+    """Mask-0 columns of X_k + X_k^-1."""
     a = M.gen(("X", k, 1))
     b = M.gen(("X", k, -1))
     out = []
@@ -911,10 +848,10 @@ def _op_x_plus_xinv(M, k):
     return out
 
 
-def _shift(field, op_cols, lam, v):
-    """(A - lam) v for a raw element lam of the field."""
-    w = field.mat_vec(op_cols, v)
-    field.submul_into(w, v, lam)
+def _shift(tower, op_cols, lam, v):
+    """(A - lam) v for a raw element lam of the tower's field."""
+    w = tower.mat_vec(op_cols, v)
+    tower.field.submul_into(w, v, lam)
     return w
 
 
@@ -935,23 +872,23 @@ def _divide_by_root(field, poly, q):
     return out, rem
 
 
-def _krylov_min_poly(field, op_cols, v):
+def _krylov_min_poly(tower, op_cols, v):
     """Monic minimal polynomial of v under A, coefficients low degree first.
 
     Inserts v, Av, A^2 v, .. into one Tracker until the first dependency.
     """
-    tracker = linalg.Tracker(field)
+    tracker = linalg.Tracker(tower.field)
     degree = 0
     while True:
         dep = tracker.insert(v, degree)
         if dep is not None:
             break
-        v = field.mat_vec(op_cols, v)
+        v = tower.mat_vec(op_cols, v)
         degree += 1
-    return [dep.get(j, field.zero_raw) for j in range(degree + 1)]
+    return [dep.get(j, tower.field.zero_raw) for j in range(degree + 1)]
 
 
-def _apply_poly(field, op_cols, roots, mults, cofactors, v):
+def _apply_poly(tower, op_cols, roots, mults, cofactors, v):
     """f(A) v by mat_vec only.
 
     f is the product of the cofactors and of the (x - roots[i])^mults[i];
@@ -960,18 +897,18 @@ def _apply_poly(field, op_cols, roots, mults, cofactors, v):
     for poly in cofactors:
         w = v
         for a in reversed(poly[:-1]):
-            w = field.mat_vec(op_cols, w)
-            field.add_into(w, field.scale(v, a))
+            w = tower.mat_vec(op_cols, w)
+            tower.field.add_into(w, tower.field.scale(v, a))
         v = w
     for q, e in zip(roots, mults):
         for _ in range(e):
             if not v:
                 return v
-            v = _shift(field, op_cols, q, v)
+            v = _shift(tower, op_cols, q, v)
     return v
 
 
-def _min_poly(field, op_cols, vectors, roots, integral):
+def _min_poly(tower, op_cols, vectors, roots, integral):
     """Minimal polynomial of A on the A-invariant span of the vectors.
 
     Probes the sum of the vectors first, then the residual f(A) b of every
@@ -986,22 +923,22 @@ def _min_poly(field, op_cols, vectors, roots, integral):
     The vectors are T-generators of a T-span and A is tower-linear: then
     f(A)(g r) = (f(A) g) r and r is invertible, so f kills the T-span
     exactly when it kills the generators, and mu on the T-span is certified
-    the same way.  The field is Q(zeta_4l) or F_p (see _word_dims).
+    the same way.  The tower's field is Q(zeta_4l) or F_p (see _word_dims).
     """
     mults = [0] * len(roots)
     cofactors = []
     total = {}
     for b in vectors:
-        field.add_into(total, b)
+        tower.field.add_into(total, b)
     for b in [total] + vectors:
-        r = _apply_poly(field, op_cols, roots, mults, cofactors, b)
+        r = _apply_poly(tower, op_cols, roots, mults, cofactors, b)
         if not r:
             continue
-        poly = _krylov_min_poly(field, op_cols, r)
+        poly = _krylov_min_poly(tower, op_cols, r)
         for i, q in enumerate(roots):
             while len(poly) > 1:
-                quot, rem = _divide_by_root(field, poly, q)
-                if rem != field.zero_raw:
+                quot, rem = _divide_by_root(tower.field, poly, q)
+                if rem != tower.field.zero_raw:
                     break
                 poly = quot
                 mults[i] += 1
@@ -1018,17 +955,17 @@ def _min_poly(field, op_cols, vectors, roots, integral):
 def _image(tower, op_cols, roots, mults, cofactors, gens):
     """T-generators and dimension over the field of f(A) on the T-span of gens.
 
-    f is as in _apply_poly.  A must be tower-linear, so the image is the
-    T-span of the f(A) g: each goes into one Echelon with its r-translates,
-    and the Echelon's rank is the exact dimension.  Returns (images, kdim),
-    the images that raised the rank in the field's primitive form.  Over the
+    f is as in _apply_poly.  A is tower-linear, so the image is the T-span
+    of the f(A) g: each goes into one Echelon with its r-translates, and the
+    Echelon's rank is the exact dimension.  Returns (images, kdim), the
+    images that raised the rank in the field's primitive form.  Over the
     rank-1 tower Tower(field) the gens are plain field vectors.
     """
     field = tower.field
     image = linalg.Echelon(field)
     out = []
     for g in gens:
-        w = _apply_poly(field, op_cols, roots, mults, cofactors, g)
+        w = _apply_poly(tower, op_cols, roots, mults, cofactors, g)
         if image.insert(w):
             out.append(field.primitive(w))
             for tw in tower.translates(w)[1:]:
@@ -1043,16 +980,16 @@ def generalized_eigs(tower, op_cols, lam, gens):
     polynomial of A on the span, the size of its largest Jordan block at lam
     (0 when lam is no eigenvalue), and the vectors are T-generators of the
     image of the polynomial's root-free cofactor, which is ker (A - lam)^depth
-    (see _image).  Requires the span to be A-invariant and A tower-linear.
+    (see _image).  Requires the span to be A-invariant.
     """
-    (depth,), cofactors = _min_poly(tower.field, op_cols, gens, [lam], integral=False)
+    (depth,), cofactors = _min_poly(tower, op_cols, gens, [lam], integral=False)
     if not depth:
         return [], 0
     return _image(tower, op_cols, [lam], [0], cofactors, gens)[0], depth
 
 
 def jordan_block_max(M, op_cols, lam):
-    """Maximal Jordan block size of a tower-linear K-matrix at the eigenvalue."""
+    """Maximal Jordan block size at the eigenvalue of a map given as mask-0 columns."""
     units = [M.unit_k_vector(t) for t in range(M.dim)]
     return generalized_eigs(M.tower, op_cols, lam.raw, units)[1]
 
@@ -1066,10 +1003,10 @@ def _split_level(tower, op_cols, gens, kdim, qs):
     the q_i with e_i > 0; each one is the image of the product over the
     other factors (see _image).  Returns (parts, mults): parts lists
     (i, gens_i, kdim_i) in ascending i, and mults[i] is e_i.  Requires the
-    level to be A-invariant and A tower-linear; raises ArithmeticError when
-    an eigenvalue is no q(i) or the parts' dimensions do not add up to kdim.
+    level to be A-invariant; raises ArithmeticError when an eigenvalue is
+    no q(i) or the parts' dimensions do not add up to kdim.
     """
-    mults, _ = _min_poly(tower.field, op_cols, gens, qs, integral=True)
+    mults, _ = _min_poly(tower, op_cols, gens, qs, integral=True)
     present = [i for i, e in enumerate(mults) if e]
     if len(present) == 1:
         return [(present[0], gens, kdim)], mults
@@ -1092,14 +1029,13 @@ def _word_dims(M, tower, qs, ops):
     ops) are split off one level at a time, which needs each span along the
     way to be invariant under the next operator: this holds for any module,
     because the X's are even and commute.  Each level is carried as
-    T-generators and its dimension, starting from the mask-0 unit vectors,
-    which requires the generators to be tower-linear, as every module built
-    here is (see _split_level).  The split runs over tower's field: over
-    Q(zeta_4l) with M.tower, the K-matrices of ops and the q(i) (the exact
-    engine), or over F_p with a modp.ReducedTower, the reduced matrices and
-    residues.  Returns (dims, exps): dims[word] is the dimension at
-    (q(w_1), .., q(w_n)), and exps[k][i] the largest multiplicity of q(i)
-    in the minimal polynomial of A_k on a level.
+    T-generators and its dimension, starting from the mask-0 unit vectors
+    (see _split_level).  The split runs over tower's field: over Q(zeta_4l)
+    with M.tower, the mask-0 columns of ops and the q(i) (the exact engine),
+    or over F_p with a modp.ReducedTower, the reduced columns and residues.
+    Returns (dims, exps): dims[word] is the dimension at (q(w_1), ..,
+    q(w_n)), and exps[k][i] the largest multiplicity of q(i) in the minimal
+    polynomial of A_k on a level.
     """
     one = tower.field.one_raw
     exps = {k: [0] * len(qs) for k in ops}
@@ -1166,7 +1102,7 @@ def _certified_word_dims(M, ops):
     qs = [q_of(M.model.l, i).raw for i in range(M.model.l)]
     for k, cols in ops.items():
         for t in range(M.dim):
-            if _apply_poly(M.field, cols, qs, exps[k], [], M.unit_k_vector(t)):
+            if _apply_poly(M.tower, cols, qs, exps[k], [], M.unit_k_vector(t)):
                 return None
     return dims
 
@@ -1274,21 +1210,21 @@ def type_of(M):
         def eq_add(a, b, out_mask, u, raw):
             field.add_into(equations.setdefault((a, b, out_mask), {}), {u: raw})
 
-        # K-entry (x, out) of column (y, mask) is the r^out-coordinate of
+        # K-entry (x, out) of G(e_y r^mask) is the r^out-coordinate of
         # G[x][y] * r^mask
-        for ky, col in enumerate(G):
-            y, mask = divmod(ky, rank)
-            for kx, raw in col.items():
-                x, out = divmod(kx, rank)
-                # term (J G)[a][y] involves unknowns J[a][x]
-                for a in range(M.dim):
-                    if M.parity[a] != M.parity[x]:
-                        eq_add(a, y, out, uidx[(a, x, mask)], raw)
-                # term -s (G J)[x][b] involves unknowns J[y][b]
-                neg = raw if odd else field.neg(raw)
-                for b in range(M.dim):
-                    if M.parity[y] != M.parity[b]:
-                        eq_add(x, b, out, uidx[(y, b, mask)], neg)
+        for y, head in enumerate(G):
+            for mask, col in enumerate(M.tower.translates(head)):
+                for kx, raw in col.items():
+                    x, out = divmod(kx, rank)
+                    # term (J G)[a][y] involves unknowns J[a][x]
+                    for a in range(M.dim):
+                        if M.parity[a] != M.parity[x]:
+                            eq_add(a, y, out, uidx[(a, x, mask)], raw)
+                    # term -s (G J)[x][b] involves unknowns J[y][b]
+                    neg = raw if odd else field.neg(raw)
+                    for b in range(M.dim):
+                        if M.parity[y] != M.parity[b]:
+                            eq_add(x, b, out, uidx[(y, b, mask)], neg)
         for row in equations.values():
             if row:
                 ech.insert(row)
@@ -1314,7 +1250,7 @@ def circled_star(M, theta_M, N, theta_N):
     R = tensor_product(M, N)
     if theta_M is None or theta_N is None:
         return R
-    f = M.field
+    f, mat_vec = M.field, R.tower.mat_vec
     rt = f.sqrt_minus1.raw
     pos, _ = _product_basis(M.parity, N.parity)
     theta_l = _tensor_one(theta_M, f, R.rank, pos, M.dim, N.dim)
@@ -1329,42 +1265,40 @@ def circled_star(M, theta_M, N, theta_N):
     vectors = []
     for u in units:
         v = dict(u)
-        f.submul_into(v, f.mat_vec(theta_l, f.mat_vec(theta_r, u)), rt)
+        f.submul_into(v, mat_vec(theta_l, mat_vec(theta_r, u)), rt)
         vectors.append(v)
     for u in units:
-        v = f.mat_vec(theta_r, u)
-        f.submul_into(v, f.mat_vec(theta_l, u), rt)
+        v = mat_vec(theta_r, u)
+        f.submul_into(v, mat_vec(theta_l, u), rt)
         vectors.append(v)
     return submodule(R, vectors, mu=R.mu)
 
 
 def _check_odd_involution(M, theta):
-    """theta: a K-matrix; must be tower-linear, odd, square to one, intertwine.
+    """theta, stored as a generator is: must be odd, square to one, intertwine.
 
-    M's generators must be tower-linear, as verify_relations checks.  Then
-    theta^2 - 1 and theta G - (-1)^|G| G theta are tower-linear too, so each
-    vanishes when it kills every mask-0 unit vector e_t: both sides are
-    applied to the e_t by mat_vec only.
+    theta and the generators are tower-linear, so theta^2 - 1 and
+    theta G - (-1)^|G| G theta are too, and each vanishes when it kills every
+    mask-0 unit vector e_t: both sides are applied to the e_t by mat_vec only.
     """
-    if theta != _derive_translates(M.tower, list(theta)):
-        raise ValueError("declared involution is not tower-linear")
-    f = M.field
+    if len(theta) != M.dim:
+        raise ValueError(f"declared involution has {len(theta)} columns, not {M.dim}")
+    f, mat_vec = M.field, M.tower.mat_vec
     one, minus = f.one.raw, (-f.one).raw
-    heads = range(0, M.k_dim(), M.rank)  # the K-indices of the e_t
-    if any(M.k_parity(i) == M.k_parity(c) for c in heads for i in theta[c]):
+    if any(M.k_parity(i) == M.parity[t] for t, col in enumerate(theta) for i in col):
         raise ValueError("declared involution is not odd")
-    for c in heads:
-        sq = f.mat_vec(theta, theta[c])
-        f.add_into(sq, {c: minus})
+    for t, col in enumerate(theta):
+        sq = mat_vec(theta, col)
+        f.add_into(sq, {t * M.rank: minus})
         if sq:
             raise ValueError("declared involution does not square to one")
     for key in M.gen_keys():
         G = M.gen(key)
         sign = one if key[0] == "C" else minus
-        for c in heads:
+        for t in range(M.dim):
             # theta G e_t = (-1)^|G| G theta e_t
-            diff = f.mat_vec(theta, G[c])
-            f.add_into(diff, f.scale(f.mat_vec(G, theta[c]), sign))
+            diff = mat_vec(theta, G[t])
+            f.add_into(diff, f.scale(mat_vec(G, theta[t]), sign))
             if diff:
                 raise ValueError(f"declared involution fails to intertwine {key}")
 
@@ -1420,8 +1354,7 @@ def build_L_iij(l, i, j, model=None):
 
 def _block_iij(l, i, j, W, M3):
     """build_L_iij from W = build_L_ij_star_L_i(l, i, j) and M3 = induce(W)."""
-    f = M3.field
-    alg = HeckeClifford(f, 3)
+    alg = HeckeClifford(M3.field, 3)
     reps = alg.coset_representatives((2, 1))
     pos, _ = _product_basis([0] * len(reps), W.parity)
     idx_t2 = reps.index((1, 3, 2))
@@ -1430,7 +1363,7 @@ def _block_iij(l, i, j, W, M3):
     lam = q_of(l, i).raw
 
     def defining_vector(t):
-        return _shift(f, op, lam, M3.unit_k_vector(t))
+        return _shift(M3.tower, op, lam, M3.unit_k_vector(t))
 
     ys = [
         defining_vector(pos[(idx_t2, 0)]),
@@ -1439,7 +1372,7 @@ def _block_iij(l, i, j, W, M3):
         defining_vector(pos[(idx_t1t2, 1)]),
     ]
     c1 = M3.gen(("C", 1))
-    cys = [f.mat_vec(c1, y) for y in ys]
+    cys = [M3.tower.mat_vec(c1, y) for y in ys]
     M = submodule(M3, ys + cys, mu=(3,))
     bad = verify_relations(M)
     if bad:
@@ -1459,8 +1392,7 @@ def _assert_iij_defining_equations(M, l, i, j):
     xi_t = t.scalar(f.xi)
 
     def col_equals(key, c, expected):
-        # a tower-linear map is fixed by its mask-0 columns
-        if M.gen(key)[c * M.rank] != M.t_vector_to_k(expected):
+        if M.gen(key)[c] != M.t_vector_to_k(expected):
             raise ArithmeticError(f"action-equation mismatch for {key} on basis {c}")
 
     # Y_3 = T_1 Y_1, Y_4 = T_1 Y_2
@@ -1601,7 +1533,7 @@ def eigen_image_vectors(M, k, i):
     lam = q_of(M.model.l, i).raw
     out = []
     for t in range(M.dim):
-        w = _shift(M.field, op, lam, M.unit_k_vector(t))
+        w = _shift(M.tower, op, lam, M.unit_k_vector(t))
         if w:
             out.append((t, w))
     return out
@@ -1620,7 +1552,7 @@ def invariance_witness(M, image, gen_key):
             ech.insert(tw)
     G = M.gen(gen_key)
     for t, w in image:
-        out = M.field.mat_vec(G, w)
+        out = M.tower.mat_vec(G, w)
         if not ech.contains(out):
             name = f"T{gen_key[1]}" if gen_key[0] == "T" else str(gen_key)
             return False, f"{name} * (eigenvalue-shifted image of e_{t}) not in N"

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from heckeclifford import realizations
+from heckeclifford import cli, realizations
 from heckeclifford.cli import main
 
 
@@ -97,15 +97,27 @@ def test_binfty_rejects_lambda(capsys):
     assert err == "binfty takes no --lambda\n"
 
 
-def test_unwritable_out_is_usage_error(tmp_path, capsys):
-    path = tmp_path / "missing" / "x.json"
-    with pytest.raises(SystemExit) as exit_:
-        main(["serre", "--l", "2", "--out", str(path)])
-    assert exit_.value.code == 2
-    out, err = capsys.readouterr()
-    assert out == ""
-    assert err == f"cannot write report to {path}: No such file or directory\n"
-    assert not path.parent.exists()
+def test_unwritable_out_is_usage_error(tmp_path, capsys, monkeypatch):
+    # the directory of --out is checked before any report is computed
+    (tmp_path / "file").write_text("")
+    reasons = {"missing": "No such file or directory", "file": "Not a directory"}
+    runs = [(["serre", "--l", "2"], "serre_verify")]
+    runs.append((["relations", "--l", "4"], "relation_suites"))
+    for argv, command in runs:
+
+        def not_called(*args, command=command):
+            raise AssertionError(f"{command} ran before --out was checked")
+
+        monkeypatch.setattr(cli, command, not_called)
+        for parent, reason in reasons.items():
+            path = tmp_path / parent / "x.json"
+            with pytest.raises(SystemExit) as exit_:
+                main(argv + ["--out", str(path)])
+            assert exit_.value.code == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"cannot write report to {path}: {reason}\n"
+    assert not (tmp_path / "missing").exists()
 
 
 def test_usage_error_exit2():

@@ -8,10 +8,10 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from heckeclifford import linalg, supermodules
+from heckeclifford import linalg, modp, supermodules
 from heckeclifford.algebra import HeckeClifford
 from heckeclifford.grothendieck import WordSum, shuffle
-from heckeclifford.scalars import ScalarModel, Tower, q_of
+from heckeclifford.scalars import CycField, ScalarModel, Tower, q_of
 from heckeclifford.supermodules import (
     InexactDivisionError,
     MatrixSupermodule,
@@ -56,6 +56,7 @@ from heckeclifford.supermodules import (
     _k_positions,
     _kmat_from_rows,
     _op_x_plus_xinv,
+    _pair_kinds,
     _product_basis,
     _relation_list,
     _split_level,
@@ -123,7 +124,7 @@ def kernel_chain_character(M):
         if k == 0:
             counts[word] = len(vectors)
             continue
-        op = _op_x_plus_xinv(M, k)
+        op = _full_kmat(M.tower, _op_x_plus_xinv(M, k))
         for i in range(l):
             eig, _ = kernel_chain_eigs(M.field, op, q_of(l, i).raw, vectors)
             if eig:
@@ -144,9 +145,53 @@ def _kills(field, A, lam, e, v):
     return not v
 
 
+def _full_kmat(tower, cols):
+    """Every K-column of a tower-linear map from its mask-0 columns.
+
+    Column t * rank + mask is G(e_t r^mask) = G(e_t) r^mask: the restriction
+    of scalars to the field that the full-matrix oracles work on.
+    """
+    return [w for c in cols for w in tower.translates(c)]
+
+
+@st.composite
+def _tower_map(draw):
+    """(l, tower, cols, v): a tower of rank 1, 2 or 4 over Q(zeta_4l), l = 2..5,
+    the mask-0 columns of a map on a rank-dim free module, and a K-vector."""
+    l = draw(st.integers(2, 5))
+    field = CycField.for_l(l)
+    js = draw(st.lists(st.integers(0, 4 * l - 1), max_size=2, unique=True))
+    tower = Tower(field, [field.zeta_pow(j) + 3 for j in js])
+    elem = st.builds(
+        field.elem,
+        st.lists(st.integers(-9, 9), min_size=field.degree, max_size=field.degree),
+        st.integers(1, 6),
+    )
+    kdim = draw(st.integers(1, 3)) * tower.rank
+
+    def kvector():
+        entries = draw(st.dictionaries(st.integers(0, kdim - 1), elem, max_size=4))
+        return {k: x.raw for k, x in entries.items() if not x.is_zero()}
+
+    cols = [kvector() for _ in range(kdim // tower.rank)]
+    return l, tower, cols, kvector()
+
+
+@given(_tower_map())
+def test_tower_mat_vec_matches_the_full_k_matrix(case):
+    # over K against the product with every K-column, and over F_p the same
+    # loop on the reduced data against the reduced product
+    l, tower, cols, v = case
+    want = linalg.mat_vec(_full_kmat(tower, cols), v, tower.field.red)
+    assert tower.mat_vec(cols, v) == want
+    reduced = modp.ReducedTower(l, tower)
+    (v_p, want_p) = reduced.matrix([v, want])
+    assert reduced.mat_vec(reduced.matrix(cols), v_p) == want_p
+
+
 def _column(M, key, c):
     """Column c of a generator as {row: TowerElem}, read off its mask-0 K-column."""
-    return M.k_vector_to_t(M.gen(key)[c * M.rank])
+    return M.k_vector_to_t(M.gen(key)[c])
 
 
 def test_build_L_end_letter_shape():
@@ -224,6 +269,21 @@ def test_generators_are_read_only_after_verification():
     assert verify_relations(M) == []
 
 
+def test_half_tensor_extends_the_two_letter_block():
+    # for a (Q, M) pair d_i = 0, so b+-(i) = q(i)/2, and the first two letters
+    # of the half tensor are build_L_ij's, entry for entry
+    for l in (3, 4, 5):
+        for i, j in _pair_kinds(l)["QM"]:
+            W, L = build_L_ij_star_L_i(l, i, j), build_L_ij(l, i, j)
+            assert (W.n, W.mu, W.parity) == (3, (2, 1), L.parity)
+            for key in L.gen_keys():
+                assert W.gen(key) == L.gen(key), (l, i, j, key)
+            a = W.tower.scalar(q_of(l, i) * W.field.rational(1, 2))
+            for c in range(W.dim):
+                assert _column(W, ("X", 3, 1), c) == {c: a}
+            assert verify_relations(W) == []
+
+
 def test_build_L_ij_entries():
     l, i, j = 4, 1, 2
     M = build_L_ij(l, i, j)
@@ -282,7 +342,7 @@ def test_circled_star_dimensions():
         (lambda rt: [[1, -rt], [rt, 0]], "is not odd"),
         (lambda rt: [[0, -2 * rt], [rt, 0]], "does not square to one"),
         (lambda rt: [[0, 1], [1, 0]], r"fails to intertwine \('C', 1\)"),
-        (None, "is not tower-linear"),
+        (None, "has 4 columns, not 2"),
     ],
     ids=["odd", "square", "intertwine", "tower-linear"],
 )
@@ -292,8 +352,8 @@ def test_circled_star_rejects_a_false_involution(perturb, message):
     L0 = build_L(3, 0, ScalarModel.for_indices(3, [1]))
     theta = theta_for_end_letter(L0)
     if perturb is None:
-        # the column of e_0 r is no longer theta(e_0) r
-        theta[1] = linalg.vec_scale(theta[1], L0.field.from_int(2).raw, L0.field.red)
+        # every K-column, as a full K-matrix has, where one per e_t is stored
+        theta = _full_kmat(L0.tower, theta)
     else:
         rt = L0.tower.scalar(L0.field.sqrt_minus1)
         theta = _kmat_from_rows(L0.tower, perturb(rt))
@@ -710,11 +770,13 @@ def test_kmat_from_rows_matches_tower_products(indices, data):
 
     dim = data.draw(st.integers(1, 3))
     rows = [[entry() for _ in range(dim)] for _ in range(dim)]
-    assert _kmat_from_rows(tower, rows) == _kmat_by_products(tower, rows)
+    assert _full_kmat(tower, _kmat_from_rows(tower, rows)) == _kmat_by_products(
+        tower, rows
+    )
 
 
 def _tower_linear(M, mats):
-    """Whether every K-matrix commutes with multiplication by each r-monomial."""
+    """Whether every full K-matrix commutes with multiplication by each r-monomial."""
     red = M.field.red
     return all(
         linalg.mat_mul(G, R, red) == linalg.mat_mul(R, G, red)
@@ -726,7 +788,8 @@ def _tower_linear(M, mats):
 def _assert_tower_linear(M):
     mats = [M.gen(key) for key in M.gen_keys()]
     mats += list(getattr(M, "extra", {}).values())
-    assert _tower_linear(M, mats), M
+    assert all(len(G) == M.dim for G in mats), M
+    assert _tower_linear(M, [_full_kmat(M.tower, G) for G in mats]), M
 
 
 def _rank2_modules():
@@ -784,7 +847,7 @@ def test_generators_are_tower_linear_rank2():
     for M in mods.values():
         _assert_tower_linear(M)
     M, N, Q, S = mods["induced"], mods["N"], mods["Q"], mods["star"]
-    assert _tower_linear(M, [theta])
+    assert _tower_linear(M, [_full_kmat(M.tower, theta)])
     assert N.dim and Q.dim and N.dim + Q.dim == M.dim
     assert S.dim == 2 and verify_relations(S) == []
 
@@ -801,7 +864,7 @@ def test_tower_linearity_check_catches_a_non_regular_block():
     model = ScalarModel.for_indices(3, [0, 1])
     M = build_L(3, 1, model)
     f, rank = M.field, M.rank
-    G = [dict(c) for c in M.gen(("X", 1, 1))]
+    G = _full_kmat(M.tower, M.gen(("X", 1, 1)))
     assert _tower_linear(M, [G])
     # block (0, 0) becomes diag(1, 2), which is no multiplication operator
     for mask in range(rank):
@@ -810,6 +873,12 @@ def test_tower_linearity_check_catches_a_non_regular_block():
     G[0][0] = f.one.raw
     G[1][1] = f.from_int(2).raw
     assert not _tower_linear(M, [G])
+    # such a full K-matrix cannot be handed to a module: one column per e_t
+    message = r"generator \('X', 1, 1\) has 4 columns, not 2"
+    with pytest.raises(ValueError, match=message):
+        MatrixSupermodule(M.model, 1, (1,), M.parity, {**M.gens, ("X", 1, 1): G})
+    with pytest.raises(ValueError, match="extra op G has 4 columns, not 2"):
+        submodule(M, [M.unit_k_vector(0), M.unit_k_vector(1)], extra_ops={"G": G})
 
 
 # -- T-generator levels and induction against their K-basis oracles -----------
@@ -835,7 +904,7 @@ def k_basis_character(M):
         if k == 0:
             counts[word] = counts.get(word, 0) + len(vectors)
             continue
-        op = _op_x_plus_xinv(M, k)
+        op = _full_kmat(M.tower, _op_x_plus_xinv(M, k))
         parts, _ = _split_level(Tower(M.field), op, vectors, len(vectors), qs)
         for i, eig, kdim in parts:
             assert kdim == len(eig)
@@ -898,7 +967,9 @@ _SQUARE_DISCS = {4: lambda f: f.from_int(2), -1: lambda f: f.sqrt_minus1}
 
 @st.composite
 def _tower_operator(draw, off_q=False):
-    """(field, tower, A, dim, qs): a tower-linear K-matrix A = S J S^-1.
+    """(field, tower, A, dim, qs): a tower-linear full K-matrix A = S J S^-1.
+
+    A[::tower.rank] are its mask-0 columns, the library's format.
 
     The tower has one or two discriminants among 2, 3, 4 and -1; 4 and -1
     are squares, so the tower may split.  J is lower bidiagonal over the
@@ -941,7 +1012,7 @@ def _tower_operator(draw, off_q=False):
             if r > start:
                 J[r][r - 1] = tower.one
         start += m
-    A = _kmat_from_rows(tower, J)
+    A = _full_kmat(tower, _kmat_from_rows(tower, J))
     if dim > 1:
         a, b = draw(st.permutations(range(dim)))[:2]
         coord = st.integers(-2, 2)
@@ -950,7 +1021,8 @@ def _tower_operator(draw, off_q=False):
         S = [[int(r == k) for k in range(dim)] for r in range(dim)]
         S_inv = [list(row) for row in S]
         S[a][b], S_inv[a][b] = c, -c
-        S, S_inv = _kmat_from_rows(tower, S), _kmat_from_rows(tower, S_inv)
+        S = _full_kmat(tower, _kmat_from_rows(tower, S))
+        S_inv = _full_kmat(tower, _kmat_from_rows(tower, S_inv))
         A = linalg.mat_mul(S, linalg.mat_mul(A, S_inv, field.red), field.red)
     return field, tower, A, dim, [q_of(l, i).raw for i in range(l)]
 
@@ -964,7 +1036,8 @@ def _heads(field, tower, dim):
 def test_tower_generator_split_matches_k_basis_split(case):
     field, tower, A, dim, qs = case
     kdim = dim * tower.rank
-    got, got_mults = _split_level(tower, A, _heads(field, tower, dim), kdim, qs)
+    heads = _heads(field, tower, dim)
+    got, got_mults = _split_level(tower, A[:: tower.rank], heads, kdim, qs)
     want, want_mults = _split_level(Tower(field), A, _unit_basis(kdim, field), kdim, qs)
     assert [(i, d) for i, _, d in got] == [(i, d) for i, _, d in want]
     assert got_mults == want_mults
@@ -981,14 +1054,14 @@ def test_tower_generator_split_declines_off_q_eigenvalue(case):
     field, tower, A, dim, qs = case
     kdim = dim * tower.rank
     with pytest.raises(ArithmeticError, match="non-integral"):
-        _split_level(tower, A, _heads(field, tower, dim), kdim, qs)
+        _split_level(tower, A[:: tower.rank], _heads(field, tower, dim), kdim, qs)
     with pytest.raises(ArithmeticError, match="non-integral"):
         _split_level(Tower(field), A, _unit_basis(kdim, field), kdim, qs)
 
 
 def _one_operator_module(tower, A, dim, l):
-    """A module of one letter whose X_1 + X_1^-1 is the K-matrix A."""
-    gens = {("X", 1, 1): A, ("X", 1, -1): [{} for _ in A]}
+    """A module of one letter whose X_1 + X_1^-1 is the full K-matrix A."""
+    gens = {("X", 1, 1): A[:: tower.rank], ("X", 1, -1): [{} for _ in range(dim)]}
     return MatrixSupermodule(ScalarModel(l, tower), 1, (1,), (0,) * dim, gens)
 
 
@@ -1002,9 +1075,10 @@ def test_modp_word_dims_match_exact_on_tower_operators(case):
 def test_modp_word_dims_decline_off_q_eigenvalue(case):
     field, tower, A, dim, qs = case
     M = _one_operator_module(tower, A, dim, len(qs))
-    assert _certified_word_dims(M, {1: A}) is None
+    ops = {1: M.gen(("X", 1, 1))}
+    assert _certified_word_dims(M, ops) is None
     with pytest.raises(ArithmeticError, match="non-integral"):
-        _exact_word_dims(M, {1: A})
+        _exact_word_dims(M, ops)
 
 
 def test_tower_generator_split_counts_a_non_free_eigenspace():
@@ -1026,7 +1100,7 @@ def full_word_matrix(M, word):
     """Reference word matrix: the product of its generators' K-matrices."""
     acc = [{k: M.field.one.raw} for k in range(M.k_dim())]
     for key in word:
-        acc = linalg.mat_mul(acc, M.gen(key), M.field.red)
+        acc = linalg.mat_mul(acc, _full_kmat(M.tower, M.gen(key)), M.field.red)
     return acc
 
 
@@ -1067,7 +1141,8 @@ def test_induce_derived_translates_match_full_chain(rank):
         inputs = [tensor_product(build_L_ij(5, 2, 3, model), build_L(5, 2, model))]
     assert model.tower.rank == rank
     for M in inputs:
-        assert induce(M).gens == full_induce_gens(M)
+        gens = {k: _full_kmat(M.tower, G) for k, G in induce(M).gens.items()}
+        assert gens == full_induce_gens(M)
 
 
 # -- relations, epsilon and Delta against their K-basis oracles ----------------
@@ -1076,10 +1151,9 @@ def test_induce_derived_translates_match_full_chain(rank):
 def full_matrix_violations(M):
     """Reference relation report by full K-matrix products.
 
-    Every word of a residual is the product of its generators' K-matrices
-    (the identity for ()), and a relation fails when the combined residual
-    has a nonzero column.  Tower-linearity is not checked, so on a module
-    that is not tower-linear the report lists the relations it breaks.
+    Every word of a residual is the product of its generators' full
+    K-matrices (the identity for ()), and a relation fails when the combined
+    residual has a nonzero column.
     """
     f = M.field
     violations = []
@@ -1087,7 +1161,7 @@ def full_matrix_violations(M):
         odd = key[0] == "C"
         if any(
             (M.k_parity(i) != M.k_parity(j)) != odd
-            for j, col in enumerate(M.gen(key))
+            for j, col in enumerate(_full_kmat(M.tower, M.gen(key)))
             for i in col
         ):
             violations.append(f"parity structure of {key}")
@@ -1165,16 +1239,16 @@ def test_verify_relations_matches_full_matrix_oracle_on_perturbations(build, ran
 
 
 def test_non_tower_linear_generator_is_reported_as_such():
-    # X_1's column of e_1 r no longer is its column of e_1 times r; the
-    # full matrices break eight relations, which the e_t alone cannot judge
+    # a generator is stored as its images of the e_t, which fix a
+    # tower-linear map; a full K-matrix, with a column per e_t r^mask, is the
+    # one other shape that could be handed in, and it is refused
     M = build_L_ij(4, 1, 2)
     assert M.rank == 2
-    col = M.gen(("X", 1, 1))[1 * M.rank + 1]
-    k = min(col)
-    col[k] = linalg.vec_scale({k: col[k]}, M.field.from_int(2).raw, M.field.red)[k]
-    assert verify_relations(M) == ["tower-linearity of ('X', 1, 1)"]
-    report = full_matrix_violations(M)
-    assert len(report) == 8 and "X1 X1^-1 = 1" in report
+    full = _full_kmat(M.tower, M.gen(("X", 1, 1)))
+    gens = {**M.gens, ("X", 1, 1): full}
+    message = r"generator \('X', 1, 1\) has 8 columns, not 4"
+    with pytest.raises(ValueError, match=message):
+        MatrixSupermodule(M.model, M.n, M.mu, M.parity, gens)
 
 
 # first 16 hex digits of sha256(repr(list)) of the defining relations, keyed
@@ -1224,7 +1298,8 @@ def k_basis_eigen_chain(M, i, parity=None):
     lam = q_of(M.model.l, i).raw
     vectors, out = _k_basis(M, parity), []
     for k in range(M.n, 0, -1):
-        vectors, _ = kernel_chain_eigs(M.field, _op_x_plus_xinv(M, k), lam, vectors)
+        op = _full_kmat(M.tower, _op_x_plus_xinv(M, k))
+        vectors, _ = kernel_chain_eigs(M.field, op, lam, vectors)
         out.append(vectors)
     return out
 
@@ -1291,3 +1366,27 @@ def test_supermodules_reaches_arithmetic_through_the_field():
             ):
                 bad.append(ast.unparse(node))
     assert bad == []
+
+
+def _maps_applied_off_the_tower(source):
+    """The mat_vec attributes not read off a tower, and any _derive_translates."""
+    bad = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name == "_derive_translates":
+            bad.append(node.name)
+        elif isinstance(node, ast.Attribute) and node.attr == "mat_vec":
+            owner = node.value
+            if "tower" not in (getattr(owner, "id", None), getattr(owner, "attr", None)):
+                bad.append(ast.unparse(node))
+    return bad
+
+
+def test_supermodules_applies_maps_only_through_the_tower():
+    """Every map is stored as its mask-0 columns and applied by tower.mat_vec.
+
+    supermodules calls mat_vec only on a tower (M.tower, tower), never on a
+    field, so no map is applied as a plain K-matrix, and nothing derives the
+    r-translated columns.
+    """
+    source = Path(supermodules.__file__).read_text()
+    assert _maps_applied_off_the_tower(source) == []
