@@ -32,8 +32,11 @@ def _unwritable(path, reason):
 
 
 def _check_out(path):
-    """Exit 2 before any report is computed when the directory of --out is
-    missing or read-only; nothing is created, so no empty file is left."""
+    """Exit 2 before any report is computed when --out is itself a directory
+    or its directory is missing or read-only; nothing is created, so no
+    empty file is left."""
+    if os.path.isdir(path):
+        _unwritable(path, os.strerror(errno.EISDIR))
     parent = os.path.dirname(path) or "."
     if not os.path.isdir(parent):
         code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT

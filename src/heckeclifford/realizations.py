@@ -11,8 +11,10 @@ string length for i.  Breakdowns of the rotation matching abort generation.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .cartan import Weight, cartan_matrix, pairing
-from .crystal import NEG_INF, BiCrystal, BiElem, TensorCrystal
+from .crystal import NEG_INF
 
 
 class ConsistencyFailure(RuntimeError):
@@ -32,10 +34,15 @@ class PathCrystal:
     def __init__(self, l, start):
         self.l = l
         self.start = start
-        self._cd = cartan_matrix(l)
-        # the last (i, a, record): eps, phi, f and e of one (path, color)
-        # share one pass; a single slot never grows with the crystal
-        self._last = (None, None, None)
+        a = cartan_matrix(l).a
+        # per color c, its Cartan neighbours j with the entry A[j][c]
+        self._neighbours = tuple(
+            tuple((j, a[j][c]) for j in range(l) if j != c and a[j][c])
+            for c in range(l)
+        )
+        # the last (a, records): every query on one path shares one pass;
+        # a single slot never grows with the crystal
+        self._last = (None, None)
 
     def colors(self):
         return range(self.l)
@@ -55,78 +62,98 @@ class PathCrystal:
             alpha[(self.start + s) % l] = -sum(a[s::l])
         return Weight(l, (0,) * l, tuple(alpha))
 
-    def _string(self, a, i):
-        """String data of the color i: (eps, phi, f_pos, e_pos).
+    def _records(self, a):
+        """The records of _fold(a), from the slot when a was the last path."""
+        last = self._last
+        if last[0] == a:
+            return last[1]
+        records = self._fold(a)
+        self._last = (a, records)
+        return records
+
+    def _fold(self, a):
+        """String data of every color in one pass: per color i the record
+        (eps, phi, f_pos, e_pos, wt), wt = <h_i, wt a>.
 
         One forward pass of the signature rule over the stable truncation
         b_N (x) .. (x) b_1, N = len(a) + 2l, folding each factor onto the
-        suffix b_{k-1} (x) .. (x) b_1 with the tensor rule.  eps and phi are
-        the string values of the whole truncation; f_pos is the largest k
-        with k == 1 or phi(b_k) > eps(suffix k-1), and e_pos the largest
-        with >=, the positions where f and e act.
+        suffix b_{k-1} (x) .. (x) b_1 with the tensor rule, for all colors at
+        once.  eps and phi are the string values of the whole truncation;
+        f_pos is the largest k with k == 1 or phi(b_k) > eps(suffix k-1), and
+        e_pos the largest with >=, the positions where f and e act.
 
-        The loop runs over the path's own coordinates only.  Every factor
-        past n = len(a) is b_c(0).  One of a color c != i has
-        eps = phi = -inf and pairs to 0 with h_i, so folding it changes
-        nothing.  Only the two of color i act: k0 = n + 1 + ((i - c) mod l),
-        c the color at n + 1, and k0 + l.  Folding b_i(0) at k0 moves f_pos
-        there if eps < 0 and e_pos if eps <= 0, then sets eps to
-        max(eps, 0) and phi to max(phi, wt).  At k0 + l it finds eps >= 0
-        and phi >= wt, so it only moves e_pos, when eps is 0.
+        For a color j != c, b_c(-a_k) has eps = phi = -inf, so folding it
+        only adds a_k A[j][c] to eps and subtracts it from wt: a nonzero
+        coordinate moves its own color and its Cartan neighbours
+        (_neighbours[c]), a zero one its own color only.
+
+        The loop runs over the path's own coordinates only.  Past n = len(a)
+        every factor is b_c(0), and for the color i only the two of color i
+        act: k0 = n + 1 + ((i - c) mod l), c the color at n + 1, and k0 + l.
+        Folding b_i(0) at k0 moves f_pos there if eps < 0 and e_pos if
+        eps <= 0, then sets eps to max(eps, 0) and phi to max(phi, wt).  At
+        k0 + l it finds eps >= 0 and phi >= wt, so it only moves e_pos, when
+        eps is 0.
         """
-        last = self._last
-        if last[0] == i and last[1] == a:
-            return last[2]
-        row = self._cd.a[i]
         l = self.l
-        eps = phi = NEG_INF
-        wt = 0
-        f_pos = e_pos = 1
+        neighbours = self._neighbours
+        eps = [NEG_INF] * l
+        phi = [NEG_INF] * l
+        wt = [0] * l
+        f_pos = [1] * l
+        e_pos = [1] * l
         c = self.start
         for k, ak in enumerate(a, 1):
-            if c == i:
-                if -ak > eps:
-                    f_pos = k
-                if -ak >= eps:
-                    e_pos = k
-                eps = max(ak, eps + 2 * ak)
-                if wt - ak >= phi:
-                    phi = wt - ak
-                wt -= 2 * ak
-            elif ak:
-                eps += ak * row[c]
-                wt -= ak * row[c]
+            e = eps[c]
+            if -ak > e:
+                f_pos[c] = k
+            if -ak >= e:
+                e_pos[c] = k
+            eps[c] = max(ak, e + 2 * ak)
+            w = wt[c] - ak
+            if w >= phi[c]:
+                phi[c] = w
+            wt[c] = w - ak
+            if ak:
+                for j, ajc in neighbours[c]:
+                    eps[j] += ak * ajc
+                    wt[j] -= ak * ajc
             c += 1
             if c == l:
                 c = 0
-        if eps <= 0:
-            k0 = len(a) + 1 + (i - c) % l
-            if eps < 0:
-                f_pos = k0
-                eps = 0
-            e_pos = k0 + l
-        if wt > phi:
-            phi = wt
-        record = (eps, phi, f_pos, e_pos)
-        self._last = (i, a, record)
-        return record
+        for i in range(l):
+            if eps[i] <= 0:
+                k0 = len(a) + 1 + (i - c) % l
+                if eps[i] < 0:
+                    f_pos[i], eps[i] = k0, 0
+                e_pos[i] = k0 + l
+        return tuple(zip(eps, map(max, phi, wt), f_pos, e_pos, wt))
+
+    def _string(self, a, i):
+        """String data of the color i: (eps, phi, f_pos, e_pos)."""
+        return self._records(a)[i][:4]
 
     def eps(self, a, i):
-        return self._string(a, i)[0]
+        return self._records(a)[i][0]
 
     def phi(self, a, i):
-        return self._string(a, i)[1]
+        return self._records(a)[i][1]
 
-    def f(self, a, i):
-        k = self._string(a, i)[2]
+    def _f_pos(self, a, i):
+        """The coordinate that f(a, i) raises by one."""
+        k = self._records(a)[i][2]
         if self.color_at(k) != i:
             raise ConsistencyFailure("lowering fell on a wrong color")
+        return k
+
+    def f(self, a, i):
+        k = self._f_pos(a, i)
         out = list(a) + [0] * (k - len(a))
         out[k - 1] += 1
         return trim(out)
 
     def e(self, a, i):
-        eps, _, _, k = self._string(a, i)
+        eps, _, _, k, _ = self._records(a)[i]
         if eps <= 0:
             return None
         if self.color_at(k) != i or k > len(a) or a[k - 1] == 0:
@@ -134,6 +161,13 @@ class PathCrystal:
         out = list(a)
         out[k - 1] -= 1
         return trim(out)
+
+
+@lru_cache(maxsize=None)
+def path_crystal(l, start):
+    """The one PathCrystal of a rotation, whose slot serves every caller:
+    a family's lowerings, the graph report and the strictness check."""
+    return PathCrystal(l, start)
 
 
 class PathFamily:
@@ -160,11 +194,11 @@ class PathFamily:
 
     def f(self, i):
         return PathFamily(
-            self.l, [PathCrystal(self.l, s).f(p, i) for s, p in enumerate(self.paths)]
+            self.l, [path_crystal(self.l, s).f(p, i) for s, p in enumerate(self.paths)]
         )
 
     def e(self, i):
-        outs = [PathCrystal(self.l, s).e(p, i) for s, p in enumerate(self.paths)]
+        outs = [path_crystal(self.l, s).e(p, i) for s, p in enumerate(self.paths)]
         nones = sum(1 for o in outs if o is None)
         if nones == self.l:
             return None
@@ -173,13 +207,13 @@ class PathFamily:
         return PathFamily(self.l, outs)
 
     def eps(self, i):
-        return PathCrystal(self.l, 0).eps(self.paths[0], i)
+        return path_crystal(self.l, 0).eps(self.paths[0], i)
 
     def phi(self, i):
-        return PathCrystal(self.l, 0).phi(self.paths[0], i)
+        return path_crystal(self.l, 0).phi(self.paths[0], i)
 
     def wt(self):
-        return PathCrystal(self.l, 0).wt(self.paths[0])
+        return path_crystal(self.l, 0).wt(self.paths[0])
 
     def eps_star(self, i):
         """First coordinate of the rotation that starts at color i."""
@@ -190,7 +224,7 @@ class PathFamily:
         """Intrinsic data must agree across all rotations."""
         w0 = self.wt()
         for s in range(1, self.l):
-            pc = PathCrystal(self.l, s)
+            pc = path_crystal(self.l, s)
             if pc.wt(self.paths[s]) != w0:
                 raise ConsistencyFailure("rotations disagree about the weight")
             for i in range(self.l):
@@ -260,33 +294,36 @@ def generate_binfty(l, depth):
 def splitting_strictness_report(fam, l):
     """The first-coordinate splitting must commute with every lowering.
 
-    For each color i, the element equals (stripped tail) (x) b_i(-a_1) in the
-    rotation starting at i; the tensor rule applied to that pair must agree
-    with the path operators, both for the result of every lowering and for
-    the string data.
+    For each color i, the element p equals tail (x) b_i(-a_1) in the
+    rotation starting at i, tail = trim(p[1:]) in the rotation starting at
+    i + 1.  The tensor rule applied to that pair, on the string records of
+    the tail, must agree with the path operators, both for the result of
+    every lowering and for the string data.  The tail's phi is an integer,
+    so the rule lowers b_i(-a_1) only under the color i.
     """
     bad = []
+    cd = cartan_matrix(l)
     for i in range(l):
         p = fam.paths[i]
         a1 = p[0] if p else 0
         tail = trim(p[1:])
-        tail_crystal = PathCrystal(l, (i + 1) % l)
-        pair_crystal = TensorCrystal(tail_crystal, BiCrystal(l, i))
-        pair = (tail, BiElem(i, -a1))
-        rot = PathCrystal(l, i)
+        rot = path_crystal(l, i)
+        tail_crystal = path_crystal(l, (i + 1) % l)
+        records, tail_records = rot._records(p), tail_crystal._records(tail)
         for j in range(l):
-            if pair_crystal.eps(pair, j) != rot.eps(p, j):
+            eps, phi = records[j][:2]
+            eps_t, phi_t, _, _, wt_t = tail_records[j]
+            # b_i(-a_1) has eps = a_1, phi = -a_1 on color i, -inf elsewhere
+            eps_b, phi_b = (a1, -a1) if j == i else (NEG_INF, NEG_INF)
+            if max(eps_t, eps_b - wt_t) != eps:
                 bad.append(f"eps mismatch at color {j} under splitting {i}")
-            if pair_crystal.phi(pair, j) != rot.phi(p, j):
+            if max(phi_t - a1 * cd.a[j][i], phi_b) != phi:
                 bad.append(f"phi mismatch at color {j} under splitting {i}")
-            fp = rot.f(p, j)
-            fpair = pair_crystal.f(pair, j)
-            if fpair is None:
-                bad.append(f"tensor lowering died at color {j}, split {i}")
-                continue
-            tail2, b2 = fpair
-            glued = trim((-b2.n,) + tuple(tail2))
-            if glued != fp:
+            # p and (a_1,) + tail are one vector, so the two lowerings agree
+            # exactly when they raise the same coordinate
+            k = rot._f_pos(p, j)
+            k_pair = 1 + tail_crystal._f_pos(tail, j) if phi_t > eps_b else 1
+            if k_pair != k:
                 bad.append(f"lowering mismatch at color {j} under splitting {i}")
     return bad
 

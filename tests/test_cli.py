@@ -98,9 +98,14 @@ def test_binfty_rejects_lambda(capsys):
 
 
 def test_unwritable_out_is_usage_error(tmp_path, capsys, monkeypatch):
-    # the directory of --out is checked before any report is computed
+    # --out and its directory are checked before any report is computed
     (tmp_path / "file").write_text("")
-    reasons = {"missing": "No such file or directory", "file": "Not a directory"}
+    (tmp_path / "dir" / "x.json").mkdir(parents=True)
+    reasons = {
+        "missing": "No such file or directory",
+        "file": "Not a directory",
+        "dir": "Is a directory",
+    }
     runs = [(["serre", "--l", "2"], "serre_verify")]
     runs.append((["relations", "--l", "4"], "relation_suites"))
     for argv, command in runs:

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from heckeclifford.cartan import Weight, cartan_matrix, pairing, weight_of_c
-from heckeclifford.cli import main
+from heckeclifford.cli import _graph_json, main
 from heckeclifford.crystal import NEG_INF, BiCrystal, BiElem, TensorCrystal
 from heckeclifford.realizations import (
     ConsistencyFailure,
@@ -18,6 +18,7 @@ from heckeclifford.realizations import (
     generate_binfty,
     generate_blambda,
     graphs_equal,
+    path_crystal,
     weighted_string_sum,
     splitting_strictness_report,
     star_commutation_report,
@@ -362,6 +363,89 @@ def test_tensor_crystal_matches_fresh_instances(case, ns):
         ), (b, j, name)
 
 
+def tensor_strictness_oracle(fam, l):
+    """The strictness report through the generic tensor rule.
+
+    For each color i it builds TensorCrystal(tail, b_i) from fresh crystals
+    and compares its eps, phi and f with the path operators of the rotation
+    starting at i, message for message like splitting_strictness_report.
+    """
+    bad = []
+    for i in range(l):
+        p = fam.paths[i]
+        a1 = p[0] if p else 0
+        tail = trim(p[1:])
+        pair_crystal = TensorCrystal(PathCrystal(l, (i + 1) % l), BiCrystal(l, i))
+        pair = (tail, BiElem(i, -a1))
+        rot = PathCrystal(l, i)
+        for j in range(l):
+            if pair_crystal.eps(pair, j) != rot.eps(p, j):
+                bad.append(f"eps mismatch at color {j} under splitting {i}")
+            if pair_crystal.phi(pair, j) != rot.phi(p, j):
+                bad.append(f"phi mismatch at color {j} under splitting {i}")
+            fp = rot.f(p, j)
+            fpair = pair_crystal.f(pair, j)
+            if fpair is None:
+                bad.append(f"tensor lowering died at color {j}, split {i}")
+                continue
+            tail2, b2 = fpair
+            glued = trim((-b2.n,) + tuple(tail2))
+            if glued != fp:
+                bad.append(f"lowering mismatch at color {j} under splitting {i}")
+    return bad
+
+
+@pytest.mark.parametrize("l, depth", [(2, 6), (3, 6), (4, 6), (5, 5)])
+def test_strictness_report_matches_tensor_oracle(l, depth):
+    for fam in generate_binfty(l, depth).nodes:
+        assert splitting_strictness_report(fam, l) == tensor_strictness_oracle(fam, l)
+
+
+@st.composite
+def unreachable_families(draw):
+    l = draw(st.integers(2, 5))
+    paths = [trim(draw(st.lists(st.integers(0, 3), max_size=2 * l))) for _ in range(l)]
+    return l, PathFamily(l, paths)
+
+
+@given(unreachable_families())
+def test_strictness_report_matches_tensor_oracle_off_the_crystal(case):
+    # trimmed tuples that need not be paths of the realization, nor one
+    # element in all rotations: the records and the tensor rule must still
+    # agree message for message, and an operator that fell on a wrong color
+    # would have to raise on both sides
+    l, fam = case
+    assert outcome(splitting_strictness_report, fam, l) == outcome(
+        tensor_strictness_oracle, fam, l
+    )
+
+
+def test_string_passes_per_path(monkeypatch):
+    # one all-colors pass per (path, rotation): generation expands each node
+    # once in each of the l rotations, the graph report reads one record
+    # per node, and the strictness check two per (node, rotation)
+    l, depth = 4, 7
+    expanded = len(generate_binfty(l, depth - 1).nodes)
+    passes = [0]
+    fold = PathCrystal._fold
+
+    def counted(self, a):
+        passes[0] += 1
+        return fold(self, a)
+
+    path_crystal.cache_clear()
+    monkeypatch.setattr(PathCrystal, "_fold", counted)
+    g = generate_binfty(l, depth)
+    assert passes[0] <= l * expanded == 3228
+    passes[0] = 0
+    _graph_json(g)
+    assert passes[0] <= len(g.nodes) == 1755
+    passes[0] = 0
+    for fam in g.nodes:
+        splitting_strictness_report(fam, l)
+    assert passes[0] <= 2 * l * len(g.nodes) == 14040
+
+
 @pytest.mark.parametrize(
     "corrupt, kinds",
     [
@@ -373,12 +457,18 @@ def test_tensor_crystal_matches_fresh_instances(case, ns):
 def test_strictness_report_catches_corrupted_string(monkeypatch, tmp_path, corrupt, kinds):
     # negative control: a string value off by one on color 1 (and, through
     # phi, the tensor rule's choice of lowering) must show in the report
-    # and fail the CLI; unpatched, the same checks pass
+    # and fail the CLI; unpatched, the same checks pass.  The corruption is
+    # in the all-colors record, which eps, phi, f and the report all read
     if corrupt is not None:
-        honest = getattr(PathCrystal, corrupt)
-        monkeypatch.setattr(
-            PathCrystal, corrupt, lambda self, a, i: honest(self, a, i) + (i == 1)
-        )
+        field = ("eps", "phi").index(corrupt)
+        honest = PathCrystal._records
+
+        def corrupted(self, a):
+            records = [list(r) for r in honest(self, a)]
+            records[1][field] += 1
+            return tuple(map(tuple, records))
+
+        monkeypatch.setattr(PathCrystal, "_records", corrupted)
     g = generate_binfty(3, 4)
     issues = [m for fam in g.nodes for m in splitting_strictness_report(fam, 3)]
     assert {m.split(" at color")[0] for m in issues} == kinds
