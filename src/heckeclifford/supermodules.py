@@ -756,41 +756,47 @@ def _vector_parity(M, v):
     return ps.pop()
 
 
-def _subquotient(M, tracker, vectors, dropped, mu, extra_ops):
-    """The module on vectors[dropped:] modulo the T-span of vectors[:dropped].
+def _subquotient(M, tracker, vectors, split, mu, extra_ops):
+    """(N, M/N): N on the T-span of vectors[:split], M/N on vectors[split:].
 
     vectors is a T-basis of a span whose r-translates are in the tracker
     under tags (s, mask); each must be parity-homogeneous (else ValueError).
     For each generator and extra op G (M.dim columns, else ValueError), G v_s
-    is expressed in the tracker; its coordinates on the kept vectors, even
-    ones first, are the restriction's column for v_s.  Raises NotInvariantError
-    unless G keeps the span and the dropped vectors' T-span.
+    is expressed once in the tracker; its coordinates on v_s's own half, even
+    vectors first, are that half's column for v_s.  Raises NotInvariantError
+    unless G keeps the span and N.
     """
-    rank = M.rank
     pars = [_vector_parity(M, v) for v in vectors]
-    order = sorted(range(dropped, len(vectors)), key=lambda s: (pars[s], s))
-    place = {(s, m): k * rank + m for k, s in enumerate(order) for m in range(rank)}
+    halves = (range(split), range(split, len(vectors)))
+    orders = [sorted(h, key=lambda s: (pars[s], s)) for h in halves]
+    at = {s: k * M.rank for o in orders for k, s in enumerate(o)}  # K-offset in half
 
     def restrict(G, name):
         if len(G) != M.dim:
             raise ValueError(f"{name} has {len(G)} columns, not {M.dim}")
-        cols = [{} for _ in order]
+        cols = []
         for s, v in enumerate(vectors):
             coords = tracker.express(M.tower.mat_vec(G, v))
             if coords is None:
                 raise NotInvariantError(f"span not closed under {name}")
-            kept = {place[tag]: x for tag, x in coords.items() if tag in place}
-            if s >= dropped:
-                cols[place[(s, 0)] // rank] = kept
-            elif kept:
+            in_n = s < split
+            col = {at[t] + m: x for (t, m), x in coords.items() if (t < split) == in_n}
+            if in_n and len(col) < len(coords):
                 raise NotInvariantError(f"quotiented span not closed under {name}")
+            cols.append(col)
         return cols
 
     gens = {key: restrict(M.gen(key), key) for key in _gen_keys(M.n, mu)}
-    out = MatrixSupermodule(M.model, M.n, mu, [pars[s] for s in order], gens)
     ops = (extra_ops or {}).items()
-    out.extra = {name: restrict(op, f"extra op {name}") for name, op in ops}
-    return out
+    extra = {name: restrict(op, f"extra op {name}") for name, op in ops}
+
+    def half(o):
+        gens_o = {key: [cols[s] for s in o] for key, cols in gens.items()}
+        part = MatrixSupermodule(M.model, M.n, mu, [pars[s] for s in o], gens_o)
+        part.extra = {name: [cols[s] for s in o] for name, cols in extra.items()}
+        return part
+
+    return half(orders[0]), half(orders[1])
 
 
 def submodule(M, k_vectors, mu=None, extra_ops=None):
@@ -803,18 +809,19 @@ def submodule(M, k_vectors, mu=None, extra_ops=None):
     basis, tracker = tower_span(M, k_vectors)
     if not basis:
         raise ValueError("zero subspace has no module structure")
-    return _subquotient(M, tracker, basis, 0, mu or M.mu, extra_ops)
+    return _subquotient(M, tracker, basis, len(basis), mu or M.mu, extra_ops)[0]
 
 
 def quotient(M, k_vectors, mu=None, extra_ops=None):
-    """Quotient supermodule by the T-span N of the K-vectors.
+    """(N, M/N) for the T-span N of the K-vectors.
 
     N's T-basis and tracker come from tower_span; each unit vector e_t outside
     the span so far is a representative, inserted with its r-translates.  The
     representatives must close the space, with K-dimension (|N-basis| +
     |reps|) * rank, else InexactDivisionError.  Generators and extra_ops are
-    pushed to the quotient by _subquotient, which also checks that N is
-    graded (ValueError) and invariant (NotInvariantError).
+    restricted to N and pushed to M/N by _subquotient in one pass, which also
+    checks that N is graded (ValueError) and invariant (NotInvariantError);
+    N is then what submodule returns on the same vectors.
     """
     basis, tracker = tower_span(M, k_vectors)
     vectors = list(basis)
@@ -1561,19 +1568,12 @@ def invariance_witness(M, image, gen_key):
 
 def _pair_kinds(l):
     """Ordered adjacent pairs grouped by the (type, type) hypothesis."""
-    out = {"not_QQ": [], "MM": [], "QM": []}
-    for i in range(l):
-        for j in (i - 1, i + 1):
-            if not 0 <= j <= l - 1:
-                continue
-            ti, tj = type_of_letter(l, i), type_of_letter(l, j)
-            if (ti, tj) != ("Q", "Q"):
-                out["not_QQ"].append((i, j))
-            if (ti, tj) == ("M", "M"):
-                out["MM"].append((i, j))
-            if (ti, tj) == ("Q", "M"):
-                out["QM"].append((i, j))
-    return out
+    pairs = [(i, j) for i in range(l) for j in (i - 1, i + 1) if 0 <= j < l]
+    kind = {(i, j): (type_of_letter(l, i), type_of_letter(l, j)) for i, j in pairs}
+    return {
+        "not_QQ": [p for p in pairs if kind[p] != ("Q", "Q")],
+        "QM": [p for p in pairs if kind[p] == ("Q", "M")],
+    }
 
 
 def relation_suites(l, suites=("s5", "shuffle")):
@@ -1585,13 +1585,15 @@ def relation_suites(l, suites=("s5", "shuffle")):
     with_splitting compute, and serve both suites; a suite left out costs
     nothing.  Two invariants keep the reports those of the suites run alone:
     within each compute the s5 part runs first and in its own order, so a
-    ring split falls where the s5 suite alone would meet it; and each suite's
-    records go into its own report in that suite's order.
+    ring split falls where the s5 suite alone would meet it; and each suite
+    lists its records by section (not-QQ, MM, letter (i, i), QM, l = 2),
+    each in the order made.  So the MM checks, run on the not-QQ compute's
+    modules, wait in checks["MM"] until every not-QQ record is in.
 
     Returns {name: {"l", "ok", "checks"}} for the names in `suites`.
     """
     s5, sh = "s5" in suites, "shuffle" in suites
-    checks = {name: {} for name in suites}
+    checks = {name: {} for name in (*suites, "MM")}
 
     def record(suite, check, i, j, ok, witness=None):
         # keyed so a ring-splitting retry overwrites its partial records
@@ -1611,6 +1613,7 @@ def relation_suites(l, suites=("s5", "shuffle")):
 
     for i, j in pairs["not_QQ"]:
         def compute(model, i=i, j=j):
+            mm = s5 and type_of_letter(l, i) == type_of_letter(l, j) == "M"
             Li = build_L(l, i, model)
             Lj = build_L(l, j, model)
             M = induce(tensor_product(Lj, Li))
@@ -1628,39 +1631,36 @@ def relation_suites(l, suites=("s5", "shuffle")):
             chij = formal_character(Lij)
             if s5:
                 match("s5", "block-ij-character", i, j, chij, WordSum.word((i, j)))
+            if sh or mm:
+                M3 = induce(tensor_product(Lij, Li))
+                ch3 = formal_character(M3)
+            if mm:
+                qi, qj = q_of(l, i), q_of(l, j)
+                cond = qi * qj + qj * qj - 8
+                record("MM", "rank3-MM-scalar", i, j, not cond.is_zero(), repr(cond))
+                image = eigen_image_vectors(M3, 3, i)
+                closed, wit = invariance_witness(M3, image, ("T", 2))
+                record("MM", "rank3-MM-noninvariance", i, j, not closed, wit)
+                expect = WordSum({(i, i, j): 2, (i, j, i): 1})
+                match("MM", "rank3-MM-character", i, j, ch3, expect)
+                chs = formal_character(sigma_twist(M3))
+                want = expect.reversed_words()
+                match("MM", "rank3-MM-sigma-character", i, j, chs, want)
             if sh:
                 got = formal_character(M)
                 want = shuffle(WordSum.word((j,)), WordSum.word((i,)))
                 match("shuffle", "shuffle-Lj-Li", i, j, got, want)
-                got3 = formal_character(induce(tensor_product(Lij, Li)))
                 want3 = shuffle(chij, WordSum.word((i,)))
                 if type_of_letter(l, i) == "Q":
                     # both factors type Q (j is not, in a not-QQ pair): the
                     # plain tensor doubles the half tensor, so its induced
                     # character is twice the shuffle
-                    match("shuffle", "shuffle-Lij-Li-doubled", i, j, got3, 2 * want3)
+                    match("shuffle", "shuffle-Lij-Li-doubled", i, j, ch3, 2 * want3)
                 else:
-                    match("shuffle", "shuffle-Lij-Li", i, j, got3, want3)
+                    match("shuffle", "shuffle-Lij-Li", i, j, ch3, want3)
 
         with_splitting(lambda i=i, j=j: ScalarModel.for_indices(l, [i, j]), compute)
-
-    for i, j in pairs["MM"] if s5 else ():
-        def compute(model, i=i, j=j):
-            qi, qj = q_of(l, i), q_of(l, j)
-            cond = qi * qj + qj * qj - 8
-            record("s5", "rank3-MM-scalar", i, j, not cond.is_zero(), repr(cond))
-            Li = build_L(l, i, model)
-            Lij = build_L_ij(l, i, j, model)
-            M3 = induce(tensor_product(Lij, Li))
-            image = eigen_image_vectors(M3, 3, i)
-            closed, wit = invariance_witness(M3, image, ("T", 2))
-            record("s5", "rank3-MM-noninvariance", i, j, not closed, wit)
-            expect = WordSum({(i, i, j): 2, (i, j, i): 1})
-            match("s5", "rank3-MM-character", i, j, formal_character(M3), expect)
-            chs = formal_character(sigma_twist(M3))
-            match("s5", "rank3-MM-sigma-character", i, j, chs, expect.reversed_words())
-
-        with_splitting(lambda i=i, j=j: ScalarModel.for_indices(l, [i, j]), compute)
+    checks.get("s5", {}).update(checks.pop("MM"))
 
     for i in range(l) if sh else ():
         def compute(model, i=i):
@@ -1686,11 +1686,9 @@ def relation_suites(l, suites=("s5", "shuffle")):
                 image = eigen_image_vectors(M3, 3, i)
                 ok_inv, wit = invariance_witness(M3, image, ("T", 2))
                 record("s5", "rank3-QM-invariance", i, j, ok_inv, wit)
-                vecs = [w for _, w in image]
-                chn = formal_character(submodule(M3, vecs, mu=(3,)))
+                N, Liji = quotient(M3, [w for _, w in image], mu=(3,))
                 want = WordSum.word((i, i, j), 2)
-                match("s5", "rank3-QM-N-character", i, j, chn, want)
-                Liji = quotient(M3, vecs, mu=(3,))
+                match("s5", "rank3-QM-N-character", i, j, formal_character(N), want)
                 chq = formal_character(Liji)
                 want = WordSum.word((i, j, i))
                 match("s5", "rank3-QM-quotient-character", i, j, chq, want)
@@ -1763,16 +1761,13 @@ def relation_suites(l, suites=("s5", "shuffle")):
             th0 = theta_for_end_letter(L0)
             if s5:
                 # L(010) as the head of the induced module, then the 4-letter block
-                M3 = induce(tensor_product(L01, L0))
-                theta3 = ind_theta(
-                    tensor_product(L01, L0),
-                    tensor_theta_right(L01, L0, th0),
-                    3,
-                )
+                T3 = tensor_product(L01, L0)
+                M3 = induce(T3)
+                theta3 = ind_theta(T3, tensor_theta_right(L01, L0, th0), 3)
                 image3 = eigen_image_vectors(M3, 3, 0)
                 ok_inv, wit = invariance_witness(M3, image3, ("T", 2))
                 record("s5", "block-010-invariance", 0, 1, ok_inv, wit)
-                L010 = quotient(
+                _, L010 = quotient(
                     M3, [w for _, w in image3], mu=(3,), extra_ops={"theta": theta3}
                 )
                 ch010 = formal_character(L010)

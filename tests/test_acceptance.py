@@ -10,7 +10,9 @@ import json
 
 import pytest
 
+from heckeclifford import supermodules
 from heckeclifford.cartan import Weight, cartan_matrix, f_lambda, weight_of_c
+from heckeclifford.cli import main
 from heckeclifford.grothendieck import (
     character_library,
     divided,
@@ -160,9 +162,49 @@ def test_shuffle_reports_are_byte_stable(s5_reports):
 
 
 def test_single_suite_runs_match_the_joint_pass(s5_reports):
-    for l in (2, 3):
+    # l = 4 is the first l with MM pairs, whose checks share a compute
+    for l in (2, 3, 4):
         assert low_rank_suite(l) == s5_reports[l]["s5"], l
         assert shuffle_compat_suite(l) == s5_reports[l]["shuffle"], l
+
+
+# sha256 of the stdout of `relations --suite all --l <l>`, recorded at commit
+# 49f3237, before the MM checks moved into the not-QQ pairs' compute
+RELATIONS_DIGESTS = {
+    6: "e048916e2198fa09354934dd29404ea19d3f5592a1f1e5b2f31b908d5c18a61f",
+    7: "beca8816de997324a1f7f9fc07365ea52bc8b8350b92e83ce8e5da01e16446a4",
+    8: "85c85223d76f1e7f35a0a8b9ea95ab973eaba71a5fd288a3f81989fe870a89da",
+    9: "a87e93ae4b9c2f14f169557a89bc052e2c1b4ff8a7b938f7359019883d37a0da",
+    10: "853ae0b8a00cac5095bb5167ee75a24bdfd84f946a6ec1b48eb328154db82db0",
+    11: "f8578320f35934659e1eff898556d3c7526fdbcf2a7e4c1f6249b13a9da4ce95",
+    12: "1054088c6b98bb649448b8822eb2f9afc5f384f1570f557a2eb002edb12420f0",
+}
+
+
+@pytest.mark.parametrize("l", [6, 7])
+def test_large_l_relations_reports_are_byte_stable(l, capsys, monkeypatch):
+    """The l = 6, 7 reports match their digests, and no character declines mod p.
+
+    l = 8..12 take 3 to 9 s each, so check them by hand before a fast path
+    lands, each against its digest above:
+
+        PYTHONPATH=src python -m heckeclifford.cli relations --suite all --l 8 | sha256sum
+    """
+    declined = []
+    certified = supermodules._certified_word_dims
+
+    def counted(M, ops):
+        got = certified(M, ops)
+        if got is None:
+            declined.append(M)
+        return got
+
+    monkeypatch.setattr(supermodules, "_certified_word_dims", counted)
+    assert main(["relations", "--suite", "all", "--l", str(l)]) == 0
+    out = capsys.readouterr().out
+    # a decline falls back to the exact engine: name the module, do not re-pin
+    assert declined == []
+    assert hashlib.sha256(out.encode()).hexdigest() == RELATIONS_DIGESTS[l]
 
 
 def test_criterion_4_characters(s5_reports):

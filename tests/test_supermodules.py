@@ -1,6 +1,7 @@
 """Builders, relation verification, characters, types, and the rank suites."""
 
 import ast
+import collections
 import gc
 import hashlib
 from pathlib import Path
@@ -477,7 +478,7 @@ def test_quotient_rejects_a_span_that_is_not_closed():
     L, D, summand, swap = _summand_and_swap()
     with pytest.raises(NotInvariantError, match=r"not closed under \('C', 1\)"):
         quotient(L, [L.unit_k_vector(0)])
-    assert quotient(D, summand).gens == L.gens
+    assert quotient(D, summand)[1].gens == L.gens
     with pytest.raises(NotInvariantError, match="not closed under extra op swap"):
         quotient(D, summand, extra_ops={"swap": swap})
 
@@ -490,6 +491,25 @@ def test_quotient_rejects_a_span_that_is_not_graded():
     one = M.field.one.raw
     with pytest.raises(ValueError, match="not parity homogeneous"):
         quotient(M, [{0: one, 1: one}])
+
+
+def _quotient_cases():
+    """(M, image, kwargs): the rank-2 image with its theta, and an l = 3 QM M3."""
+    mods, theta = _rank2_modules()
+    M = mods["induced"]
+    image = [w for _, w in eigen_image_vectors(M, 2, 0)]
+    yield M, image, {"mu": (2,), "extra_ops": {"theta": theta}}
+    (i, j), *_ = _pair_kinds(3)["QM"]
+    M3 = induce(build_L_ij_star_L_i(3, i, j, ScalarModel.for_indices(3, [i, j])))
+    yield M3, [w for _, w in eigen_image_vectors(M3, 3, i)], {"mu": (3,)}
+
+
+def test_quotient_returns_the_submodule_on_the_same_vectors():
+    for M, image, kwargs in _quotient_cases():
+        N, Q = quotient(M, image, **kwargs)
+        S = submodule(M, image, **kwargs)
+        assert (N.gens, N.parity, N.mu, N.extra) == (S.gens, S.parity, S.mu, S.extra)
+        assert N.dim and Q.dim and N.dim + Q.dim == M.dim
 
 
 def test_low_rank_suite_small():
@@ -815,7 +835,7 @@ def _rank2_modules():
         "induced": M,
         "sigma": sigma_twist(M),
         "N": submodule(M, image, mu=(2,), extra_ops={"theta": theta}),
-        "Q": quotient(M, image, mu=(2,), extra_ops={"theta": theta}),
+        "Q": quotient(M, image, mu=(2,), extra_ops={"theta": theta})[1],
         "star": circled_star(L0, th0, L2, theta_for_end_letter(L2)),
     }
     return mods, theta
@@ -959,6 +979,27 @@ def test_modp_characters_agree_on_every_relation_suite_module(l, monkeypatch):
     reports = relation_suites(l)
     assert all(rep["ok"] for rep in reports.values())
     assert seen
+
+
+@pytest.mark.parametrize(
+    "l, modules, characters, spans", [(3, 17, 33, 10), (4, 22, 44, 12), (5, 27, 55, 14)]
+)
+def test_relation_suites_build_each_module_once(
+    l, modules, characters, spans, monkeypatch
+):
+    # one induce and one character per distinct module, and one tower_span
+    # per submodule or quotient: each QM pair's quotient eliminates once
+    calls = collections.Counter()
+    for name in ("induce", "formal_character", "tower_span"):
+
+        def counted(*args, _f=getattr(supermodules, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _f(*args, **kwargs)
+
+        monkeypatch.setattr(supermodules, name, counted)
+    relation_suites(l)
+    want = {"induce": modules, "formal_character": characters, "tower_span": spans}
+    assert calls == want
 
 
 # discriminants d = s^2 that are squares in every Q(zeta_4l), with s
