@@ -1,10 +1,12 @@
 """Benchmark the arithmetic kernels and what runs on them.
 
-Times single field multiplications, and elimination of seeded rank-deficient
-families over Q(zeta_16) through linalg.Echelon and linalg.Tracker with the
-number of field inversions it makes.  Whether a change to the kernels earns
-its place is decided on the end-to-end benchmark (benchsuite/run.py), not
-here.
+Times single field multiplications in both regimes the workloads show: dense
+random elements, as elimination grows them, and monomials times two-term
+elements, the most common operands of module arithmetic.  Also times
+elimination of seeded rank-deficient families over Q(zeta_16) through
+linalg.Echelon and linalg.Tracker with the number of field inversions it
+makes.  Whether a change to the kernels earns its place is decided on the
+end-to-end benchmark (benchsuite/run.py), not here.
 
 Also times the two engines behind formal_character, the exact split over the
 field and the mod-p split with its certificate, on every module that
@@ -27,13 +29,26 @@ def rand_raw(rng, m):
     )
 
 
-def bench_mul(field, n=20000, seed=5):
+def sparse_raw(rng, m, terms):
+    nums = [0] * m
+    for k in rng.sample(range(m), terms):
+        nums[k] = rng.choice((-2, -1, 1, 2))
+    return (tuple(nums), 1)
+
+
+def bench_mul(field, n=20000, seed=5, terms=None):
+    """Seconds for n products: of dense elements, or with terms given, of
+    monomials times elements with that many nonzero coefficients."""
     rng = random.Random(seed)
-    elems = [rand_raw(rng, field.degree) for _ in range(64)]
+    m = field.degree
+    if terms is None:
+        left = right = [rand_raw(rng, m) for _ in range(64)]
+    else:
+        left = [sparse_raw(rng, m, 1) for _ in range(64)]
+        right = [sparse_raw(rng, m, terms) for _ in range(64)]
     t0 = time.perf_counter()
-    acc = elems[0]
     for k in range(n):
-        acc = kernels.felem_mul(elems[k % 64], elems[(k * 7 + 3) % 64], field.red)
+        kernels.felem_mul(left[k % 64], right[(k * 7 + 3) % 64], field.red)
     return time.perf_counter() - t0
 
 
@@ -123,10 +138,11 @@ def bench_characters(modules):
 
 def main():
     print(f"-- {kernels.BACKEND} backend")
-    for l in (2, 5):
+    for l, terms in ((2, None), (5, None), (3, 2)):
         field = CycField.for_l(l)
-        print(f"-- field degree {field.degree} (l = {l})")
-        print(f"  mul x20000: {bench_mul(field):7.3f}s")
+        kind = "dense" if terms is None else f"monomial x {terms}-term"
+        print(f"-- field degree {field.degree} (l = {l}), {kind}")
+        print(f"  mul x20000: {bench_mul(field, terms=terms):7.3f}s")
     field = CycField.for_l(4)
     tm, calls = bench_eliminate(field)
     print("-- elimination over Q(zeta_16)")

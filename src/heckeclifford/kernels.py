@@ -5,9 +5,9 @@ length equal to the field degree (coefficients of powers of the root, low
 degree first) and ``den`` is a positive int.  Canonical form: the gcd of all
 numerators and the denominator is 1, and the zero element is ``((0,..,0), 1)``.
 
-``red`` is the reduction table of the field: ``red[t]`` gives the integer
-coefficient vector of x^(m+t) modulo the minimal polynomial, for
-``0 <= t <= m-2``.
+``red`` is the reduction table of the field: ``red[t]`` lists the pairs
+``(k, r_k)`` with ``r_k != 0``, ascending in k, of x^(m+t) modulo the minimal
+polynomial, for ``0 <= t <= m-2``.
 """
 
 from math import gcd
@@ -16,18 +16,14 @@ BACKEND = "python"
 
 
 def felem_normalize(nums, den):
+    if den == 1:
+        return (tuple(nums), 1)
+    g = gcd(den, *nums)
     if den < 0:
-        den = -den
-        nums = [-x for x in nums]
-    g = den
-    for x in nums:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                break
-    if g > 1:
-        return (tuple(x // g for x in nums), den // g)
-    return (tuple(nums), den)
+        g = -g
+    if g == 1:
+        return (tuple(nums), den)
+    return (tuple([x // g for x in nums]), den // g)
 
 
 def felem_is_zero(a):
@@ -65,22 +61,19 @@ def felem_scale(a, p, q):
 
 
 def _mul_reduced(an, bn, red):
-    m = len(an)
-    conv = [0] * (2 * m - 1)
+    conv = [0] * (len(an) + len(bn) - 1)
     for i, ai in enumerate(an):
         if ai:
-            for j, bj in enumerate(bn):
+            for k, bj in enumerate(bn, i):
                 if bj:
-                    conv[i + j] += ai * bj
-    for t in range(2 * m - 2, m - 1, -1):
-        c = conv[t]
+                    conv[k] += ai * bj
+    for row in reversed(red):
+        c = conv.pop()
         if c:
-            row = red[t - m]
-            for k in range(m):
-                rk = row[k]
-                if rk:
-                    conv[k] += c * rk
-    return conv[:m]
+            for k, rk in row:
+                conv[k] += c * rk
+    return conv
+
 
 def felem_mul(a, b, red):
     an, ad = a

@@ -218,7 +218,7 @@ class CycField:
             if top:
                 cur = [cur[k] + top * rows[0][k] for k in range(m)]
             rows.append(tuple(cur))
-        self.red = tuple(rows)
+        self.red = tuple(tuple((k, r) for k, r in enumerate(row) if r) for row in rows)
         self._zero_nums = (0,) * m
         self.zero = FieldElem(self, (self._zero_nums, 1))
         self.one = self.from_int(1)
@@ -231,7 +231,7 @@ class CycField:
             top = cur[m - 1]
             cur = [0] + cur[: m - 1]
             if top:
-                cur = [cur[k] + top * self.red[0][k] for k in range(m)]
+                cur = [cur[k] + top * rows[0][k] for k in range(m)]
         self._zeta_pows = pows
         self.q = self.zeta_pow(1)
         self.q_inv = self.zeta_pow(-1)

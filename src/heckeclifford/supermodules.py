@@ -568,10 +568,15 @@ def _append_letter(M, x, c_rows):
 
 def build_L001_star_L0(model=None):
     """The rank-(3,1) extension of the block-(0,0,1) module by a fourth letter."""
+    return _star_L0(build_L001(model))
+
+
+def _star_L0(L001):
+    """L001 and a fourth letter: X_4 = 1, and C_4 swaps the two halves with sign -1."""
     c4 = [[0] * 8 for _ in range(8)]
     for r in range(4):
         c4[r][4 + r] = c4[4 + r][r] = -1
-    return _append_letter(build_L001(model), 1, c4)
+    return _append_letter(L001, 1, c4)
 
 
 def build_L_ij_star_L_i(l, i, j, model=None):
@@ -1734,11 +1739,12 @@ def relation_suites(l, suites=("s5", "shuffle")):
                 record("s5", "L01-relations", 0, 1, not verify_relations(L01))
                 ch01 = formal_character(L01)
                 match("s5", "L01-character", 0, 1, ch01, WordSum.word((0, 1)))
-                L001 = build_L001(model)
+            L001 = build_L001(model)
+            if s5:
                 record("s5", "L001-relations", 0, 1, not verify_relations(L001))
                 ch001 = formal_character(L001)
                 match("s5", "L001-character", 0, 1, ch001, WordSum.word((0, 0, 1), 2))
-            ext = build_L001_star_L0(model)
+            ext = _star_L0(L001)
             if s5:
                 record("s5", "L001*L0-relations", 0, 1, not verify_relations(ext))
                 # the quarter-turn scalar step of the rank-4 irreducibility witness

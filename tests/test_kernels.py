@@ -3,6 +3,7 @@
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, strategies as st
 
 from heckeclifford import kernels
@@ -12,6 +13,7 @@ from heckeclifford.scalars import CycField, cyclotomic_polynomial
 _SCALES = (1, 2**62 + 1, 2**100 + 3)
 _DEN = st.integers(1, 10**6)
 _NONZERO = st.integers(-(10**6), 10**6).filter(bool)
+_DIGIT = st.integers(-9, 9)
 
 
 def _value(raw):
@@ -46,9 +48,19 @@ def _assert_canonical(raw, m):
 
 @st.composite
 def _numerators(draw, m):
+    """Dense numerators, or a support of zero, one or two terms.
+
+    Monomials and two-term elements are most operands in the module workloads.
+    """
     scale = draw(st.sampled_from(_SCALES))
-    digit = st.integers(-9, 9)
-    return [draw(digit) * scale + draw(digit) for _ in range(m)]
+    terms = draw(st.sampled_from((None, 0, 1, 2)))
+    if terms is None:
+        return [draw(_DIGIT) * scale + draw(_DIGIT) for _ in range(m)]
+    support = st.lists(st.integers(0, m - 1), min_size=terms, max_size=terms, unique=True)
+    nums = [0] * m
+    for k in draw(support):
+        nums[k] = draw(_DIGIT.filter(bool)) * scale
+    return nums
 
 
 @st.composite
@@ -59,19 +71,23 @@ def _case(draw):
         kernels.felem_normalize(draw(_numerators(m)), draw(_DEN)) for _ in range(3)
     ]
     nums, den = draw(_numerators(m)), draw(_NONZERO)
-    p, q = draw(st.sampled_from(_SCALES)) * draw(st.integers(-9, 9)), draw(_NONZERO)
-    return l, raws, (nums, den), (p, q)
+    p, q = draw(st.sampled_from(_SCALES)) * draw(_DIGIT), draw(_NONZERO)
+    # a unit denominator, with numerators that may share a factor
+    factor = draw(st.integers(1, 6))
+    unit = ([x * factor for x in draw(_numerators(m))], draw(st.sampled_from((1, -1))))
+    return l, raws, (nums, den), (p, q), unit
 
 
 @given(_case())
 def test_kernels_match_fraction_polynomial_arithmetic(case):
-    l, (a, b, c), (nums, den), (p, q) = case
+    l, (a, b, c), (nums, den), (p, q), (unit_nums, unit) = case
     red = CycField.for_l(l).red
     m = len(cyclotomic_polynomial(4 * l)) - 1
     va, vb, vc = _value(a), _value(b), _value(c)
     bc = _reduced_product(vb, vc, l)
     results = [
         (kernels.felem_normalize(nums, den), [Fraction(x, den) for x in nums]),
+        (kernels.felem_normalize(unit_nums, unit), [x * unit for x in unit_nums]),
         (kernels.felem_add(a, b), [x + y for x, y in zip(va, vb)]),
         (kernels.felem_sub(a, b), [x - y for x, y in zip(va, vb)]),
         (kernels.felem_neg(a), [-x for x in va]),
@@ -89,10 +105,28 @@ def test_kernels_match_fraction_polynomial_arithmetic(case):
         assert _value(raw) == want
 
 
+@pytest.mark.parametrize("l", range(2, 9))
+def test_reduction_rows_list_the_nonzero_terms(l):
+    """red[t] is x^(m+t) mod Phi_4l, by long division, as its nonzero (k, r_k)."""
+    phi = cyclotomic_polynomial(4 * l)
+    m = len(phi) - 1
+    red = CycField.for_l(l).red
+    assert len(red) == m - 1
+    for t, row in enumerate(red):
+        rem = [0] * (m + t) + [1]
+        for top in range(m + t, m - 1, -1):
+            c = rem[top]
+            for k in range(m + 1):
+                rem[top - m + k] -= c * phi[k]
+        assert row == tuple((k, r) for k, r in enumerate(rem[:m]) if r)
+
+
 def test_normalize_canonical_forms():
     assert kernels.felem_normalize([0, 0], 7) == ((0, 0), 1)
     assert kernels.felem_normalize([2, 4], -2) == ((-1, -2), 1)
     assert kernels.felem_normalize([3, 6], 12) == ((1, 2), 4)
+    assert kernels.felem_normalize([3, 6], 1) == ((3, 6), 1)
+    assert kernels.felem_normalize([3, 6], -1) == ((-3, -6), 1)
     # a negative norm reaches felem_scale as a negative denominator
     a = ((3, -6, 0, 9), 4)
     assert kernels.felem_scale(a, 2, -9) == kernels.felem_scale(a, -2, 9)
@@ -100,4 +134,4 @@ def test_normalize_canonical_forms():
 
 
 def test_selected_backend_exposed():
-    assert kernels.BACKEND in ("python", "cython")
+    assert kernels.BACKEND == "python"

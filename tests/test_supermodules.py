@@ -1002,6 +1002,21 @@ def test_relation_suites_build_each_module_once(
     assert calls == want
 
 
+def test_relation_suites_build_L001_once_at_l2(monkeypatch):
+    # the rank-4 extension appends its letter to the L001 the s5 checks built
+    calls = 0
+
+    def counted(*args, **kwargs):
+        nonlocal calls
+        calls += 1
+        return build_L001(*args, **kwargs)
+
+    monkeypatch.setattr(supermodules, "build_L001", counted)
+    reports = relation_suites(2)
+    assert all(rep["ok"] for rep in reports.values())
+    assert calls == 1
+
+
 # discriminants d = s^2 that are squares in every Q(zeta_4l), with s
 _SQUARE_DISCS = {4: lambda f: f.from_int(2), -1: lambda f: f.sqrt_minus1}
 
