@@ -5,8 +5,8 @@ alpha a Laurent exponent vector, beta a Clifford mask and w a permutation
 (stored in one-line notation; the canonical reduced word is the
 lexicographically smallest one).  Products are computed by folding the right
 factor one generator at a time into the left factor's normal form, so only
-the defining relations and the three derived exchange identities are ever
-applied.
+the defining relations and the exchange identities of the one table
+`_exchange` are ever applied.
 
 Generators are written ("X", j, s) with s in {+1, -1}, ("C", j), ("T", i),
 all 1-based as in the algebra's presentation.
@@ -72,6 +72,48 @@ def reduced_word(w):
     return tuple(word)
 
 
+def _exchange(i, gen):
+    """T_i * gen for gen = X_j^(+-1) or C_j, as (coeff, word) terms.
+
+    coeff is 1, "xi" or "-xi"; a word is a generator sequence applied left to
+    right, ending in T_i where the identity does.
+    """
+    s = gen[2] if gen[0] == "X" else 1
+    ci, cj, t = ("C", i), ("C", i + 1), ("T", i)
+    xa, xb = ("X", i, s), ("X", i + 1, s)
+    table = {
+        # T_i C_i = C_{i+1} T_i
+        ("C", 0, 1): [(1, (cj, t))],
+        # T_i C_{i+1} = C_i T_i - xi C_i + xi C_{i+1}
+        ("C", 1, 1): [(1, (ci, t)), ("-xi", (ci,)), ("xi", (cj,))],
+        # T_i X_i = X_{i+1} T_i - xi X_{i+1} - xi C_i C_{i+1} X_i
+        ("X", 0, 1): [(1, (xb, t)), ("-xi", (xb,)), ("-xi", (ci, cj, xa))],
+        # T_i X_i^-1 = X_{i+1}^-1 T_i + xi X_i^-1 + xi X_{i+1}^-1 C_i C_{i+1}
+        ("X", 0, -1): [(1, (xb, t)), ("xi", (xa,)), ("xi", (xb, ci, cj))],
+        # T_i X_{i+1} = X_i T_i + xi X_{i+1} - xi C_i C_{i+1} X_{i+1}
+        ("X", 1, 1): [(1, (xa, t)), ("xi", (xb,)), ("-xi", (ci, cj, xb))],
+        # T_i X_{i+1}^-1 = X_i^-1 T_i - xi X_i^-1 + xi X_i^-1 C_i C_{i+1}
+        ("X", 1, -1): [(1, (xa, t)), ("-xi", (xa,)), ("xi", (xa, ci, cj))],
+    }
+    # T_i g = g T_i for g off i and i+1
+    return table.get((gen[0], gen[1] - i, s), [(1, (gen, t))])
+
+
+def _add_terms(out, terms, scale=None):
+    """Add scale * terms into the term dict out in place, dropping zeros."""
+    for m, c in terms.items():
+        if scale is not None:
+            c = scale * c
+        cur = out.get(m)
+        if cur is not None:
+            c = cur + c
+        if c.is_zero():
+            out.pop(m, None)
+        else:
+            out[m] = c
+    return out
+
+
 class NormalMonomial:
     """Immutable PBW monomial X^alpha C^beta T_w."""
 
@@ -96,9 +138,6 @@ class NormalMonomial:
 
     def __hash__(self):
         return hash((self.alpha, self.beta, self.w))
-
-    def parity(self):
-        return sum(self.beta) & 1
 
     def reduced_word(self):
         return reduced_word(self.w)
@@ -138,15 +177,7 @@ class HElement:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            cur = out.get(m)
-            s = c if cur is None else cur + c
-            if s.is_zero():
-                out.pop(m, None)
-            else:
-                out[m] = s
-        return HElement(self.algebra, out)
+        return HElement(self.algebra, _add_terms(dict(self.terms), other.terms))
 
     def __sub__(self, other):
         return self + (-other)
@@ -166,12 +197,7 @@ class HElement:
     def scale(self, c):
         if isinstance(c, int):
             c = self.algebra.field.from_int(c)
-        out = {}
-        for m, x in self.terms.items():
-            y = x * c
-            if not y.is_zero():
-                out[m] = y
-        return HElement(self.algebra, out)
+        return HElement(self.algebra, _add_terms({}, self.terms, c))
 
     def __eq__(self, other):
         if not isinstance(other, HElement):
@@ -184,11 +210,6 @@ class HElement:
 
     def is_zero(self):
         return not self.terms
-
-    def parity(self):
-        """0 or 1 when homogeneous, None when mixed or zero."""
-        ps = {m.parity() for m in self.terms}
-        return ps.pop() if len(ps) == 1 else None
 
     def _check(self, other):
         if self.algebra is not other.algebra:
@@ -219,9 +240,6 @@ class HeckeClifford:
         return inst
 
     # -- element constructors ------------------------------------------------
-
-    def element(self, terms):
-        return HElement(self, {m: c for m, c in terms.items() if not c.is_zero()})
 
     def zero(self):
         return HElement(self, {})
@@ -269,160 +287,58 @@ class HeckeClifford:
     # -- multiplication ------------------------------------------------------
 
     def multiply(self, a, b):
-        out = self.zero()
+        out = {}
         for m, c in b.terms.items():
             cur = a
             for gen in m.generator_sequence():
                 cur = self.mul_gen(cur, gen)
-            out = out + cur.scale(c)
-        return out
+            _add_terms(out, cur.terms, c)
+        return HElement(self, out)
 
     def mul_gen(self, h, gen):
         out = {}
         for m, c in h.terms.items():
-            for m2, c2 in self._mono_times_gen(m, gen).items():
-                add = c * c2
-                cur = out.get(m2)
-                s = add if cur is None else cur + add
-                if s.is_zero():
-                    out.pop(m2, None)
-                else:
-                    out[m2] = s
+            _add_terms(out, self._mono_times_gen(m, gen), c)
         return HElement(self, out)
 
     def _mono_times_gen(self, m, gen):
         """Normal form of (monomial * generator) with FieldElem coefficients."""
         key = (m, gen)
         cached = self._gen_cache.get(key)
-        if cached is not None:
-            return cached
-        kind = gen[0]
+        if cached is None:
+            cached = self._gen_cache[key] = self._rewrite(m, gen)
+        return cached
+
+    def _rewrite(self, m, gen):
+        one, xi = self.field.one, self.field.xi
+        kind, j = gen[0], gen[1]
         if kind == "T":
-            res = self._mono_times_T(m, gen[1])
-        elif kind == "C":
-            res = self._mono_times_C(m, gen[1])
-        else:
-            res = self._mono_times_X(m, gen[1], gen[2])
-        self._gen_cache[key] = res
-        return res
-
-    def _mono_times_T(self, m, i):
-        w2 = perm_right_mult_s(m.w, i)
-        if m.w[i - 1] < m.w[i]:  # ascent: length grows
-            return {NormalMonomial(m.alpha, m.beta, w2): self.field.one}
-        # T_w T_i = xi T_w + T_{w s_i}
-        return {
-            NormalMonomial(m.alpha, m.beta, m.w): self.field.xi,
-            NormalMonomial(m.alpha, m.beta, w2): self.field.one,
-        }
-
-    def _merge_C(self, m, j):
-        """(X^a C^b T_id-part) * C_j for monomial with trivial w."""
-        beta = list(m.beta)
-        crossings = sum(beta[j:])  # anticommute past higher-index C's
-        sign = -1 if crossings & 1 else 1
-        beta[j - 1] ^= 1
-        coeff = self.field.one if sign == 1 else -self.field.one
-        return {NormalMonomial(m.alpha, beta, m.w): coeff}
-
-    def _merge_X(self, m, j, s):
-        """(X^a C^b T_id-part) * X_j^s; C_j flips the exponent direction."""
-        if m.beta[j - 1]:
-            s = -s
-        alpha = list(m.alpha)
-        alpha[j - 1] += s
-        return {NormalMonomial(alpha, m.beta, m.w): self.field.one}
-
-    def _peel(self, m):
-        """Split T_w = T_{w'} T_i at the smallest right descent i."""
-        for i in range(1, self.n):
-            if m.w[i - 1] > m.w[i]:
-                return NormalMonomial(m.alpha, m.beta, perm_right_mult_s(m.w, i)), i
-        return None, None
-
-    def _expand(self, base, gens, tail_T=None):
-        """base * gens..., then optionally * T_i, as a term dict."""
-        cur = HElement(self, {base: self.field.one})
-        for g in gens:
-            cur = self.mul_gen(cur, g)
-        if tail_T is not None:
-            cur = self.mul_gen(cur, ("T", tail_T))
-        return cur
-
-    def _combine(self, pieces):
+            w2 = perm_right_mult_s(m.w, j)
+            if m.w[j - 1] < m.w[j]:  # ascent: length grows
+                return {NormalMonomial(m.alpha, m.beta, w2): one}
+            # T_w T_i = xi T_w + T_{w s_i}
+            return {m: xi, NormalMonomial(m.alpha, m.beta, w2): one}
+        i = next((i for i in range(1, self.n) if m.w[i - 1] > m.w[i]), None)
+        if i is None:  # w = id: the generator merges into X^a C^b
+            alpha, beta = list(m.alpha), list(m.beta)
+            if kind == "C":
+                # anticommute past higher-index C's
+                coeff = -one if sum(beta[j:]) & 1 else one
+                beta[j - 1] ^= 1
+                return {NormalMonomial(alpha, beta, m.w): coeff}
+            # C_j flips the exponent direction
+            alpha[j - 1] += -gen[2] if beta[j - 1] else gen[2]
+            return {NormalMonomial(alpha, beta, m.w): one}
+        # T_w = T_{w s_i} T_i at the smallest right descent i
+        base = NormalMonomial(m.alpha, m.beta, perm_right_mult_s(m.w, i))
         out = {}
-        for coeff, elem in pieces:
-            for m, c in elem.terms.items():
-                add = coeff * c
-                cur = out.get(m)
-                s = add if cur is None else cur + add
-                if s.is_zero():
-                    out.pop(m, None)
-                else:
-                    out[m] = s
+        for coeff, word in _exchange(i, gen):
+            cur = HElement(self, {base: one})
+            for g in word:
+                cur = self.mul_gen(cur, g)
+            scale = None if coeff == 1 else xi if coeff == "xi" else -xi
+            _add_terms(out, cur.terms, scale)
         return out
-
-    def _mono_times_C(self, m, j):
-        if m.w == perm_identity(self.n):
-            return self._merge_C(m, j)
-        m2, i = self._peel(m)
-        one, xi = self.field.one, self.field.xi
-        if j == i:
-            # T_i C_i = C_{i+1} T_i
-            return self._combine([(one, self._expand(m2, [("C", i + 1)], tail_T=i))])
-        if j == i + 1:
-            # T_i C_{i+1} = C_i T_i - xi C_i + xi C_{i+1}
-            return self._combine(
-                [
-                    (one, self._expand(m2, [("C", i)], tail_T=i)),
-                    (-xi, self._expand(m2, [("C", i)])),
-                    (xi, self._expand(m2, [("C", i + 1)])),
-                ]
-            )
-        return self._combine([(one, self._expand(m2, [("C", j)], tail_T=i))])
-
-    def _mono_times_X(self, m, j, s):
-        if m.w == perm_identity(self.n):
-            return self._merge_X(m, j, s)
-        m2, i = self._peel(m)
-        one, xi = self.field.one, self.field.xi
-        if j == i:
-            if s == 1:
-                # T_i X_i = X_{i+1} T_i - xi X_{i+1} - xi C_i C_{i+1} X_i
-                return self._combine(
-                    [
-                        (one, self._expand(m2, [("X", i + 1, 1)], tail_T=i)),
-                        (-xi, self._expand(m2, [("X", i + 1, 1)])),
-                        (-xi, self._expand(m2, [("C", i), ("C", i + 1), ("X", i, 1)])),
-                    ]
-                )
-            # T_i X_i^-1 = X_{i+1}^-1 T_i + xi X_i^-1 + xi X_{i+1}^-1 C_i C_{i+1}
-            return self._combine(
-                [
-                    (one, self._expand(m2, [("X", i + 1, -1)], tail_T=i)),
-                    (xi, self._expand(m2, [("X", i, -1)])),
-                    (xi, self._expand(m2, [("X", i + 1, -1), ("C", i), ("C", i + 1)])),
-                ]
-            )
-        if j == i + 1:
-            if s == 1:
-                # T_i X_{i+1} = X_i T_i + xi X_{i+1} - xi C_i C_{i+1} X_{i+1}
-                return self._combine(
-                    [
-                        (one, self._expand(m2, [("X", i, 1)], tail_T=i)),
-                        (xi, self._expand(m2, [("X", i + 1, 1)])),
-                        (-xi, self._expand(m2, [("C", i), ("C", i + 1), ("X", i + 1, 1)])),
-                    ]
-                )
-            # T_i X_{i+1}^-1 = X_i^-1 T_i - xi X_i^-1 + xi X_i^-1 C_i C_{i+1}
-            return self._combine(
-                [
-                    (one, self._expand(m2, [("X", i, -1)], tail_T=i)),
-                    (-xi, self._expand(m2, [("X", i, -1)])),
-                    (xi, self._expand(m2, [("X", i, -1), ("C", i), ("C", i + 1)])),
-                ]
-            )
-        return self._combine([(one, self._expand(m2, [("X", j, s)], tail_T=i))])
 
     # -- automorphisms ---------------------------------------------------------
 
@@ -549,3 +465,14 @@ class HeckeClifford:
             )
             work = work - self.multiply(t_rep, inner)
         return {w: e for w, e in result.items() if not e.is_zero()}
+
+    def coset_action(self, mu, gen, w):
+        """coset_decompose(gen * T_w, mu), cached per (mu, gen, w)."""
+        key = (mu, gen, w)
+        cached = self._coset_cache.get(key)
+        if cached is None:
+            z = (0,) * self.n
+            tw = self.monomial_elem(NormalMonomial(z, z, w))
+            prod = self.multiply(self.gen_elem(gen), tw)
+            cached = self._coset_cache[key] = self.coset_decompose(prod, mu)
+        return cached

@@ -35,10 +35,6 @@ class WordSum:
     def word(w, coeff=1):
         return WordSum({tuple(w): coeff})
 
-    @staticmethod
-    def zero():
-        return WordSum()
-
     def __add__(self, other):
         out = dict(self.terms)
         for w, c in other.terms.items():
@@ -56,13 +52,6 @@ class WordSum:
             return WordSum({w: k * c for w, c in self.terms.items()})
         return NotImplemented
 
-    def __mul__(self, other):
-        if isinstance(other, int):
-            return WordSum({w: other * c for w, c in self.terms.items()})
-        if isinstance(other, WordSum):
-            return shuffle(self, other)
-        return NotImplemented
-
     def __eq__(self, other):
         if isinstance(other, WordSum):
             return self.terms == other.terms
@@ -73,9 +62,6 @@ class WordSum:
 
     def is_zero(self):
         return not self.terms
-
-    def lengths(self):
-        return {len(w) for w in self.terms}
 
     def coefficient_sum(self):
         return sum(self.terms.values())
@@ -339,12 +325,10 @@ def divided_power_integrality(l):
     """Trailing divided powers are integral across the character library."""
     failures = []
     for label, ch in character_library(l):
-        i, j, a, b = label
         for letter in range(l):
             for r in (2, 3):
-                cur = ch
                 try:
-                    divided(cur, letter, r)
-                except IntegralityViolation as e:  # pragma: no cover
+                    divided(ch, letter, r)
+                except IntegralityViolation as e:
                     failures.append({"label": label, "letter": letter, "r": r, "err": str(e)})
     return failures

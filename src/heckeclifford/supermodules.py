@@ -20,7 +20,7 @@ from fractions import Fraction
 from types import MappingProxyType
 
 from . import linalg, modp
-from .algebra import HeckeClifford, NormalMonomial, t_indices
+from .algebra import HeckeClifford, t_indices
 from .grothendieck import WordSum, e_drop, shuffle
 from .scalars import (
     FieldElem,
@@ -648,19 +648,6 @@ def tensor_product(M, N):
     return MatrixSupermodule(M.model, M.n + N.n, M.mu + N.mu, parity, gens)
 
 
-def _coset_action(alg, mu, genkey, w):
-    """Decomposition of (generator * T_w) over minimal coset representatives."""
-    key = (mu, genkey, w)
-    cached = alg._coset_cache.get(key)
-    if cached is None:
-        n = alg.n
-        tw = alg.monomial_elem(NormalMonomial((0,) * n, (0,) * n, w))
-        prod = alg.multiply(alg.gen_elem(genkey), tw)
-        cached = alg.coset_decompose(prod, mu)
-        alg._coset_cache[key] = cached
-    return cached
-
-
 def induce(M):
     """Induction from the parabolic of shape M.mu to the full algebra.
 
@@ -681,7 +668,7 @@ def induce(M):
     for key in _gen_keys(n, (n,)):
         cols = [{} for _ in pos]
         for wk, w in enumerate(reps):
-            for w2, h in _coset_action(alg, M.mu, key, w).items():
+            for w2, h in alg.coset_action(M.mu, key, w).items():
                 rows = place[rep_pos[w2]]
                 for mono, coeff in h.terms.items():
                     # most coefficients are one; scaling by it would cost
@@ -1453,8 +1440,7 @@ def _positive_root(s):
     The chosen representative is the one whose coefficient of highest
     zeta-degree is positive.
     """
-    nums, _ = s.raw
-    for c in reversed(nums):
+    for c in reversed(s.coefficients()):
         if c > 0:
             return s
         if c < 0:

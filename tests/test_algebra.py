@@ -77,6 +77,43 @@ def test_t1_times_x1_inverse_exchange():
     assert lhs == rhs
 
 
+def _off(i):
+    """The generator index at rank 3 that is neither i nor i + 1."""
+    return 3 if i == 1 else 1
+
+
+# T_i * g and its hand-written right side, one entry per exchange row
+EXCHANGE_ROWS = {
+    # T_i X_{i+1} = X_i T_i + xi X_{i+1} - xi C_i C_{i+1} X_{i+1}
+    "X_(i+1)": lambda a, i, xi: (
+        a.t(i) * a.x(i + 1),
+        a.x(i) * a.t(i)
+        + a.x(i + 1).scale(xi)
+        - (a.c(i) * a.c(i + 1) * a.x(i + 1)).scale(xi),
+    ),
+    # T_i X_{i+1}^-1 = X_i^-1 T_i - xi X_i^-1 + xi X_i^-1 C_i C_{i+1}
+    "X_(i+1)^-1": lambda a, i, xi: (
+        a.t(i) * a.x(i + 1, -1),
+        a.x(i, -1) * a.t(i)
+        - a.x(i, -1).scale(xi)
+        + (a.x(i, -1) * a.c(i) * a.c(i + 1)).scale(xi),
+    ),
+    # T_i C_i = C_{i+1} T_i
+    "C_i": lambda a, i, xi: (a.t(i) * a.c(i), a.c(i + 1) * a.t(i)),
+    # T_i X_j = X_j T_i and T_i C_j = C_j T_i off i and i+1
+    "X_j": lambda a, i, xi: (a.t(i) * a.x(_off(i)), a.x(_off(i)) * a.t(i)),
+    "C_j": lambda a, i, xi: (a.t(i) * a.c(_off(i)), a.c(_off(i)) * a.t(i)),
+}
+
+
+@pytest.mark.parametrize("row", sorted(EXCHANGE_ROWS))
+@pytest.mark.parametrize("i", [1, 2])
+def test_exchange_rows_at_rank_3(i, row):
+    a = alg(2, 3)
+    lhs, rhs = EXCHANGE_ROWS[row](a, i, a.field.xi)
+    assert lhs == rhs
+
+
 def _defining_relation_residuals(a):
     """All defining relations of the rank-n algebra, as elements that must vanish."""
     n = a.n

@@ -47,6 +47,18 @@ def test_char_json(capsys):
     assert set(item) == {"word", "coeff"}
 
 
+@pytest.mark.parametrize("args", [["char", "--l", "3"], ["all", "--l", "2", "--depth", "1"]])
+def test_integrality_failure_exits_1_and_is_listed(capsys, non_integral_library, args):
+    code, out = run_cli(args, capsys)
+    assert code == 1
+    payload = json.loads(out)
+    failures = payload.get("parts", payload)["integrality_failures"]
+    assert [{k: f[k] for k in ("label", "letter", "r")} for f in failures] == [
+        {**non_integral_library, "label": list(non_integral_library["label"])}
+    ]
+    assert "2!" in failures[0]["err"]
+
+
 def test_crystal_blambda_dot(capsys):
     code, out = run_cli(
         ["crystal", "blambda", "--l", "2", "--lambda", "1,0", "--depth", "6", "--format", "dot"],

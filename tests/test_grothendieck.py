@@ -179,6 +179,14 @@ def test_divided_power_integrality_library():
         assert divided_power_integrality(l) == []
 
 
+def test_divided_power_integrality_reports_a_non_integral_entry(non_integral_library):
+    failures = divided_power_integrality(3)
+    assert len(failures) == 1
+    err = failures[0].pop("err")
+    assert failures == [non_integral_library]
+    assert "2!" in err
+
+
 def test_block_library_mirrors():
     lib = block_library(5, 1, 2)
     assert len(lib["iij"]) == 2  # middle pair

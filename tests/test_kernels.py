@@ -1,7 +1,9 @@
 """The field kernels against Fraction polynomial arithmetic modulo Phi_4l."""
 
+import importlib.util
 from fractions import Fraction
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
@@ -135,3 +137,22 @@ def test_normalize_canonical_forms():
 
 def test_selected_backend_exposed():
     assert kernels.BACKEND == "python"
+
+
+def test_bench_kernels_runs_at_its_smallest_sizes():
+    """benchmarks/bench_kernels.py reaches into supermodules' private engines.
+
+    Loading it and running each helper at its smallest size keeps a refactor
+    from breaking it unseen.
+    """
+    path = Path(__file__).parents[1] / "benchmarks" / "bench_kernels.py"
+    spec = importlib.util.spec_from_file_location("bench_kernels", path)
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    field = CycField.for_l(4)
+    assert bench.bench_mul(field, n=10) >= 0
+    assert bench.bench_mul(field, n=10, terms=2) >= 0
+    seconds, inversions = bench.bench_eliminate(field, families=1)
+    assert seconds >= 0 and inversions > 0
+    times, declined = bench.bench_characters(bench.suite_modules(2))
+    assert set(times) == {"exact", "mod-p"} and declined == 0

@@ -52,7 +52,6 @@ from heckeclifford.supermodules import (
     verify_relations,
     with_splitting,
     _certified_word_dims,
-    _coset_action,
     _gen_keys,
     _k_positions,
     _kmat_from_rows,
@@ -1175,7 +1174,7 @@ def full_induce_gens(M):
     for key in _gen_keys(n, (n,)):
         cols = [dict() for _ in range(len(pos) * rank)]
         for wk, w in enumerate(reps):
-            for w2, h in _coset_action(alg, M.mu, key, w).items():
+            for w2, h in alg.coset_action(M.mu, key, w).items():
                 for mono, coeff in h.terms.items():
                     mat = full_word_matrix(M, mono.generator_sequence())
                     for c, col in enumerate(mat):
@@ -1396,13 +1395,18 @@ def test_epsilon_and_delta_match_k_basis_chains(build):
 def test_supermodules_reaches_arithmetic_through_the_field():
     """supermodules does its vector arithmetic only through M.field.
 
-    It imports no kernels, reads no reduction table .red and calls no K
-    vector function of linalg, so what a raw element is and how it reduces
-    is decided in scalars/linalg for Q(zeta_4l) and in modp for F_p only.
+    It imports no kernels, reads no reduction table .red, calls no K
+    vector function of linalg and never looks inside a raw element, by
+    unpacking a .raw into a tuple target or subscripting it, so what a raw
+    element is and how it reduces is decided in scalars/linalg for
+    Q(zeta_4l) and in modp for F_p only.
     """
 
     def k_vector_op(name):
         return name.startswith("vec_") or name == "mat_vec"
+
+    def is_raw(node):
+        return isinstance(node, ast.Attribute) and node.attr == "raw"
 
     tree = ast.parse(Path(supermodules.__file__).read_text())
     bad = []
@@ -1421,6 +1425,11 @@ def test_supermodules_reaches_arithmetic_through_the_field():
                 or (owner == "linalg" and k_vector_op(node.attr))
             ):
                 bad.append(ast.unparse(node))
+        elif isinstance(node, ast.Assign) and is_raw(node.value):
+            if any(isinstance(t, (ast.Tuple, ast.List)) for t in node.targets):
+                bad.append(ast.unparse(node))
+        elif isinstance(node, ast.Subscript) and is_raw(node.value):
+            bad.append(ast.unparse(node))
     assert bad == []
 
 
