@@ -1,12 +1,14 @@
 """Benchmark the arithmetic kernels and what runs on them.
 
-Times single field multiplications in both regimes the workloads show: dense
-random elements, as elimination grows them, and monomials times two-term
-elements, the most common operands of module arithmetic.  Also times
-elimination of seeded rank-deficient families over Q(zeta_16) through
-linalg.Echelon and linalg.Tracker with the number of field inversions it
-makes.  Whether a change to the kernels earns its place is decided on the
-end-to-end benchmark (benchsuite/run.py), not here.
+Times single field multiplications, through each field's generated product,
+in both regimes the workloads show: dense random elements, as elimination
+grows them, and monomials times two-term elements, the most common operands
+of module arithmetic.  It does so at l = 3, 4, 8 and 11, field degrees 4, 8,
+16 and 20, the degrees of verify-l3, linalg-random and the large-l suites.
+Also times elimination of seeded rank-deficient families over Q(zeta_16)
+through linalg.Echelon and linalg.Tracker with the number of field
+inversions it makes.  Whether a change to the kernels earns its place is
+decided on the end-to-end benchmark (benchsuite/run.py), not here.
 
 Also times the two engines behind formal_character, the exact split over the
 field and the mod-p split with its certificate, on every module that
@@ -48,7 +50,7 @@ def bench_mul(field, n=20000, seed=5, terms=None):
         right = [sparse_raw(rng, m, terms) for _ in range(64)]
     t0 = time.perf_counter()
     for k in range(n):
-        kernels.felem_mul(left[k % 64], right[(k * 7 + 3) % 64], field.red)
+        kernels.felem_mul(left[k % 64], right[(k * 7 + 3) % 64], field.product)
     return time.perf_counter() - t0
 
 
@@ -66,7 +68,7 @@ def rank_deficient_family(rng, field, coords=12, rank=6, extra=3):
     for _ in range(rank + extra):
         acc = {}
         for g in rng.sample(gens, 3):
-            linalg.vec_add_into(acc, linalg.vec_scale(g, small(), field.red))
+            linalg.vec_add_into(acc, linalg.vec_scale(g, small(), field.product))
         vectors.append(acc)
     return vectors
 
@@ -138,11 +140,12 @@ def bench_characters(modules):
 
 def main():
     print(f"-- {kernels.BACKEND} backend")
-    for l, terms in ((2, None), (5, None), (3, 2)):
+    for l in (3, 4, 8, 11):
         field = CycField.for_l(l)
-        kind = "dense" if terms is None else f"monomial x {terms}-term"
-        print(f"-- field degree {field.degree} (l = {l}), {kind}")
-        print(f"  mul x20000: {bench_mul(field, terms=terms):7.3f}s")
+        print(f"-- field degree {field.degree} (l = {l}), mul x20000")
+        for terms in (None, 2):
+            kind = "dense" if terms is None else f"monomial x {terms}-term"
+            print(f"  {kind:20s} {bench_mul(field, terms=terms):7.3f}s")
     field = CycField.for_l(4)
     tm, calls = bench_eliminate(field)
     print("-- elimination over Q(zeta_16)")

@@ -13,8 +13,9 @@ import json
 import os
 import sys
 
+from . import grothendieck
 from .cartan import parse_weight, pairing
-from .grothendieck import character_library, divided_power_integrality, serre_verify
+from .grothendieck import divided_power_integrality, serre_verify
 from .realizations import (
     ConsistencyFailure,
     generate_binfty,
@@ -109,6 +110,7 @@ def cmd_serre(args):
 
 
 def cmd_char(args):
+    library = grothendieck.character_library(args.l)
     lib = [
         {
             "i": label[0],
@@ -117,9 +119,9 @@ def cmd_char(args):
             "b": label[3],
             "character": ch.to_json(),
         }
-        for label, ch in character_library(args.l)
+        for label, ch in library
     ]
-    failures = divided_power_integrality(args.l)
+    failures = divided_power_integrality(args.l, library)
     payload = {"l": args.l, "library": lib, "integrality_failures": failures}
     _emit(payload, args)
     return 0 if not failures else 1
@@ -166,7 +168,9 @@ def cmd_all(args):
         "issues": crystal_issues,
     }
     ok &= not crystal_issues
-    parts["integrality_failures"] = divided_power_integrality(args.l)
+    parts["integrality_failures"] = divided_power_integrality(
+        args.l, grothendieck.character_library(args.l)
+    )
     ok &= not parts["integrality_failures"]
     _emit({"l": args.l, "ok": ok, "parts": parts}, args)
     return 0 if ok else 1

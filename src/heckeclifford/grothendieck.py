@@ -321,10 +321,11 @@ def serre_verify(l, rng=None):
     return {"l": l, "ok": ok, "checks": checks}
 
 
-def divided_power_integrality(l):
-    """Trailing divided powers are integral across the character library."""
+def divided_power_integrality(l, library):
+    """Trailing divided powers are integral across library, the (label,
+    character) pairs of character_library(l)."""
     failures = []
-    for label, ch in character_library(l):
+    for label, ch in library:
         for letter in range(l):
             for r in (2, 3):
                 try:

@@ -17,12 +17,12 @@ from __future__ import annotations
 from . import kernels
 
 
-def vec_scale(v, c, red):
+def vec_scale(v, c, product):
     if kernels.felem_is_zero(c):
         return {}
     out = {}
     for k, x in v.items():
-        y = kernels.felem_mul(c, x, red)
+        y = kernels.felem_mul(c, x, product)
         if not kernels.felem_is_zero(y):
             out[k] = y
     return out
@@ -42,14 +42,14 @@ def vec_add_into(v, w):
                 v[k] = y
 
 
-def vec_submul_into(v, w, c, red):
+def vec_submul_into(v, w, c, product):
     """v -= c*w in place; c is a nonzero raw element."""
     for k, x in w.items():
         cur = v.get(k)
         if cur is None:
-            y = kernels.felem_neg(kernels.felem_mul(c, x, red))
+            y = kernels.felem_neg(kernels.felem_mul(c, x, product))
         else:
-            y = kernels.felem_submul(cur, c, x, red)
+            y = kernels.felem_submul(cur, c, x, product)
         if kernels.felem_is_zero(y):
             v.pop(k, None)
         else:
@@ -84,7 +84,7 @@ def vec_primitive(v):
     return {k: (tuple(x // g for x in nn), 1) for k, nn in scaled.items()}
 
 
-def mat_vec(cols, v, red):
+def mat_vec(cols, v, product):
     """A @ v for column-major A."""
     out = {}
     for j, c in v.items():
@@ -92,7 +92,7 @@ def mat_vec(cols, v, red):
         if not col:
             continue
         for i, a in col.items():
-            prod = kernels.felem_mul(a, c, red)
+            prod = kernels.felem_mul(a, c, product)
             cur = out.get(i)
             if cur is None:
                 y = prod
@@ -105,8 +105,8 @@ def mat_vec(cols, v, red):
     return out
 
 
-def mat_mul(a_cols, b_cols, red):
-    return [mat_vec(a_cols, col, red) for col in b_cols]
+def mat_mul(a_cols, b_cols, product):
+    return [mat_vec(a_cols, col, product) for col in b_cols]
 
 
 def mat_is_zero(cols):

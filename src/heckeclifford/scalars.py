@@ -116,7 +116,7 @@ class FieldElem:
     def __mul__(self, other):
         if isinstance(other, FieldElem):
             return FieldElem(
-                self.field, kernels.felem_mul(self.raw, other.raw, self.field.red)
+                self.field, kernels.felem_mul(self.raw, other.raw, self.field.product)
             )
         if isinstance(other, int):
             return FieldElem(self.field, kernels.felem_scale(self.raw, other, 1))
@@ -219,6 +219,7 @@ class CycField:
                 cur = [cur[k] + top * rows[0][k] for k in range(m)]
             rows.append(tuple(cur))
         self.red = tuple(tuple((k, r) for k, r in enumerate(row) if r) for row in rows)
+        self.product = kernels.compile_product(self.red)
         self._zero_nums = (0,) * m
         self.zero = FieldElem(self, (self._zero_nums, 1))
         self.one = self.from_int(1)
@@ -295,8 +296,8 @@ class CycField:
                     for i, t in col:
                         conj[i] += c * t
             conj = (tuple(conj), 1)
-            prod = conj if prod is None else kernels.felem_mul(prod, conj, self.red)
-        norm = kernels.felem_mul((nums, 1), prod, self.red)[0][0]
+            prod = conj if prod is None else kernels.felem_mul(prod, conj, self.product)
+        norm = kernels.felem_mul((nums, 1), prod, self.product)[0][0]
         return kernels.felem_scale(prod, den, norm)
 
     # -- the field protocol of linalg's elimination and the eigenspace split
@@ -318,22 +319,22 @@ class CycField:
         return kernels.felem_add(a, b)
 
     def mul(self, a, b):
-        return kernels.felem_mul(a, b, self.red)
+        return kernels.felem_mul(a, b, self.product)
 
     def neg(self, a):
         return kernels.felem_neg(a)
 
     def scale(self, v, c):
-        return linalg.vec_scale(v, c, self.red)
+        return linalg.vec_scale(v, c, self.product)
 
     def add_into(self, v, w):
         linalg.vec_add_into(v, w)
 
     def submul_into(self, v, w, c):
-        linalg.vec_submul_into(v, w, c, self.red)
+        linalg.vec_submul_into(v, w, c, self.product)
 
     def mat_vec(self, cols, v):
-        return linalg.mat_vec(cols, v, self.red)
+        return linalg.mat_vec(cols, v, self.product)
 
     def primitive(self, v):
         return linalg.vec_primitive(v)

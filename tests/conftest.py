@@ -24,7 +24,8 @@ def non_integral_library(monkeypatch):
     """The character library plus one entry whose e_0^(2) has coefficient 1/2.
 
     Returns the record divided_power_integrality must report for it, less the
-    error text.
+    error text.  Only callers that read grothendieck.character_library through
+    the module see the planted entry.
     """
     library = grothendieck.character_library
     entry = ((0, 1, 2, 0), grothendieck.WordSum.word((0, 0)))

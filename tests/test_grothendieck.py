@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from heckeclifford import grothendieck
 from heckeclifford.grothendieck import (
     IntegralityViolation,
     WordSum,
@@ -176,11 +177,11 @@ def test_serre_negative_control():
 
 def test_divided_power_integrality_library():
     for l in (2, 3, 4, 5):
-        assert divided_power_integrality(l) == []
+        assert divided_power_integrality(l, character_library(l)) == []
 
 
 def test_divided_power_integrality_reports_a_non_integral_entry(non_integral_library):
-    failures = divided_power_integrality(3)
+    failures = divided_power_integrality(3, grothendieck.character_library(3))
     assert len(failures) == 1
     err = failures[0].pop("err")
     assert failures == [non_integral_library]

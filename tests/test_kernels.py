@@ -24,10 +24,10 @@ def _value(raw):
 
 
 def _reduced_product(a, b, l):
-    """a*b as Fraction polynomials, by long division modulo Phi_4l."""
+    """a*b as Fraction or int polynomials, by long division modulo Phi_4l."""
     phi = cyclotomic_polynomial(4 * l)
     m = len(phi) - 1
-    conv = [Fraction(0)] * (2 * m - 1)
+    conv = [0] * (2 * m - 1)
     for i, x in enumerate(a):
         for j, y in enumerate(b):
             conv[i + j] += x * y
@@ -67,7 +67,7 @@ def _numerators(draw, m):
 
 @st.composite
 def _case(draw):
-    l = draw(st.integers(2, 8))
+    l = draw(st.integers(2, 12))
     m = CycField.for_l(l).degree
     raws = [
         kernels.felem_normalize(draw(_numerators(m)), draw(_DEN)) for _ in range(3)
@@ -83,7 +83,7 @@ def _case(draw):
 @given(_case())
 def test_kernels_match_fraction_polynomial_arithmetic(case):
     l, (a, b, c), (nums, den), (p, q), (unit_nums, unit) = case
-    red = CycField.for_l(l).red
+    product = CycField.for_l(l).product
     m = len(cyclotomic_polynomial(4 * l)) - 1
     va, vb, vc = _value(a), _value(b), _value(c)
     bc = _reduced_product(vb, vc, l)
@@ -93,18 +93,36 @@ def test_kernels_match_fraction_polynomial_arithmetic(case):
         (kernels.felem_add(a, b), [x + y for x, y in zip(va, vb)]),
         (kernels.felem_sub(a, b), [x - y for x, y in zip(va, vb)]),
         (kernels.felem_neg(a), [-x for x in va]),
-        (kernels.felem_mul(b, c, red), bc),
-        (kernels.felem_submul(a, b, c, red), [x - y for x, y in zip(va, bc)]),
+        (kernels.felem_mul(b, c, product), bc),
+        (kernels.felem_submul(a, b, c, product), [x - y for x, y in zip(va, bc)]),
         (kernels.felem_scale(a, p, q), [x * Fraction(p, q) for x in va]),
         # zero results
         (kernels.felem_sub(a, a), [0] * m),
         (kernels.felem_add(a, kernels.felem_neg(a)), [0] * m),
-        (kernels.felem_submul(kernels.felem_mul(b, c, red), b, c, red), [0] * m),
+        (kernels.felem_submul(kernels.felem_mul(b, c, product), b, c, product), [0] * m),
         (kernels.felem_scale(a, 0, q), [0] * m),
     ]
     for raw, want in results:
         _assert_canonical(raw, m)
         assert _value(raw) == want
+
+
+@pytest.mark.parametrize("l", range(2, 13))
+def test_product_matches_long_division_on_every_block(l):
+    """field.product against long division modulo Phi_4l, on every pair from
+    zero, a rational, each monomial zeta^j and a dense element past 2^127.
+
+    So each ``if a_i:`` block of the generated product runs both taken and
+    skipped, and the monomial pairs reach every reduction row.
+    """
+    field = CycField.for_l(l)
+    m = field.degree
+    dense = tuple((-1) ** k * (k + 2) for k in range(m - 1)) + (2**127 + 1,)
+    operands = [(0,) * m, (-3,) + (0,) * (m - 1), dense]
+    operands += [tuple(int(k == j) for k in range(m)) for j in range(m)]
+    for a in operands:
+        for b in operands:
+            assert field.product(a, b) == tuple(_reduced_product(a, b, l))
 
 
 @pytest.mark.parametrize("l", range(2, 9))

@@ -57,13 +57,13 @@ def test_echelon_rank_matches_dense_oracle():
 def _zeta_vec(field, row, j):
     """The integer row as a sparse vector, scaled by zeta^j."""
     v = {i: field.from_int(x).raw for i, x in enumerate(row) if x}
-    return linalg.vec_scale(v, field.zeta_pow(j).raw, field.red)
+    return linalg.vec_scale(v, field.zeta_pow(j).raw, field.product)
 
 
 def _combine(field, coeffs, vectors):
     acc = {}
     for tag, c in coeffs.items():
-        linalg.vec_add_into(acc, linalg.vec_scale(vectors[tag], c, field.red))
+        linalg.vec_add_into(acc, linalg.vec_scale(vectors[tag], c, field.product))
     return acc
 
 
@@ -138,15 +138,15 @@ class MinIndexOracle:
 
     def _reduce(self, v, combo):
         """Reduce v in place; the first index without a pivot, or None at zero."""
-        red = self.field.red
+        product = self.field.product
         while v:
             p = min(v)
             if p not in self.pivots:
                 return p
             row, cmb = self.pivots[p]
             c = v.pop(p)
-            linalg.vec_submul_into(v, row, c, red)
-            linalg.vec_submul_into(combo, cmb, c, red)
+            linalg.vec_submul_into(v, row, c, product)
+            linalg.vec_submul_into(combo, cmb, c, product)
         return None
 
     def insert(self, v, tag):
@@ -154,8 +154,8 @@ class MinIndexOracle:
         p = self._reduce(v, combo)
         if p is None:
             return combo
-        inv, red = self.field.raw_inverse(v.pop(p)), self.field.red
-        self.pivots[p] = (linalg.vec_scale(v, inv, red), linalg.vec_scale(combo, inv, red))
+        inv, product = self.field.raw_inverse(v.pop(p)), self.field.product
+        self.pivots[p] = (linalg.vec_scale(v, inv, product), linalg.vec_scale(combo, inv, product))
         self.tags.append(tag)
         return None
 
@@ -192,7 +192,7 @@ def _field_family(draw):
     def zeta_scaled(v):
         """v times a drawn power of zeta."""
         j = draw(st.integers(0, 4 * l - 1))
-        return linalg.vec_scale(v, field.zeta_pow(j).raw, field.red)
+        return linalg.vec_scale(v, field.zeta_pow(j).raw, field.product)
 
     def free(close):
         """A drawn vector; with close, its last entry zeroes the coordinate sum."""
@@ -213,7 +213,7 @@ def _field_family(draw):
     def combination(vs):
         acc = {}
         for w in draw(st.lists(st.sampled_from(vs), min_size=1, max_size=3)):
-            linalg.vec_add_into(acc, linalg.vec_scale(w, draw(elem), field.red))
+            linalg.vec_add_into(acc, linalg.vec_scale(w, draw(elem), field.product))
         return zeta_scaled(acc)
 
     vs = []
@@ -434,7 +434,7 @@ def test_echelon_membership():
     comb = {}
     for v in basis:
         c = field.elem([rng.randint(-3, 3) for _ in range(field.degree)], 1).raw
-        linalg.vec_add_into(comb, linalg.vec_scale(v, c, field.red))
+        linalg.vec_add_into(comb, linalg.vec_scale(v, c, field.product))
     assert e.contains(comb)
 
 
@@ -452,14 +452,14 @@ def test_tracker_express_roundtrip():
     }
     target = {}
     for i, c in coeffs.items():
-        linalg.vec_add_into(target, linalg.vec_scale(vs[i], c, field.red))
+        linalg.vec_add_into(target, linalg.vec_scale(vs[i], c, field.product))
     got = t.express(target)
     assert got is not None
     recon = {}
     for i, c in got.items():
-        linalg.vec_add_into(recon, linalg.vec_scale(vs[i], c, field.red))
+        linalg.vec_add_into(recon, linalg.vec_scale(vs[i], c, field.product))
     diff = dict(target)
-    linalg.vec_submul_into(diff, recon, field.one.raw, field.red)
+    linalg.vec_submul_into(diff, recon, field.one.raw, field.product)
     assert not diff
 
 
@@ -474,7 +474,7 @@ def test_nullspace_combinations():
     # reconstruct: sum dep[i] * v_i == 0
     acc = {}
     for i, c in dep.items():
-        linalg.vec_add_into(acc, linalg.vec_scale([v1, v2, v3][i], c, field.red))
+        linalg.vec_add_into(acc, linalg.vec_scale([v1, v2, v3][i], c, field.product))
     assert not acc
 
 
@@ -483,5 +483,5 @@ def test_mat_mul_identity():
     rng = random.Random(1)
     a = [_rand_vec(rng, field, 5, 0.6) for _ in range(5)]
     eye = [{k: field.one.raw} for k in range(5)]
-    assert linalg.mat_mul(a, eye, field.red) == a
-    assert linalg.mat_mul(eye, a, field.red) == a
+    assert linalg.mat_mul(a, eye, field.product) == a
+    assert linalg.mat_mul(eye, a, field.product) == a

@@ -67,8 +67,8 @@ from heckeclifford.supermodules import (
 
 def _shifted(field, A, lam, v):
     """(A - lam) v, written out here so the oracles share no code with the split."""
-    w = linalg.mat_vec(A, v, field.red)
-    linalg.vec_submul_into(w, v, lam, field.red)
+    w = linalg.mat_vec(A, v, field.product)
+    linalg.vec_submul_into(w, v, lam, field.product)
     return w
 
 
@@ -80,7 +80,7 @@ def kernel_chain_eigs(field, op_cols, lam, basis):
     elimination with the previous kernel's vectors and reading off which image
     combinations fall into their span; every step is a fresh elimination.
     """
-    red = field.red
+    product = field.product
     images = [_shifted(field, op_cols, lam, b) for b in basis]
     vectors = []
     depth = 0
@@ -94,7 +94,7 @@ def kernel_chain_eigs(field, op_cols, lam, basis):
             for s, c in dep.items():
                 if isinstance(s, tuple):
                     continue
-                linalg.vec_add_into(v, linalg.vec_scale(basis[s], c, red))
+                linalg.vec_add_into(v, linalg.vec_scale(basis[s], c, product))
             v = linalg.vec_primitive(v)
             if v:
                 new_vecs.append(v)
@@ -182,7 +182,7 @@ def test_tower_mat_vec_matches_the_full_k_matrix(case):
     # over K against the product with every K-column, and over F_p the same
     # loop on the reduced data against the reduced product
     l, tower, cols, v = case
-    want = linalg.mat_vec(_full_kmat(tower, cols), v, tower.field.red)
+    want = linalg.mat_vec(_full_kmat(tower, cols), v, tower.field.product)
     assert tower.mat_vec(cols, v) == want
     reduced = modp.ReducedTower(l, tower)
     (v_p, want_p) = reduced.matrix([v, want])
@@ -625,7 +625,7 @@ def _conjugated_jordan(draw, off_q=False):
         S_inv = _unit_basis(dim, field)
         S[b][a] = field.from_int(c).raw
         S_inv[b][a] = field.from_int(-c).raw
-        A = linalg.mat_mul(S, linalg.mat_mul(J, S_inv, field.red), field.red)
+        A = linalg.mat_mul(S, linalg.mat_mul(J, S_inv, field.product), field.product)
     return field, qs, A, blocks, qs + lams[len(blocks):]
 
 
@@ -796,9 +796,9 @@ def test_kmat_from_rows_matches_tower_products(indices, data):
 
 def _tower_linear(M, mats):
     """Whether every full K-matrix commutes with multiplication by each r-monomial."""
-    red = M.field.red
+    product = M.field.product
     return all(
-        linalg.mat_mul(G, R, red) == linalg.mat_mul(R, G, red)
+        linalg.mat_mul(G, R, product) == linalg.mat_mul(R, G, product)
         for G in mats
         for R in _mask_matrices(M.tower, M.dim)[1:]
     )
@@ -1078,7 +1078,7 @@ def _tower_operator(draw, off_q=False):
         S[a][b], S_inv[a][b] = c, -c
         S = _full_kmat(tower, _kmat_from_rows(tower, S))
         S_inv = _full_kmat(tower, _kmat_from_rows(tower, S_inv))
-        A = linalg.mat_mul(S, linalg.mat_mul(A, S_inv, field.red), field.red)
+        A = linalg.mat_mul(S, linalg.mat_mul(A, S_inv, field.product), field.product)
     return field, tower, A, dim, [q_of(l, i).raw for i in range(l)]
 
 
@@ -1098,7 +1098,7 @@ def test_tower_generator_split_matches_k_basis_split(case):
     assert got_mults == want_mults
     masks = _mask_matrices(tower, dim)
     for (i, gens, d), (_, vectors, _) in zip(got, want):
-        translates = [linalg.mat_vec(R, g, field.red) for g in gens for R in masks]
+        translates = [linalg.mat_vec(R, g, field.product) for g in gens for R in masks]
         assert linalg.rank_of(field, translates) == d
         assert linalg.rank_of(field, translates + vectors) == d
         assert all(_kills(field, A, qs[i], kdim, v) for v in gens)
@@ -1155,7 +1155,7 @@ def full_word_matrix(M, word):
     """Reference word matrix: the product of its generators' K-matrices."""
     acc = [{k: M.field.one.raw} for k in range(M.k_dim())]
     for key in word:
-        acc = linalg.mat_mul(acc, _full_kmat(M.tower, M.gen(key)), M.field.red)
+        acc = linalg.mat_mul(acc, _full_kmat(M.tower, M.gen(key)), M.field.product)
     return acc
 
 
@@ -1178,7 +1178,7 @@ def full_induce_gens(M):
                 for mono, coeff in h.terms.items():
                     mat = full_word_matrix(M, mono.generator_sequence())
                     for c, col in enumerate(mat):
-                        scaled = linalg.vec_scale(col, coeff.raw, field.red)
+                        scaled = linalg.vec_scale(col, coeff.raw, field.product)
                         moved = {place[rep_pos[w2]][i]: x for i, x in scaled.items()}
                         linalg.vec_add_into(cols[place[wk][c]], moved)
         gens[key] = cols
@@ -1225,7 +1225,7 @@ def full_matrix_violations(M):
         total = [dict() for _ in range(M.k_dim())]
         for coeff, word in terms:
             for col, c in zip(total, full_word_matrix(M, word)):
-                linalg.vec_add_into(col, linalg.vec_scale(c, coeffs[coeff].raw, f.red))
+                linalg.vec_add_into(col, linalg.vec_scale(c, coeffs[coeff].raw, f.product))
         if not linalg.mat_is_zero(total):
             violations.append(name)
     return violations
@@ -1395,11 +1395,11 @@ def test_epsilon_and_delta_match_k_basis_chains(build):
 def test_supermodules_reaches_arithmetic_through_the_field():
     """supermodules does its vector arithmetic only through M.field.
 
-    It imports no kernels, reads no reduction table .red, calls no K
-    vector function of linalg and never looks inside a raw element, by
-    unpacking a .raw into a tuple target or subscripting it, so what a raw
-    element is and how it reduces is decided in scalars/linalg for
-    Q(zeta_4l) and in modp for F_p only.
+    It imports no kernels, reads no reduction table .red or generated
+    .product, calls no K vector function of linalg and never looks inside a
+    raw element, by unpacking a .raw into a tuple target or subscripting
+    it, so what a raw element is and how it reduces is decided in
+    scalars/linalg for Q(zeta_4l) and in modp for F_p only.
     """
 
     def k_vector_op(name):
@@ -1420,7 +1420,7 @@ def test_supermodules_reaches_arithmetic_through_the_field():
         elif isinstance(node, ast.Attribute):
             owner = getattr(node.value, "id", None)
             if (
-                node.attr == "red"
+                node.attr in ("red", "product")
                 or owner == "kernels"
                 or (owner == "linalg" and k_vector_op(node.attr))
             ):
