@@ -1,6 +1,7 @@
 """Benchmark the arithmetic kernels and what runs on them.
 
 Times single field multiplications, through each field's generated product,
+and row updates v -= c*w of 6-entry rows, through its generated submul_into,
 in both regimes the workloads show: dense random elements, as elimination
 grows them, and monomials times two-term elements, the most common operands
 of module arithmetic.  It does so at l = 3, 4, 8 and 11, field degrees 4, 8,
@@ -54,6 +55,26 @@ def bench_mul(field, n=20000, seed=5, terms=None):
     return time.perf_counter() - t0
 
 
+def bench_submul_into(field, n=5000, seed=6, terms=None):
+    """Seconds for n row updates v -= c*w, w a row of 6 entries and v holding
+    3 of its indices, as elimination runs them: c dense, or with terms given,
+    a monomial times rows of elements with that many nonzero coefficients."""
+    rng = random.Random(seed)
+    m = field.degree
+    if terms is None:
+        mults = [rand_raw(rng, m) for _ in range(64)]
+        rows = [{k: rand_raw(rng, m) for k in range(6)} for _ in range(64)]
+    else:
+        mults = [sparse_raw(rng, m, 1) for _ in range(64)]
+        rows = [{k: sparse_raw(rng, m, terms) for k in range(6)} for _ in range(64)]
+    targets = [{k: row[k] for k in range(0, 6, 2)} for row in rows]
+    submul_into = field.submul_into
+    t0 = time.perf_counter()
+    for k in range(n):
+        submul_into(dict(targets[k % 64]), rows[(k * 7 + 3) % 64], mults[k % 64])
+    return time.perf_counter() - t0
+
+
 def rank_deficient_family(rng, field, coords=12, rank=6, extra=3):
     """rank + extra vectors in field^coords, each a combination of 3 of rank generators."""
 
@@ -68,7 +89,7 @@ def rank_deficient_family(rng, field, coords=12, rank=6, extra=3):
     for _ in range(rank + extra):
         acc = {}
         for g in rng.sample(gens, 3):
-            linalg.vec_add_into(acc, linalg.vec_scale(g, small(), field.product))
+            field.add_into(acc, field.scale(g, small()))
         vectors.append(acc)
     return vectors
 
@@ -146,6 +167,10 @@ def main():
         for terms in (None, 2):
             kind = "dense" if terms is None else f"monomial x {terms}-term"
             print(f"  {kind:20s} {bench_mul(field, terms=terms):7.3f}s")
+        print(f"-- field degree {field.degree} (l = {l}), submul_into of 6-entry rows x5000")
+        for terms in (None, 2):
+            kind = "dense" if terms is None else f"monomial x {terms}-term"
+            print(f"  {kind:20s} {bench_submul_into(field, terms=terms):7.3f}s")
     field = CycField.for_l(4)
     tm, calls = bench_eliminate(field)
     print("-- elimination over Q(zeta_16)")

@@ -2,58 +2,22 @@
 
 Vectors are dicts {index: raw}, matrices are column-major lists of such dicts,
 where raw is the field's element format: the kernel-level one of Q(zeta_4l)
-(scalars.CycField, the only caller of the vector functions here outside the
-tests) or an int residue (modp.PrimeField).  A Tracker is an Echelon that also tracks each row
-as a combination of the inserted vectors; both run one elimination loop,
-_eliminate, over pivot rows stored without their unit pivot entry, through
-the field's pivot, raw_inverse, scale, submul_into, neg and one_raw.  The
-field picks each new pivot: CycField the cheapest entry, so normalizing
-spreads no large norm denominator, PrimeField the smallest index; no result
-depends on the pivot columns.
+(scalars.CycField) or an int residue (modp.PrimeField).  Vector arithmetic is
+the field's own: CycField's scale, add_into, submul_into and mat_vec are the
+loops kernels.compile_field generates for it, PrimeField's are int loops.
+What remains here of Q(zeta_4l) is vec_primitive and mat_vec, the one entry
+point through which CycField applies a matrix by its generated loop.
+
+A Tracker is an Echelon that also tracks each row as a combination of the
+inserted vectors; both run one elimination loop, _eliminate, over pivot rows
+stored without their unit pivot entry, through the field's pivot,
+raw_inverse, scale, submul_into, neg and one_raw.  The field picks each new
+pivot: CycField the cheapest entry, so normalizing spreads no large norm
+denominator, PrimeField the smallest index; no result depends on the pivot
+columns.
 """
 
 from __future__ import annotations
-
-from . import kernels
-
-
-def vec_scale(v, c, product):
-    if kernels.felem_is_zero(c):
-        return {}
-    out = {}
-    for k, x in v.items():
-        y = kernels.felem_mul(c, x, product)
-        if not kernels.felem_is_zero(y):
-            out[k] = y
-    return out
-
-
-def vec_add_into(v, w):
-    """v += w in place."""
-    for k, x in w.items():
-        cur = v.get(k)
-        if cur is None:
-            v[k] = x
-        else:
-            y = kernels.felem_add(cur, x)
-            if kernels.felem_is_zero(y):
-                del v[k]
-            else:
-                v[k] = y
-
-
-def vec_submul_into(v, w, c, product):
-    """v -= c*w in place; c is a nonzero raw element."""
-    for k, x in w.items():
-        cur = v.get(k)
-        if cur is None:
-            y = kernels.felem_neg(kernels.felem_mul(c, x, product))
-        else:
-            y = kernels.felem_submul(cur, c, x, product)
-        if kernels.felem_is_zero(y):
-            v.pop(k, None)
-        else:
-            v[k] = y
 
 
 def vec_primitive(v):
@@ -84,33 +48,13 @@ def vec_primitive(v):
     return {k: (tuple(x // g for x in nn), 1) for k, nn in scaled.items()}
 
 
-def mat_vec(cols, v, product):
-    """A @ v for column-major A."""
-    out = {}
-    for j, c in v.items():
-        col = cols[j]
-        if not col:
-            continue
-        for i, a in col.items():
-            prod = kernels.felem_mul(a, c, product)
-            cur = out.get(i)
-            if cur is None:
-                y = prod
-            else:
-                y = kernels.felem_add(cur, prod)
-            if kernels.felem_is_zero(y):
-                out.pop(i, None)
-            else:
-                out[i] = y
-    return out
+def mat_vec(cols, v, loop):
+    """A @ v for column-major A, by the field's generated loop.
 
-
-def mat_mul(a_cols, b_cols, product):
-    return [mat_vec(a_cols, col, product) for col in b_cols]
-
-
-def mat_is_zero(cols):
-    return all(not c for c in cols)
+    A module function of its own so that benchsuite's tracer, which spans
+    linalg.mat_vec by name, times every matrix application over Q(zeta_4l).
+    """
+    return loop(cols, v)
 
 
 def _eliminate(field, pivots, v, combo=None):

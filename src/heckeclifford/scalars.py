@@ -219,7 +219,13 @@ class CycField:
                 cur = [cur[k] + top * rows[0][k] for k in range(m)]
             rows.append(tuple(cur))
         self.red = tuple(tuple((k, r) for k, r in enumerate(row) if r) for row in rows)
-        self.product = kernels.compile_product(self.red)
+        # the field protocol's scale, add_into and submul_into are the
+        # generated loops themselves, bound here
+        self.kernel_set = kernels.compile_field(self.red)
+        self.product = self.kernel_set.product
+        self.scale = self.kernel_set.scale
+        self.add_into = self.kernel_set.add_into
+        self.submul_into = self.kernel_set.submul_into
         self._zero_nums = (0,) * m
         self.zero = FieldElem(self, (self._zero_nums, 1))
         self.one = self.from_int(1)
@@ -279,7 +285,8 @@ class CycField:
         A monomial (c/den)*zeta^j inverts directly to (den/c)*zeta^-j.  Any
         other a = nums/den inverts through the Galois norm: with P the product
         of the conjugates sigma_k(nums) for k != 1, the norm N = nums*P is an
-        integer, and a^-1 = den*P/N.
+        integer, and a^-1 = den*P/N.  A nonzero coefficient of nums*P past
+        the constant one means the field's product is wrong: ArithmeticError.
         """
         nums, den = raw
         support = [j for j, c in enumerate(nums) if c]
@@ -297,8 +304,10 @@ class CycField:
                         conj[i] += c * t
             conj = (tuple(conj), 1)
             prod = conj if prod is None else kernels.felem_mul(prod, conj, self.product)
-        norm = kernels.felem_mul((nums, 1), prod, self.product)[0][0]
-        return kernels.felem_scale(prod, den, norm)
+        norm = kernels.felem_mul((nums, 1), prod, self.product)[0]
+        if any(norm[1:]):
+            raise ArithmeticError(f"{self!r}: the norm of {nums} is not rational")
+        return kernels.felem_scale(prod, den, norm[0])
 
     # -- the field protocol of linalg's elimination and the eigenspace split
 
@@ -324,17 +333,8 @@ class CycField:
     def neg(self, a):
         return kernels.felem_neg(a)
 
-    def scale(self, v, c):
-        return linalg.vec_scale(v, c, self.product)
-
-    def add_into(self, v, w):
-        linalg.vec_add_into(v, w)
-
-    def submul_into(self, v, w, c):
-        linalg.vec_submul_into(v, w, c, self.product)
-
     def mat_vec(self, cols, v):
-        return linalg.mat_vec(cols, v, self.product)
+        return linalg.mat_vec(cols, v, self.kernel_set.mat_vec)
 
     def primitive(self, v):
         return linalg.vec_primitive(v)

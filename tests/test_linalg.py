@@ -8,6 +8,8 @@ from hypothesis import given, strategies as st
 from heckeclifford import kernels, linalg, modp
 from heckeclifford.scalars import CycField
 
+from matrices import mat_mul
+
 
 def _rand_vec(rng, field, n, density=0.5):
     v = {}
@@ -57,13 +59,13 @@ def test_echelon_rank_matches_dense_oracle():
 def _zeta_vec(field, row, j):
     """The integer row as a sparse vector, scaled by zeta^j."""
     v = {i: field.from_int(x).raw for i, x in enumerate(row) if x}
-    return linalg.vec_scale(v, field.zeta_pow(j).raw, field.product)
+    return field.scale(v, field.zeta_pow(j).raw)
 
 
 def _combine(field, coeffs, vectors):
     acc = {}
     for tag, c in coeffs.items():
-        linalg.vec_add_into(acc, linalg.vec_scale(vectors[tag], c, field.product))
+        field.add_into(acc, field.scale(vectors[tag], c))
     return acc
 
 
@@ -138,15 +140,14 @@ class MinIndexOracle:
 
     def _reduce(self, v, combo):
         """Reduce v in place; the first index without a pivot, or None at zero."""
-        product = self.field.product
         while v:
             p = min(v)
             if p not in self.pivots:
                 return p
             row, cmb = self.pivots[p]
             c = v.pop(p)
-            linalg.vec_submul_into(v, row, c, product)
-            linalg.vec_submul_into(combo, cmb, c, product)
+            self.field.submul_into(v, row, c)
+            self.field.submul_into(combo, cmb, c)
         return None
 
     def insert(self, v, tag):
@@ -154,8 +155,8 @@ class MinIndexOracle:
         p = self._reduce(v, combo)
         if p is None:
             return combo
-        inv, product = self.field.raw_inverse(v.pop(p)), self.field.product
-        self.pivots[p] = (linalg.vec_scale(v, inv, product), linalg.vec_scale(combo, inv, product))
+        inv = self.field.raw_inverse(v.pop(p))
+        self.pivots[p] = (self.field.scale(v, inv), self.field.scale(combo, inv))
         self.tags.append(tag)
         return None
 
@@ -192,7 +193,7 @@ def _field_family(draw):
     def zeta_scaled(v):
         """v times a drawn power of zeta."""
         j = draw(st.integers(0, 4 * l - 1))
-        return linalg.vec_scale(v, field.zeta_pow(j).raw, field.product)
+        return field.scale(v, field.zeta_pow(j).raw)
 
     def free(close):
         """A drawn vector; with close, its last entry zeroes the coordinate sum."""
@@ -205,7 +206,7 @@ def _field_family(draw):
         if close:
             total = {}
             for x in v.values():
-                linalg.vec_add_into(total, {0: x})
+                field.add_into(total, {0: x})
             if total:
                 v[n - 1] = kernels.felem_neg(total[0])
         return zeta_scaled(v)
@@ -213,7 +214,7 @@ def _field_family(draw):
     def combination(vs):
         acc = {}
         for w in draw(st.lists(st.sampled_from(vs), min_size=1, max_size=3)):
-            linalg.vec_add_into(acc, linalg.vec_scale(w, draw(elem), field.product))
+            field.add_into(acc, field.scale(w, draw(elem)))
         return zeta_scaled(acc)
 
     vs = []
@@ -253,7 +254,7 @@ def test_cheapest_pivots_match_the_min_index_oracle(family):
         assert tracker.contains(q) and oracle.contains(q)
         for k in range(n):
             bad = dict(q)
-            linalg.vec_add_into(bad, {k: field.one.raw})
+            field.add_into(bad, {k: field.one.raw})
             assert not ech.contains(bad) and not tracker.contains(bad)
             assert not oracle.contains(bad)
             assert tracker.express(bad) is None and oracle.express(bad) is None
@@ -434,7 +435,7 @@ def test_echelon_membership():
     comb = {}
     for v in basis:
         c = field.elem([rng.randint(-3, 3) for _ in range(field.degree)], 1).raw
-        linalg.vec_add_into(comb, linalg.vec_scale(v, c, field.product))
+        field.add_into(comb, field.scale(v, c))
     assert e.contains(comb)
 
 
@@ -452,14 +453,14 @@ def test_tracker_express_roundtrip():
     }
     target = {}
     for i, c in coeffs.items():
-        linalg.vec_add_into(target, linalg.vec_scale(vs[i], c, field.product))
+        field.add_into(target, field.scale(vs[i], c))
     got = t.express(target)
     assert got is not None
     recon = {}
     for i, c in got.items():
-        linalg.vec_add_into(recon, linalg.vec_scale(vs[i], c, field.product))
+        field.add_into(recon, field.scale(vs[i], c))
     diff = dict(target)
-    linalg.vec_submul_into(diff, recon, field.one.raw, field.product)
+    field.submul_into(diff, recon, field.one.raw)
     assert not diff
 
 
@@ -474,7 +475,7 @@ def test_nullspace_combinations():
     # reconstruct: sum dep[i] * v_i == 0
     acc = {}
     for i, c in dep.items():
-        linalg.vec_add_into(acc, linalg.vec_scale([v1, v2, v3][i], c, field.product))
+        field.add_into(acc, field.scale([v1, v2, v3][i], c))
     assert not acc
 
 
@@ -483,5 +484,5 @@ def test_mat_mul_identity():
     rng = random.Random(1)
     a = [_rand_vec(rng, field, 5, 0.6) for _ in range(5)]
     eye = [{k: field.one.raw} for k in range(5)]
-    assert linalg.mat_mul(a, eye, field.product) == a
-    assert linalg.mat_mul(eye, a, field.product) == a
+    assert mat_mul(field, a, eye) == a
+    assert mat_mul(field, eye, a) == a

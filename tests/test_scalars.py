@@ -1,6 +1,7 @@
 """Exact scalar arithmetic: field, towers, roots, and the vanishing identities."""
 
 import random
+import re
 from fractions import Fraction
 from math import gcd
 
@@ -101,6 +102,19 @@ def test_field_inverse_of_zero_raises():
         f = CycField.for_l(l)
         with pytest.raises(NotInvertibleError):
             f.raw_inverse(f.zero.raw)
+
+
+@pytest.mark.parametrize("l", range(2, 13))
+def test_raw_inverse_refuses_a_wrong_product(l):
+    """A product compiled from red with its last row's terms dropped leaves
+    x^(2m-2) unreduced, so nums * conjugates is not rational: raw_inverse
+    raises ArithmeticError naming the field, where it would otherwise return
+    a wrong inverse without a sign."""
+    f = CycField(l)
+    f.product = kernels.compile_field(f.red[:-1] + ((),)).product
+    with pytest.raises(ArithmeticError, match=re.escape(repr(f))) as err:
+        f.raw_inverse(f.elem(range(1, f.degree + 1)).raw)
+    assert err.type is ArithmeticError
 
 
 def test_rational_zero_denominator_raises():

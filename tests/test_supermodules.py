@@ -64,11 +64,13 @@ from heckeclifford.supermodules import (
     _word_dims,
 )
 
+from matrices import mat_is_zero, mat_mul
+
 
 def _shifted(field, A, lam, v):
     """(A - lam) v, written out here so the oracles share no code with the split."""
-    w = linalg.mat_vec(A, v, field.product)
-    linalg.vec_submul_into(w, v, lam, field.product)
+    w = field.mat_vec(A, v)
+    field.submul_into(w, v, lam)
     return w
 
 
@@ -80,7 +82,6 @@ def kernel_chain_eigs(field, op_cols, lam, basis):
     elimination with the previous kernel's vectors and reading off which image
     combinations fall into their span; every step is a fresh elimination.
     """
-    product = field.product
     images = [_shifted(field, op_cols, lam, b) for b in basis]
     vectors = []
     depth = 0
@@ -94,7 +95,7 @@ def kernel_chain_eigs(field, op_cols, lam, basis):
             for s, c in dep.items():
                 if isinstance(s, tuple):
                     continue
-                linalg.vec_add_into(v, linalg.vec_scale(basis[s], c, product))
+                field.add_into(v, field.scale(basis[s], c))
             v = linalg.vec_primitive(v)
             if v:
                 new_vecs.append(v)
@@ -182,7 +183,7 @@ def test_tower_mat_vec_matches_the_full_k_matrix(case):
     # over K against the product with every K-column, and over F_p the same
     # loop on the reduced data against the reduced product
     l, tower, cols, v = case
-    want = linalg.mat_vec(_full_kmat(tower, cols), v, tower.field.product)
+    want = tower.field.mat_vec(_full_kmat(tower, cols), v)
     assert tower.mat_vec(cols, v) == want
     reduced = modp.ReducedTower(l, tower)
     (v_p, want_p) = reduced.matrix([v, want])
@@ -625,7 +626,7 @@ def _conjugated_jordan(draw, off_q=False):
         S_inv = _unit_basis(dim, field)
         S[b][a] = field.from_int(c).raw
         S_inv[b][a] = field.from_int(-c).raw
-        A = linalg.mat_mul(S, linalg.mat_mul(J, S_inv, field.product), field.product)
+        A = mat_mul(field, S, mat_mul(field, J, S_inv))
     return field, qs, A, blocks, qs + lams[len(blocks):]
 
 
@@ -796,9 +797,8 @@ def test_kmat_from_rows_matches_tower_products(indices, data):
 
 def _tower_linear(M, mats):
     """Whether every full K-matrix commutes with multiplication by each r-monomial."""
-    product = M.field.product
     return all(
-        linalg.mat_mul(G, R, product) == linalg.mat_mul(R, G, product)
+        mat_mul(M.field, G, R) == mat_mul(M.field, R, G)
         for G in mats
         for R in _mask_matrices(M.tower, M.dim)[1:]
     )
@@ -1078,7 +1078,7 @@ def _tower_operator(draw, off_q=False):
         S[a][b], S_inv[a][b] = c, -c
         S = _full_kmat(tower, _kmat_from_rows(tower, S))
         S_inv = _full_kmat(tower, _kmat_from_rows(tower, S_inv))
-        A = linalg.mat_mul(S, linalg.mat_mul(A, S_inv, field.product), field.product)
+        A = mat_mul(field, S, mat_mul(field, A, S_inv))
     return field, tower, A, dim, [q_of(l, i).raw for i in range(l)]
 
 
@@ -1098,7 +1098,7 @@ def test_tower_generator_split_matches_k_basis_split(case):
     assert got_mults == want_mults
     masks = _mask_matrices(tower, dim)
     for (i, gens, d), (_, vectors, _) in zip(got, want):
-        translates = [linalg.mat_vec(R, g, field.product) for g in gens for R in masks]
+        translates = [field.mat_vec(R, g) for g in gens for R in masks]
         assert linalg.rank_of(field, translates) == d
         assert linalg.rank_of(field, translates + vectors) == d
         assert all(_kills(field, A, qs[i], kdim, v) for v in gens)
@@ -1155,7 +1155,7 @@ def full_word_matrix(M, word):
     """Reference word matrix: the product of its generators' K-matrices."""
     acc = [{k: M.field.one.raw} for k in range(M.k_dim())]
     for key in word:
-        acc = linalg.mat_mul(acc, _full_kmat(M.tower, M.gen(key)), M.field.product)
+        acc = mat_mul(M.field, acc, _full_kmat(M.tower, M.gen(key)))
     return acc
 
 
@@ -1178,9 +1178,9 @@ def full_induce_gens(M):
                 for mono, coeff in h.terms.items():
                     mat = full_word_matrix(M, mono.generator_sequence())
                     for c, col in enumerate(mat):
-                        scaled = linalg.vec_scale(col, coeff.raw, field.product)
+                        scaled = field.scale(col, coeff.raw)
                         moved = {place[rep_pos[w2]][i]: x for i, x in scaled.items()}
-                        linalg.vec_add_into(cols[place[wk][c]], moved)
+                        field.add_into(cols[place[wk][c]], moved)
         gens[key] = cols
     return gens
 
@@ -1225,8 +1225,8 @@ def full_matrix_violations(M):
         total = [dict() for _ in range(M.k_dim())]
         for coeff, word in terms:
             for col, c in zip(total, full_word_matrix(M, word)):
-                linalg.vec_add_into(col, linalg.vec_scale(c, coeffs[coeff].raw, f.product))
-        if not linalg.mat_is_zero(total):
+                f.add_into(col, f.scale(c, coeffs[coeff].raw))
+        if not mat_is_zero(total):
             violations.append(name)
     return violations
 
@@ -1395,15 +1395,15 @@ def test_epsilon_and_delta_match_k_basis_chains(build):
 def test_supermodules_reaches_arithmetic_through_the_field():
     """supermodules does its vector arithmetic only through M.field.
 
-    It imports no kernels, reads no reduction table .red or generated
-    .product, calls no K vector function of linalg and never looks inside a
-    raw element, by unpacking a .raw into a tuple target or subscripting
-    it, so what a raw element is and how it reduces is decided in
-    scalars/linalg for Q(zeta_4l) and in modp for F_p only.
+    It imports no kernels, reads no reduction table .red, generated
+    .product or generated .kernel_set, calls no K vector function of linalg
+    and never looks inside a raw element, by unpacking a .raw into a tuple
+    target or subscripting it, so what a raw element is and how it reduces
+    is decided in scalars/linalg for Q(zeta_4l) and in modp for F_p only.
     """
 
     def k_vector_op(name):
-        return name.startswith("vec_") or name == "mat_vec"
+        return name in ("vec_primitive", "mat_vec")
 
     def is_raw(node):
         return isinstance(node, ast.Attribute) and node.attr == "raw"
@@ -1420,7 +1420,7 @@ def test_supermodules_reaches_arithmetic_through_the_field():
         elif isinstance(node, ast.Attribute):
             owner = getattr(node.value, "id", None)
             if (
-                node.attr in ("red", "product")
+                node.attr in ("red", "product", "kernel_set")
                 or owner == "kernels"
                 or (owner == "linalg" and k_vector_op(node.attr))
             ):
