@@ -160,7 +160,10 @@ def ch_standard(l, i, j, a, b):
     """Character of the irreducible labelled by the word i^a j i^b.
 
     For a + b up to -<h_i, alpha_j> this is a!b! times the single word; at
-    a + b one above that bound the two-term boundary formula applies.
+    a + b one above that bound the two-term boundary formula applies.  It is
+    the one source of the characters supermodules.relation_suites expects;
+    tests/test_supermodules.py::test_every_library_character_is_a_module_character
+    ties each label of character_library to a module built from matrices.
     """
     if abs(i - j) != 1:
         raise ValueError("indices must be adjacent")

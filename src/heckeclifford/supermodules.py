@@ -21,7 +21,7 @@ from types import MappingProxyType
 
 from . import linalg, modp
 from .algebra import HeckeClifford, t_indices
-from .grothendieck import WordSum, e_drop, shuffle
+from .grothendieck import WordSum, ch_standard, e_drop, shuffle
 from .scalars import (
     FieldElem,
     ScalarModel,
@@ -349,7 +349,7 @@ def build_R_m(l, i, m, model=None):
     """
     if model is None:
         model = ScalarModel.for_indices(l, [i])
-    if i in (0, l - 1):
+    if type_of_letter(l, i) == "Q":
         return build_L_m(l, i, m, 1, model)
     return direct_sum(build_L_m(l, i, m, 1, model), build_L_m(l, i, m, -1, model))
 
@@ -855,7 +855,7 @@ def _shift(tower, op_cols, lam, v):
 
 
 def _word_d_factor(l, word):
-    m = sum(1 for k in word if k in (0, l - 1))
+    m = sum(1 for k in word if type_of_letter(l, k) == "Q")
     return 1 << (len(word) - m // 2)
 
 
@@ -1581,6 +1581,12 @@ def relation_suites(l, suites=("s5", "shuffle")):
     each in the order made.  So the MM checks, run on the not-QQ compute's
     modules, wait in checks["MM"] until every not-QQ record is in.
 
+    Every expected character is grothendieck.ch_standard(l, i, j, a, b), the
+    irreducible i^a j i^b, at the label the check names: a module's own
+    character is matched against it, and a shuffle check shuffles such
+    characters (L(i) is the label (j, i, 0, 0) for a neighbour j) or
+    characters computed from the factors' matrices.
+
     Returns {name: {"l", "ok", "checks"}} for the names in `suites`.
     """
     s5, sh = "s5" in suites, "shuffle" in suites
@@ -1600,6 +1606,27 @@ def relation_suites(l, suites=("s5", "shuffle")):
     def match(suite, check, i, j, got, want):
         record(suite, check, i, j, got == want, repr(got))
 
+    def character(suite, check, i, j, M, a, b):
+        # M's character, matched against the irreducible i^a j i^b when the
+        # suite runs
+        got = formal_character(M)
+        if suite in checks:
+            match(suite, check, i, j, got, ch_standard(l, i, j, a, b))
+        return got
+
+    def invariance(suite, check, i, j, M, k, letter, closed=True):
+        # (kept, image): whether T_(k-1) keeps the span of the image of
+        # X_k + X_k^-1 - q(letter), recorded as passing when that is what
+        # closed says, and the image's vectors
+        image = eigen_image_vectors(M, k, letter)
+        kept, wit = invariance_witness(M, image, ("T", k - 1))
+        record(suite, check, i, j, kept == closed, wit)
+        return kept, [w for _, w in image]
+
+    def letter(i):
+        # ch L(i): the label (j, i, 0, 0) for a neighbour j
+        return ch_standard(l, i - 1 if i else 1, i, 0, 0)
+
     pairs = _pair_kinds(l)
 
     for i, j in pairs["not_QQ"]:
@@ -1609,19 +1636,14 @@ def relation_suites(l, suites=("s5", "shuffle")):
             Lj = build_L(l, j, model)
             M = induce(tensor_product(Lj, Li))
             if s5:
-                image = eigen_image_vectors(M, 2, i)
-                ok_inv, wit = invariance_witness(M, image, ("T", 1))
-                record("s5", "rank2-invariance", i, j, ok_inv, wit)
-                if ok_inv:
-                    N = submodule(M, [w for _, w in image], mu=(2,))
-                    chn = formal_character(N)
-                    match("s5", "rank2-N-character", i, j, chn, WordSum.word((i, j)))
+                kept, image = invariance("s5", "rank2-invariance", i, j, M, 2, i)
+                if kept:
+                    N = submodule(M, image, mu=(2,))
+                    character("s5", "rank2-N-character", i, j, N, 1, 0)
             Lij = build_L_ij(l, i, j, model)
             if s5:
                 record("s5", "block-ij-relations", i, j, not verify_relations(Lij))
-            chij = formal_character(Lij)
-            if s5:
-                match("s5", "block-ij-character", i, j, chij, WordSum.word((i, j)))
+            chij = character("s5", "block-ij-character", i, j, Lij, 1, 0)
             if sh or mm:
                 M3 = induce(tensor_product(Lij, Li))
                 ch3 = formal_character(M3)
@@ -1629,19 +1651,16 @@ def relation_suites(l, suites=("s5", "shuffle")):
                 qi, qj = q_of(l, i), q_of(l, j)
                 cond = qi * qj + qj * qj - 8
                 record("MM", "rank3-MM-scalar", i, j, not cond.is_zero(), repr(cond))
-                image = eigen_image_vectors(M3, 3, i)
-                closed, wit = invariance_witness(M3, image, ("T", 2))
-                record("MM", "rank3-MM-noninvariance", i, j, not closed, wit)
-                expect = WordSum({(i, i, j): 2, (i, j, i): 1})
-                match("MM", "rank3-MM-character", i, j, ch3, expect)
-                chs = formal_character(sigma_twist(M3))
-                want = expect.reversed_words()
-                match("MM", "rank3-MM-sigma-character", i, j, chs, want)
+                invariance("MM", "rank3-MM-noninvariance", i, j, M3, 3, i, closed=False)
+                want = ch_standard(l, i, j, 2, 0)
+                match("MM", "rank3-MM-character", i, j, ch3, want)
+                character(
+                    "MM", "rank3-MM-sigma-character", i, j, sigma_twist(M3), 0, 2
+                )
             if sh:
-                got = formal_character(M)
-                want = shuffle(WordSum.word((j,)), WordSum.word((i,)))
-                match("shuffle", "shuffle-Lj-Li", i, j, got, want)
-                want3 = shuffle(chij, WordSum.word((i,)))
+                want = shuffle(letter(j), letter(i))
+                match("shuffle", "shuffle-Lj-Li", i, j, formal_character(M), want)
+                want3 = shuffle(chij, letter(i))
                 if type_of_letter(l, i) == "Q":
                     # both factors type Q (j is not, in a not-QQ pair): the
                     # plain tensor doubles the half tensor, so its induced
@@ -1662,7 +1681,7 @@ def relation_suites(l, suites=("s5", "shuffle")):
             else:
                 pair = tensor_product(Li, Li)
             got = formal_character(induce(pair))
-            want = shuffle(WordSum.word((i,)), WordSum.word((i,)))
+            want = shuffle(letter(i), letter(i))
             match("shuffle", "shuffle-Li-Li", i, i, got, want)
 
         with_splitting(lambda i=i: ScalarModel.for_indices(l, [i]), compute)
@@ -1674,46 +1693,34 @@ def relation_suites(l, suites=("s5", "shuffle")):
                 record("s5", "half-tensor-relations", i, j, not verify_relations(W))
             M3 = induce(W)
             if s5:
-                image = eigen_image_vectors(M3, 3, i)
-                ok_inv, wit = invariance_witness(M3, image, ("T", 2))
-                record("s5", "rank3-QM-invariance", i, j, ok_inv, wit)
-                N, Liji = quotient(M3, [w for _, w in image], mu=(3,))
-                want = WordSum.word((i, i, j), 2)
-                match("s5", "rank3-QM-N-character", i, j, formal_character(N), want)
-                chq = formal_character(Liji)
-                want = WordSum.word((i, j, i))
-                match("s5", "rank3-QM-quotient-character", i, j, chq, want)
+                _, image = invariance("s5", "rank3-QM-invariance", i, j, M3, 3, i)
+                N, Liji = quotient(M3, image, mu=(3,))
+                character("s5", "rank3-QM-N-character", i, j, N, 2, 0)
+                character("s5", "rank3-QM-quotient-character", i, j, Liji, 1, 1)
             Liij = _block_iij(l, i, j, W, M3)
             if s5:
                 record("s5", "block-iij-relations", i, j, True)
-            chiij = formal_character(Liij)
+            chiij = character("s5", "block-iij-character", i, j, Liij, 2, 0)
             if s5:
-                want = WordSum.word((i, i, j), 2)
-                match("s5", "block-iij-character", i, j, chiij, want)
                 # rank 4
                 cond = q_of(l, j) + 2 * q_of(l, i)
                 record("s5", "rank4-QM-scalar", i, j, not cond.is_zero(), repr(cond))
             Li = build_L(l, i, model)
             M4 = induce(tensor_product(Liij, Li))
             if s5:
-                image4 = eigen_image_vectors(M4, 4, i)
-                closed, wit = invariance_witness(M4, image4, ("T", 3))
-                record("s5", "rank4-QM-noninvariance", i, j, not closed, wit)
-            ch4 = formal_character(M4)
+                invariance("s5", "rank4-QM-noninvariance", i, j, M4, 4, i, closed=False)
+            ch4 = character("s5", "rank4-QM-character", i, j, M4, 3, 0)
             if s5:
-                expect4 = WordSum({(i, i, i, j): 6, (i, i, j, i): 2})
-                match("s5", "rank4-QM-character", i, j, ch4, expect4)
-                chs4 = formal_character(sigma_twist(M4))
-                want = expect4.reversed_words()
-                match("s5", "rank4-QM-sigma-character", i, j, chs4, want)
-                chm = formal_character(induce(tensor_product(Liji, Li)))
-                expectm = WordSum({(i, j, i, i): 2, (i, i, j, i): 2})
-                match("s5", "block-ijii-character", i, j, chm, expectm)
+                character(
+                    "s5", "rank4-QM-sigma-character", i, j, sigma_twist(M4), 0, 3
+                )
+                Mm = tensor_product(Liji, Li)
+                character("s5", "block-ijii-character", i, j, induce(Mm), 1, 2)
             if sh:
                 got = formal_character(M3)
-                want = shuffle(WordSum.word((i, j)), WordSum.word((i,)))
+                want = shuffle(ch_standard(l, i, j, 1, 0), letter(i))
                 match("shuffle", "shuffle-W-star", i, j, got, want)
-                want4 = shuffle(chiij, WordSum.word((i,)))
+                want4 = shuffle(chiij, letter(i))
                 match("shuffle", "shuffle-Liij-Li", i, j, ch4, want4)
 
         with_splitting(lambda i=i, j=j: ScalarModel.for_indices(l, [i, j]), compute)
@@ -1723,13 +1730,11 @@ def relation_suites(l, suites=("s5", "shuffle")):
             if s5:
                 L01 = build_L01(model)
                 record("s5", "L01-relations", 0, 1, not verify_relations(L01))
-                ch01 = formal_character(L01)
-                match("s5", "L01-character", 0, 1, ch01, WordSum.word((0, 1)))
+                character("s5", "L01-character", 0, 1, L01, 1, 0)
             L001 = build_L001(model)
             if s5:
                 record("s5", "L001-relations", 0, 1, not verify_relations(L001))
-                ch001 = formal_character(L001)
-                match("s5", "L001-character", 0, 1, ch001, WordSum.word((0, 0, 1), 2))
+                character("s5", "L001-character", 0, 1, L001, 2, 0)
             ext = _star_L0(L001)
             if s5:
                 record("s5", "L001*L0-relations", 0, 1, not verify_relations(ext))
@@ -1739,16 +1744,10 @@ def relation_suites(l, suites=("s5", "shuffle")):
                 record("s5", "rank4-l2-scalar", 0, 1, ok, repr(2 * f.xi))
             M4 = induce(ext)
             if s5:
-                image4 = eigen_image_vectors(M4, 4, 0)
-                closed, wit = invariance_witness(M4, image4, ("T", 3))
-                record("s5", "rank4-l2-noninvariance", 0, 1, not closed, wit)
-            ch4 = formal_character(M4)
+                invariance("s5", "rank4-l2-noninvariance", 0, 1, M4, 4, 0, closed=False)
+            ch4 = character("s5", "block-0010-character", 0, 1, M4, 3, 0)
             if s5:
-                expect4 = WordSum({(0, 0, 0, 1): 6, (0, 0, 1, 0): 2})
-                match("s5", "block-0010-character", 0, 1, ch4, expect4)
-                chs4 = formal_character(sigma_twist(M4))
-                want = expect4.reversed_words()
-                match("s5", "block-1000-character", 0, 1, chs4, want)
+                character("s5", "block-1000-character", 0, 1, sigma_twist(M4), 0, 3)
             L0 = build_L(2, 0, model)
             th0 = theta_for_end_letter(L0)
             if s5:
@@ -1756,25 +1755,18 @@ def relation_suites(l, suites=("s5", "shuffle")):
                 T3 = tensor_product(L01, L0)
                 M3 = induce(T3)
                 theta3 = ind_theta(T3, tensor_theta_right(L01, L0, th0), 3)
-                image3 = eigen_image_vectors(M3, 3, 0)
-                ok_inv, wit = invariance_witness(M3, image3, ("T", 2))
-                record("s5", "block-010-invariance", 0, 1, ok_inv, wit)
-                _, L010 = quotient(
-                    M3, [w for _, w in image3], mu=(3,), extra_ops={"theta": theta3}
-                )
-                ch010 = formal_character(L010)
-                match("s5", "block-010-character", 0, 1, ch010, WordSum.word((0, 1, 0)))
+                _, image3 = invariance("s5", "block-010-invariance", 0, 1, M3, 3, 0)
+                _, L010 = quotient(M3, image3, mu=(3,), extra_ops={"theta": theta3})
+                character("s5", "block-010-character", 0, 1, L010, 1, 1)
                 star = circled_star(L010, L010.extra["theta"], L0, th0)
-                ch0100 = formal_character(induce(star))
-                expect0100 = WordSum({(0, 1, 0, 0): 2, (0, 0, 1, 0): 2})
-                match("s5", "block-0100-character", 0, 1, ch0100, expect0100)
+                character("s5", "block-0100-character", 0, 1, induce(star), 1, 2)
             if sh:
                 L1 = build_L(2, 1, model)
                 star = circled_star(L0, th0, L1, theta_for_end_letter(L1))
                 got = formal_character(induce(star))
-                want = shuffle(WordSum.word((0,)), WordSum.word((1,)))
+                want = shuffle(letter(0), letter(1))
                 match("shuffle", "shuffle-L0-star-L1", 0, 1, got, want)
-                want4 = shuffle(WordSum.word((0, 0, 1), 2), WordSum.word((0,)))
+                want4 = shuffle(ch_standard(2, 0, 1, 2, 0), letter(0))
                 match("shuffle", "shuffle-L001-star-L0", 0, 1, ch4, want4)
 
         with_splitting(lambda: ScalarModel.for_indices(2, []), compute)

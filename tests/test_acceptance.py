@@ -169,7 +169,9 @@ def test_single_suite_runs_match_the_joint_pass(s5_reports):
 
 
 # sha256 of the stdout of `relations --suite all --l <l>`, recorded at commit
-# 49f3237, before the MM checks moved into the not-QQ pairs' compute
+# 49f3237, before the MM checks moved into the not-QQ pairs' compute (l = 6..12),
+# and at 47bcb32, before the expected characters came from ch_standard
+# (l = 13..24, no character declining mod p)
 RELATIONS_DIGESTS = {
     6: "e048916e2198fa09354934dd29404ea19d3f5592a1f1e5b2f31b908d5c18a61f",
     7: "beca8816de997324a1f7f9fc07365ea52bc8b8350b92e83ce8e5da01e16446a4",
@@ -178,6 +180,18 @@ RELATIONS_DIGESTS = {
     10: "853ae0b8a00cac5095bb5167ee75a24bdfd84f946a6ec1b48eb328154db82db0",
     11: "f8578320f35934659e1eff898556d3c7526fdbcf2a7e4c1f6249b13a9da4ce95",
     12: "1054088c6b98bb649448b8822eb2f9afc5f384f1570f557a2eb002edb12420f0",
+    13: "59b843b4f097a4ecf66e2dbea1cbb36452fe5f7869d718079579ffdbd6915754",
+    14: "94143b9c76265fe5a8cb3e7018fc95a8d68a8a5767e018d974eee03cf18baa2f",
+    15: "0f0f395e3b9886621bd0abd37984c499d91164a4865977057165096de2266293",
+    16: "8bfd473f188129b76b12ceec2cd6bbda44dda248baa1fca758790f61a88f90cf",
+    17: "70a2167308a6e17985d73789ee44d1946ae5e38ead61446b70c94b7340925bc8",
+    18: "6f714970c48c7ae30e84c9882361ff5694b1de553e383684799ebe5ad67b90aa",
+    19: "3f3dfc12c8ea8d33e300eb554e2eee46b725b4f363cc3cfd04b9364d5155b55f",
+    20: "9bd7924e735b9849baddfb75205f3b0b77d372ba25c6d8ef3cf1ac039fb09aa0",
+    21: "b5d53ce298041ec3409e6d77541747544844c7214e673bd06b417817636f85b7",
+    22: "0c4531446634254a58f655141b790382bde867c4806b8dd34401c5afcc5efc37",
+    23: "e1b815da55e0b6aaddeb721861d32e9778eb075ccf03349106e70477825ae27b",
+    24: "d7140faf5cb58472eba52dc65bb914fdef802d157755b742d2f43ca6eb7a0e75",
 }
 
 
@@ -185,8 +199,8 @@ RELATIONS_DIGESTS = {
 def test_large_l_relations_reports_are_byte_stable(l, capsys, monkeypatch):
     """The l = 6, 7 reports match their digests, and no character declines mod p.
 
-    l = 8..12 take 3 to 9 s each, so check them by hand before a fast path
-    lands, each against its digest above:
+    l = 8..24 take 1 to 15 s each, so check them by hand before a fast path
+    or a change to the suites lands, each against its digest above:
 
         PYTHONPATH=src python -m heckeclifford.cli relations --suite all --l 8 | sha256sum
     """

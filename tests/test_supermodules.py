@@ -4,6 +4,7 @@ import ast
 import collections
 import gc
 import hashlib
+import inspect
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, strategies as st
 
 from heckeclifford import linalg, modp, supermodules
 from heckeclifford.algebra import HeckeClifford
-from heckeclifford.grothendieck import WordSum, shuffle
+from heckeclifford.grothendieck import WordSum, character_library, shuffle
 from heckeclifford.scalars import CycField, ScalarModel, Tower, q_of
 from heckeclifford.supermodules import (
     InexactDivisionError,
@@ -1014,6 +1015,83 @@ def test_relation_suites_build_L001_once_at_l2(monkeypatch):
     reports = relation_suites(2)
     assert all(rep["ok"] for rep in reports.values())
     assert calls == 1
+
+
+def _sign_twist(M):
+    """Pullback along X_k^(+-1) -> -X_k^(+-1), with every C_k and T_j fixed.
+
+    Each defining relation has one X factor in every term, or X_k X_k^-1, so
+    this is an automorphism; X_k + X_k^-1 changes sign, and -q(i) = q(l-1-i)
+    sends each letter i to l - 1 - i.
+    """
+    minus = (-M.field.one).raw
+    gens = {
+        key: [M.field.scale(c, minus) for c in G] if key[0] == "X" else G
+        for key, G in M.gens.items()
+    }
+    return MatrixSupermodule(M.model, M.n, M.mu, M.parity, gens)
+
+
+def _on_words(ws, f):
+    return WordSum({f(w): c for w, c in ws.terms.items()})
+
+
+@pytest.mark.parametrize("l", [2, 3, 4, 5])
+def test_every_library_character_is_a_module_character(l, monkeypatch):
+    # ch_standard is the one source of the expected characters: each label of
+    # character_library(l) is the formal character of a module built from
+    # matrices, one the relation suites characterise or build_L(l, j), or a
+    # twist of one.  A label no module realises would be formula-only.
+    built = []
+    original = supermodules.formal_character
+
+    def captured(M):
+        ch = original(M)
+        built.append((M, ch))
+        return ch
+
+    monkeypatch.setattr(supermodules, "formal_character", captured)
+    assert all(rep["ok"] for rep in relation_suites(l).values())
+    monkeypatch.undo()
+    built += [(M, formal_character(M)) for M in (build_L(l, j) for j in range(l))]
+    built.sort(key=lambda entry: entry[0].dim)  # the smallest realisation first
+
+    def sign(w):
+        return tuple(l - 1 - k for k in w)
+
+    twists = [  # (twist, its action on words, whether it needs a full module)
+        (sigma_twist, lambda w: w[::-1], True),
+        (_sign_twist, sign, False),
+        (lambda M: _sign_twist(sigma_twist(M)), lambda w: sign(w[::-1]), True),
+    ]
+    formula_only = []
+    for label, want in character_library(l):
+        if any(ch == want for _, ch in built):
+            continue
+        for twist, on_words, full in twists:
+            M = next(
+                (
+                    M
+                    for M, ch in built
+                    if (M.mu == (M.n,) or not full) and _on_words(ch, on_words) == want
+                ),
+                None,
+            )
+            if M is not None:
+                T = twist(M)
+                assert verify_relations(T) == []
+                assert formal_character(T) == want, label
+                break
+        else:
+            formula_only.append(label)
+    assert formula_only == []
+
+
+def test_relation_suites_types_no_expected_character():
+    # every expected character is ch_standard at a label: no WordSum literal
+    tree = ast.parse(inspect.getsource(supermodules.relation_suites))
+    calls = [ast.unparse(n) for n in ast.walk(tree) if isinstance(n, ast.Call)]
+    assert [c for c in calls if c.startswith(("WordSum(", "WordSum."))] == []
 
 
 # discriminants d = s^2 that are squares in every Q(zeta_4l), with s
