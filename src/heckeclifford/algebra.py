@@ -1,12 +1,15 @@
 """The affine Hecke-Clifford superalgebra as a rewriting system.
 
-Elements are linear combinations of PBW monomials X^alpha C^beta T_w with
-alpha a Laurent exponent vector, beta a Clifford mask and w a permutation
-(stored in one-line notation; the canonical reduced word is the
-lexicographically smallest one).  Products are computed by folding the right
-factor one generator at a time into the left factor's normal form, so only
-the defining relations and the exchange identities of the one table
-`_exchange` are ever applied.
+Elements are linear combinations of PBW monomials T_w X^alpha C^beta with w a
+permutation (stored in one-line notation; the canonical reduced word is the
+lexicographically smallest one), alpha a Laurent exponent vector and beta a
+Clifford mask.  Products are computed by folding the right factor one
+generator at a time into the left factor's normal form: an X or C merges into
+X^alpha C^beta on the right, and T_i crosses it by the exchange identities of
+the one table `_exchange`, so only those and the defining relations are ever
+applied.  With the T's on the left, the decomposition over a parabolic is
+read off the monomials: T_w = T_w0 T_u for w0 the minimal coset
+representative of w.
 
 Generators are written ("X", j, s) with s in {+1, -1}, ("C", j), ("T", i),
 all 1-based as in the algebra's presentation.
@@ -73,30 +76,30 @@ def reduced_word(w):
 
 
 def _exchange(i, gen):
-    """T_i * gen for gen = X_j^(+-1) or C_j, as (coeff, word) terms.
+    """gen * T_i for gen = X_j^(+-1) or C_j, as (coeff, word) terms.
 
     coeff is 1, "xi" or "-xi"; a word is a generator sequence applied left to
-    right, ending in T_i where the identity does.
+    right, starting with T_i where the identity does.
     """
     s = gen[2] if gen[0] == "X" else 1
     ci, cj, t = ("C", i), ("C", i + 1), ("T", i)
     xa, xb = ("X", i, s), ("X", i + 1, s)
     table = {
-        # T_i C_i = C_{i+1} T_i
-        ("C", 0, 1): [(1, (cj, t))],
-        # T_i C_{i+1} = C_i T_i - xi C_i + xi C_{i+1}
-        ("C", 1, 1): [(1, (ci, t)), ("-xi", (ci,)), ("xi", (cj,))],
-        # T_i X_i = X_{i+1} T_i - xi X_{i+1} - xi C_i C_{i+1} X_i
-        ("X", 0, 1): [(1, (xb, t)), ("-xi", (xb,)), ("-xi", (ci, cj, xa))],
-        # T_i X_i^-1 = X_{i+1}^-1 T_i + xi X_i^-1 + xi X_{i+1}^-1 C_i C_{i+1}
-        ("X", 0, -1): [(1, (xb, t)), ("xi", (xa,)), ("xi", (xb, ci, cj))],
-        # T_i X_{i+1} = X_i T_i + xi X_{i+1} - xi C_i C_{i+1} X_{i+1}
-        ("X", 1, 1): [(1, (xa, t)), ("xi", (xb,)), ("-xi", (ci, cj, xb))],
-        # T_i X_{i+1}^-1 = X_i^-1 T_i - xi X_i^-1 + xi X_i^-1 C_i C_{i+1}
-        ("X", 1, -1): [(1, (xa, t)), ("-xi", (xa,)), ("xi", (xa, ci, cj))],
+        # C_i T_i = T_i C_{i+1} + xi C_i - xi C_{i+1}
+        ("C", 0, 1): [(1, (t, cj)), ("xi", (ci,)), ("-xi", (cj,))],
+        # C_{i+1} T_i = T_i C_i
+        ("C", 1, 1): [(1, (t, ci))],
+        # X_i T_i = T_i X_{i+1} - xi X_{i+1} + xi C_i C_{i+1} X_{i+1}
+        ("X", 0, 1): [(1, (t, xb)), ("-xi", (xb,)), ("xi", (ci, cj, xb))],
+        # X_i^-1 T_i = T_i X_{i+1}^-1 + xi X_i^-1 - xi X_i^-1 C_i C_{i+1}
+        ("X", 0, -1): [(1, (t, xb)), ("xi", (xa,)), ("-xi", (xa, ci, cj))],
+        # X_{i+1} T_i = T_i X_i + xi X_{i+1} + xi C_i C_{i+1} X_i
+        ("X", 1, 1): [(1, (t, xa)), ("xi", (xb,)), ("xi", (ci, cj, xa))],
+        # X_{i+1}^-1 T_i = T_i X_i^-1 - xi X_i^-1 - xi X_{i+1}^-1 C_i C_{i+1}
+        ("X", 1, -1): [(1, (t, xa)), ("-xi", (xa,)), ("-xi", (xb, ci, cj))],
     }
-    # T_i g = g T_i for g off i and i+1
-    return table.get((gen[0], gen[1] - i, s), [(1, (gen, t))])
+    # g T_i = T_i g for g off i and i+1
+    return table.get((gen[0], gen[1] - i, s), [(1, (t, gen))])
 
 
 def _add_terms(out, terms, scale=None):
@@ -115,7 +118,11 @@ def _add_terms(out, terms, scale=None):
 
 
 class NormalMonomial:
-    """Immutable PBW monomial X^alpha C^beta T_w."""
+    """Immutable PBW monomial T_w X^alpha C^beta, built from (alpha, beta, w).
+
+    The T's stand on the left, so the coset decomposition over a parabolic
+    is read off each monomial (HeckeClifford.coset_decompose).
+    """
 
     __slots__ = ("alpha", "beta", "w")
 
@@ -126,7 +133,7 @@ class NormalMonomial:
 
     @property
     def key(self):
-        return (self.alpha, self.beta, self.w)
+        return (self.w, self.alpha, self.beta)
 
     def __eq__(self, other):
         return (
@@ -137,32 +144,45 @@ class NormalMonomial:
         )
 
     def __hash__(self):
-        return hash((self.alpha, self.beta, self.w))
+        return hash((self.w, self.alpha, self.beta))
 
     def reduced_word(self):
         return reduced_word(self.w)
 
+    def split_last(self):
+        """(m', g) with self = m' g for g the last X or C factor; None if none."""
+        for j in range(len(self.beta), 0, -1):
+            if self.beta[j - 1]:
+                beta = list(self.beta)
+                beta[j - 1] = 0
+                return NormalMonomial(self.alpha, beta, self.w), ("C", j)
+        for j in range(len(self.alpha), 0, -1):
+            a = self.alpha[j - 1]
+            if a:
+                s = 1 if a > 0 else -1
+                alpha = list(self.alpha)
+                alpha[j - 1] -= s
+                return NormalMonomial(alpha, self.beta, self.w), ("X", j, s)
+        return None
+
     def generator_sequence(self):
-        seq = []
+        seq = [("T", i) for i in self.reduced_word()]
         for j, a in enumerate(self.alpha, start=1):
             s = 1 if a > 0 else -1
             seq.extend([("X", j, s)] * abs(a))
         for j, b in enumerate(self.beta, start=1):
             if b:
                 seq.append(("C", j))
-        seq.extend(("T", i) for i in self.reduced_word())
         return seq
 
     def __repr__(self):
-        parts = []
+        parts = [f"T{i}" for i in self.reduced_word()]
         for j, a in enumerate(self.alpha, start=1):
             if a:
                 parts.append(f"X{j}" if a == 1 else f"X{j}^{a}")
         for j, b in enumerate(self.beta, start=1):
             if b:
                 parts.append(f"C{j}")
-        for i in self.reduced_word():
-            parts.append(f"T{i}")
         return "*".join(parts) if parts else "1"
 
 
@@ -312,30 +332,29 @@ class HeckeClifford:
     def _rewrite(self, m, gen):
         one, xi = self.field.one, self.field.xi
         kind, j = gen[0], gen[1]
-        if kind == "T":
+        if kind == "C":  # merges into C^b, anticommuting past higher-index C's
+            beta = list(m.beta)
+            coeff = -one if sum(beta[j:]) & 1 else one
+            beta[j - 1] ^= 1
+            return {NormalMonomial(m.alpha, beta, m.w): coeff}
+        if kind == "X":  # merges into X^a; C_j flips the exponent direction
+            alpha = list(m.alpha)
+            alpha[j - 1] += -gen[2] if m.beta[j - 1] else gen[2]
+            return {NormalMonomial(alpha, m.beta, m.w): one}
+        last = m.split_last()
+        if last is None:  # m = T_w
             w2 = perm_right_mult_s(m.w, j)
             if m.w[j - 1] < m.w[j]:  # ascent: length grows
                 return {NormalMonomial(m.alpha, m.beta, w2): one}
-            # T_w T_i = xi T_w + T_{w s_i}
+            # T_w T_j = xi T_w + T_{w s_j}
             return {m: xi, NormalMonomial(m.alpha, m.beta, w2): one}
-        i = next((i for i in range(1, self.n) if m.w[i - 1] > m.w[i]), None)
-        if i is None:  # w = id: the generator merges into X^a C^b
-            alpha, beta = list(m.alpha), list(m.beta)
-            if kind == "C":
-                # anticommute past higher-index C's
-                coeff = -one if sum(beta[j:]) & 1 else one
-                beta[j - 1] ^= 1
-                return {NormalMonomial(alpha, beta, m.w): coeff}
-            # C_j flips the exponent direction
-            alpha[j - 1] += -gen[2] if beta[j - 1] else gen[2]
-            return {NormalMonomial(alpha, beta, m.w): one}
-        # T_w = T_{w s_i} T_i at the smallest right descent i
-        base = NormalMonomial(m.alpha, m.beta, perm_right_mult_s(m.w, i))
+        # m T_j = m' (g T_j) for the last X or C factor g of m
+        base, g = last
         out = {}
-        for coeff, word in _exchange(i, gen):
+        for coeff, word in _exchange(j, g):
             cur = HElement(self, {base: one})
-            for g in word:
-                cur = self.mul_gen(cur, g)
+            for h in word:
+                cur = self.mul_gen(cur, h)
             scale = None if coeff == 1 else xi if coeff == "xi" else -xi
             _add_terms(out, cur.terms, scale)
         return out
@@ -424,47 +443,16 @@ class HeckeClifford:
         """Write h = sum_w T_w h_w with h_w in the parabolic of shape mu.
 
         Returns {w: HElement} keyed by the minimal-length representatives.
-        Uniqueness comes from the PBW basis; correctness is checked by the
-        round-trip test sum T_w h_w == h.
+        A monomial T_v X^a C^b, with v = w u split by min_coset_rep, is
+        T_w (T_u X^a C^b) because the lengths add, so h_w collects the
+        T_u X^a C^b of the monomials whose v lies in w S_mu; the h_w are
+        unique because the monomials are a basis.
         """
-        result = {}
-        work = h
-        guard = 0
-        while not work.is_zero():
-            guard += 1
-            if guard > 100000:
-                raise RuntimeError("coset decomposition failed to terminate")
-            # monomial with the longest coset part
-            best = None
-            for m in work.terms:
-                w0, u = self.min_coset_rep(mu, m.w)
-                lw = perm_length(w0)
-                if best is None or lw > best[0]:
-                    best = (lw, m, w0, u)
-            _, m, w0, u = best
-            c = work.terms[m]
-            # target inner monomial: positions permuted through T_{w0}
-            alpha2 = tuple(m.alpha[w0[k] - 1] for k in range(self.n))
-            beta2 = tuple(m.beta[w0[k] - 1] for k in range(self.n))
-            # sign of reordering the Clifford factors
-            targets = [w0[k] for k in range(self.n) if beta2[k]]
-            invs = sum(
-                1
-                for a in range(len(targets))
-                for b in range(a + 1, len(targets))
-                if targets[a] > targets[b]
-            )
-            sign = -1 if invs & 1 else 1
-            inner = self.monomial_elem(
-                NormalMonomial(alpha2, beta2, u), -c if sign == -1 else c
-            )
-            prev = result.get(w0)
-            result[w0] = inner if prev is None else prev + inner
-            t_rep = self.monomial_elem(
-                NormalMonomial((0,) * self.n, (0,) * self.n, w0)
-            )
-            work = work - self.multiply(t_rep, inner)
-        return {w: e for w, e in result.items() if not e.is_zero()}
+        blocks = {}
+        for m, c in h.terms.items():
+            w, u = self.min_coset_rep(mu, m.w)
+            blocks.setdefault(w, {})[NormalMonomial(m.alpha, m.beta, u)] = c
+        return {w: HElement(self, terms) for w, terms in blocks.items()}
 
     def coset_action(self, mu, gen, w):
         """coset_decompose(gen * T_w, mu), cached per (mu, gen, w)."""

@@ -5,8 +5,9 @@ where raw is the field's element format: the kernel-level one of Q(zeta_4l)
 (scalars.CycField) or an int residue (modp.PrimeField).  Vector arithmetic is
 the field's own: CycField's scale, add_into, submul_into and mat_vec are the
 loops kernels.compile_field generates for it, PrimeField's are int loops.
-What remains here of Q(zeta_4l) is vec_primitive and mat_vec, the one entry
-point through which CycField applies a matrix by its generated loop.
+What remains here of Q(zeta_4l) is mat_vec, the one entry point through
+which CycField applies a matrix by its generated loop; linalg never reads a
+raw element itself.
 
 A Tracker is an Echelon that also tracks each row as a combination of the
 inserted vectors; both run one elimination loop, _eliminate, over pivot rows
@@ -18,34 +19,6 @@ columns.
 """
 
 from __future__ import annotations
-
-
-def vec_primitive(v):
-    """Scale a vector to integer-primitive form (content 1, denominators 1).
-
-    Rescaling does not change the spanned line; using primitive vectors at
-    materialization points keeps coefficient growth under control in iterated
-    eliminations.
-    """
-    from math import gcd
-
-    if not v:
-        return v
-    den_lcm = 1
-    for nums, den in v.values():
-        den_lcm = den_lcm // gcd(den_lcm, den) * den
-    g = 0
-    scaled = {}
-    for k, (nums, den) in v.items():
-        f = den_lcm // den
-        nn = tuple(x * f for x in nums)
-        scaled[k] = nn
-        for x in nn:
-            if x:
-                g = gcd(g, x)
-    if g == 0:
-        return {}
-    return {k: (tuple(x // g for x in nn), 1) for k, nn in scaled.items()}
 
 
 def mat_vec(cols, v, loop):

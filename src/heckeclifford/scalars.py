@@ -209,15 +209,18 @@ class CycField:
         self.modulus = phi
         m = len(phi) - 1
         self.degree = m
-        rows = []
-        cur = [-c for c in phi[:m]]  # x^m
-        rows.append(tuple(cur))
-        for _ in range(m + 1, 2 * m - 1):
+        # powers of zeta within one period, shifted and reduced by x^m
+        x_m = [-c for c in phi[:m]]
+        pows = []
+        cur = [1] + [0] * (m - 1)
+        for _ in range(4 * l):
+            pows.append(tuple(cur))
             top = cur[m - 1]
             cur = [0] + cur[: m - 1]
             if top:
-                cur = [cur[k] + top * rows[0][k] for k in range(m)]
-            rows.append(tuple(cur))
+                cur = [cur[k] + top * x_m[k] for k in range(m)]
+        # the reductions of x^m .. x^(2m-2), within the period as m <= 2l
+        rows = pows[m : 2 * m - 1]
         self.red = tuple(tuple((k, r) for k, r in enumerate(row) if r) for row in rows)
         # the field protocol's scale, add_into and submul_into are the
         # generated loops themselves, bound here
@@ -230,16 +233,7 @@ class CycField:
         self.zero = FieldElem(self, (self._zero_nums, 1))
         self.one = self.from_int(1)
         self.zero_raw, self.one_raw = self.zero.raw, self.one.raw
-        # powers of zeta within one period
-        pows = []
-        cur = [1] + [0] * (m - 1)
-        for _ in range(4 * l):
-            pows.append(FieldElem(self, (tuple(cur), 1)))
-            top = cur[m - 1]
-            cur = [0] + cur[: m - 1]
-            if top:
-                cur = [cur[k] + top * rows[0][k] for k in range(m)]
-        self._zeta_pows = pows
+        self._zeta_pows = [FieldElem(self, (p, 1)) for p in pows]
         self.q = self.zeta_pow(1)
         self.q_inv = self.zeta_pow(-1)
         self.xi = self.q - self.q_inv
@@ -337,7 +331,29 @@ class CycField:
         return linalg.mat_vec(cols, v, self.kernel_set.mat_vec)
 
     def primitive(self, v):
-        return linalg.vec_primitive(v)
+        """Scale a vector to integer-primitive form (content 1, denominators 1).
+
+        Rescaling does not change the spanned line; using primitive vectors at
+        materialization points keeps coefficient growth under control in
+        iterated eliminations.
+        """
+        if not v:
+            return v
+        den_lcm = 1
+        for nums, den in v.values():
+            den_lcm = den_lcm // gcd(den_lcm, den) * den
+        g = 0
+        scaled = {}
+        for k, (nums, den) in v.items():
+            f = den_lcm // den
+            nn = tuple(x * f for x in nums)
+            scaled[k] = nn
+            for x in nn:
+                if x:
+                    g = gcd(g, x)
+        if g == 0:
+            return {}
+        return {k: (tuple(x // g for x in nn), 1) for k, nn in scaled.items()}
 
     def __repr__(self):
         return f"CycField(l={self.l})"

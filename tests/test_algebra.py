@@ -7,12 +7,14 @@ import pytest
 from heckeclifford.algebra import (
     HeckeClifford,
     NormalMonomial,
+    _exchange,
     perm_identity,
     perm_length,
     reduced_word,
     t_indices,
 )
 from heckeclifford.scalars import CycField
+from heckeclifford.supermodules import build_L001, build_L_ij
 
 
 def alg(l, n):
@@ -82,7 +84,8 @@ def _off(i):
     return 3 if i == 1 else 1
 
 
-# T_i * g and its hand-written right side, one entry per exchange row
+# T_i * g and its hand-written right side, one entry per generator kind: the
+# identities that the table's g * T_i rows rearrange, through the engine
 EXCHANGE_ROWS = {
     # T_i X_{i+1} = X_i T_i + xi X_{i+1} - xi C_i C_{i+1} X_{i+1}
     "X_(i+1)": lambda a, i, xi: (
@@ -112,6 +115,30 @@ def test_exchange_rows_at_rank_3(i, row):
     a = alg(2, 3)
     lhs, rhs = EXCHANGE_ROWS[row](a, i, a.field.xi)
     assert lhs == rhs
+
+
+@pytest.mark.parametrize(
+    "build",
+    [lambda: build_L_ij(3, 0, 1), lambda: build_L_ij(4, 1, 2), build_L001],
+    ids=["L_01@l3", "L_12@l4", "L001"],
+)
+def test_exchange_table_holds_on_modules(build):
+    """Every row g T_i = sum coeff * word of _exchange, as matrices on a module.
+
+    Both sides are read on the unit vectors e_t through the module's word
+    chains, so no product of the rewriting engine is involved.
+    """
+    M = build()
+    f = M.field
+    scale = {1: f.one.raw, "xi": f.xi.raw, "-xi": (-f.xi).raw}
+    gens = [g for g in M.gen_keys() if g[0] != "T"]
+    for i in M.t_indices():
+        for g in gens:
+            for t in range(M.dim):
+                total = f.scale(M._chain((g, ("T", i)))[t], (-f.one).raw)
+                for coeff, word in _exchange(i, g):
+                    f.add_into(total, f.scale(M._chain(word)[t], scale[coeff]))
+                assert not total, (i, g, t)
 
 
 def _defining_relation_residuals(a):
@@ -247,23 +274,42 @@ def test_coset_decompose_examples():
     assert d[(1, 2, 3)] == a.t(1)
 
 
-def test_coset_decompose_roundtrip_random():
+def _coset_inputs():
+    """(algebra, mu, random element) for the coset decomposition tests."""
     rng = random.Random(12)
     for l, n, mu in [(2, 3, (2, 1)), (3, 3, (1, 2)), (2, 4, (3, 1)), (3, 4, (2, 2))]:
         a = alg(l, n)
         for _ in range(6):
-            h = _random_element(rng, a, nterms=3)
-            d = a.coset_decompose(h, mu)
-            total = a.zero()
-            t_ok = set(t_indices(mu))
-            for w, hw in d.items():
-                # h_w really lives in the parabolic
-                for m in hw.terms:
-                    assert a.in_parabolic(mu, m.w)
-                    assert set(m.reduced_word()) <= t_ok
-                tw = a.monomial_elem(NormalMonomial((0,) * n, (0,) * n, w))
-                total = total + tw * hw
-            assert total == h
+            yield a, mu, _random_element(rng, a, nterms=3)
+
+
+def test_coset_decompose_roundtrip_random():
+    for a, mu, h in _coset_inputs():
+        n = a.n
+        d = a.coset_decompose(h, mu)
+        total = a.zero()
+        t_ok = set(t_indices(mu))
+        for w, hw in d.items():
+            # h_w really lives in the parabolic
+            for m in hw.terms:
+                assert a.in_parabolic(mu, m.w)
+                assert set(m.reduced_word()) <= t_ok
+            tw = a.monomial_elem(NormalMonomial((0,) * n, (0,) * n, w))
+            total = total + tw * hw
+        assert total == h
+
+
+def test_coset_decompose_reads_each_monomial(monkeypatch):
+    """The decomposition groups the monomials of h: it multiplies nothing."""
+    inputs = list(_coset_inputs())
+
+    def multiply(self, a, b):
+        raise AssertionError("coset_decompose multiplied")
+
+    monkeypatch.setattr(HeckeClifford, "multiply", multiply)
+    for a, mu, h in inputs:
+        d = a.coset_decompose(h, mu)
+        assert sum(len(hw.terms) for hw in d.values()) == len(h.terms)
 
 
 def test_x3_t2_coset_roundtrip():

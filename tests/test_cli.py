@@ -181,6 +181,11 @@ def test_byte_determinism(capsys):
     assert c == d
 
 
+def test_all_exit0(tmp_path):
+    code = main(["all", "--l", "2", "--depth", "3", "--out", str(tmp_path / "all.json")])
+    assert code == 0
+
+
 def test_out_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out = run_cli(["serre", "--l", "2", "--out", str(path)], capsys)

@@ -1,5 +1,7 @@
 """Path realization: generation, rotations, star strings, dominant cuts."""
 
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -457,8 +459,9 @@ def test_string_passes_per_path(monkeypatch):
 def test_strictness_report_catches_corrupted_string(monkeypatch, tmp_path, corrupt, kinds):
     # negative control: a string value off by one on color 1 (and, through
     # phi, the tensor rule's choice of lowering) must show in the report
-    # and fail the CLI; unpatched, the same checks pass.  The corruption is
-    # in the all-colors record, which eps, phi, f and the report all read
+    # and in the crystal part of the `all` report, failing the CLI;
+    # unpatched, the same checks find nothing.  The corruption is in the
+    # all-colors record, which eps, phi, f and the report all read
     if corrupt is not None:
         field = ("eps", "phi").index(corrupt)
         honest = PathCrystal._records
@@ -472,8 +475,13 @@ def test_strictness_report_catches_corrupted_string(monkeypatch, tmp_path, corru
     g = generate_binfty(3, 4)
     issues = [m for fam in g.nodes for m in splitting_strictness_report(fam, 3)]
     assert {m.split(" at color")[0] for m in issues} == kinds
-    code = main(["all", "--l", "2", "--depth", "3", "--out", str(tmp_path / "all.json")])
-    assert code == (1 if corrupt else 0)
+    out = tmp_path / "all.json"
+    code = main(["all", "--l", "2", "--depth", "3", "--out", str(out)])
+    crystal_issues = json.loads(out.read_text())["parts"]["crystal"]["issues"]
+    if corrupt is None:
+        assert crystal_issues == []
+    else:
+        assert crystal_issues and code == 1
 
 
 def test_blambda_membership_and_expulsion():

@@ -97,7 +97,7 @@ def kernel_chain_eigs(field, op_cols, lam, basis):
                 if isinstance(s, tuple):
                     continue
                 field.add_into(v, field.scale(basis[s], c))
-            v = linalg.vec_primitive(v)
+            v = field.primitive(v)
             if v:
                 new_vecs.append(v)
         if len(new_vecs) == len(vectors):
