@@ -173,7 +173,9 @@ class MatrixSupermodule:
     def _chain(self, seq):
         cached = self._rho_cache.get(seq)
         if cached is None:
-            if seq:
+            if len(seq) == 1:
+                cached = self.gen(seq[0])  # its columns are G(e_t) already
+            elif seq:
                 G = self.gen(seq[0])
                 cached = [self.tower.mat_vec(G, v) for v in self._chain(seq[1:])]
             else:
@@ -648,6 +650,17 @@ def tensor_product(M, N):
     return MatrixSupermodule(M.model, M.n + N.n, M.mu + N.mu, parity, gens)
 
 
+def _act(M, h, out, rows, cols):
+    """out += the matrix of the algebra element h on M, placed by _scatter."""
+    one = M.field.one
+    for mono, coeff in h.terms.items():
+        # most coefficients are one; scaling by it would cost a
+        # multiplication per entry
+        scale = None if coeff == one else coeff.raw
+        _scatter(M.field, out, M.rho(mono), rows, cols, scale)
+    return out
+
+
 def induce(M):
     """Induction from the parabolic of shape M.mu to the full algebra.
 
@@ -663,41 +676,27 @@ def induce(M):
     pos, parity = _product_basis([0] * len(reps), M.parity)
     blocks = [[pos[(wk, b)] for b in range(M.dim)] for wk in range(len(reps))]
     place = [_k_positions(rank, block) for block in blocks]
-    one = field.one
     gens = {}
     for key in _gen_keys(n, (n,)):
         cols = [{} for _ in pos]
         for wk, w in enumerate(reps):
             for w2, h in alg.coset_action(M.mu, key, w).items():
-                rows = place[rep_pos[w2]]
-                for mono, coeff in h.terms.items():
-                    # most coefficients are one; scaling by it would cost
-                    # a multiplication per entry
-                    scale = None if coeff == one else coeff.raw
-                    _scatter(field, cols, M.rho(mono), rows, blocks[wk], scale)
+                _act(M, h, cols, place[rep_pos[w2]], blocks[wk])
         gens[key] = cols
     return MatrixSupermodule(M.model, n, (n,), parity, gens)
 
 
 def sigma_twist(M):
-    """Pullback along the order-reversing automorphism (full modules only)."""
+    """Pullback along HeckeClifford.sigma: g acts as sigma(g) on M (full modules only)."""
     if M.mu != (M.n,):
         raise ValueError("sigma twist needs the full algebra")
-    n = M.n
-    f = M.field
+    alg = HeckeClifford(M.field, M.n)
+    rows, cols = range(M.k_dim()), range(M.dim)
     gens = {}
-    for k in range(1, n + 1):
-        for key in (("X", k, 1), ("X", k, -1), ("C", k)):
-            mirror = (key[0], n + 1 - k) + key[2:]
-            gens[key] = [dict(c) for c in M.gen(mirror)]
-    minus = (-f.one).raw
-    for j in range(1, n):
-        # T_j = xi - T_(n-j)
-        cols = [f.scale(c, minus) for c in M.gen(("T", n - j))]
-        for t, col in enumerate(cols):
-            f.add_into(col, {t * M.rank: f.xi.raw})
-        gens[("T", j)] = cols
-    return MatrixSupermodule(M.model, n, (n,), M.parity, gens)
+    for key in M.gen_keys():
+        h = alg.sigma(alg.gen_elem(key))
+        gens[key] = _act(M, h, [{} for _ in cols], rows, cols)
+    return MatrixSupermodule(M.model, M.n, (M.n,), M.parity, gens)
 
 
 # -- subspaces over the tower -----------------------------------------------

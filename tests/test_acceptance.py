@@ -221,6 +221,34 @@ def test_large_l_relations_reports_are_byte_stable(l, capsys, monkeypatch):
     assert hashlib.sha256(out.encode()).hexdigest() == RELATIONS_DIGESTS[l]
 
 
+# sha256 of the stdout of each command, recorded at commit 96c7840, before
+# serre_verify read one Serre relation off the Cartan matrix
+REPORT_DIGESTS = {
+    ("serre", "--l", "2"): "64973318d26d8eb9b9b2a2fdf1fe65bd7ea3f7db2f9eafc188f8a76d74d4fbb9",
+    ("serre", "--l", "3"): "696f8a8352bb7838e8630a5299ec36ba0e436e70a16bad33d0c02f04f5fa5e81",
+    ("serre", "--l", "4"): "5acfa40cee811a62ec09fb73d7e674f78b602d187a899b815f74a9fb5eb9e188",
+    ("serre", "--l", "5"): "71c6278356be46a7da30ef875c33636a81c36f2fc88886dedd39b009431ad229",
+    ("serre", "--l", "6"): "d867f8673ad15037cdf5585236c951f9c8a89dc87c2ab285fc1dc881c42c7e8a",
+    ("serre", "--l", "7"): "b2109e8d1923fcf010035388cd79d36193423e0b657cf8d3ad2dbd7ebc8514e5",
+    ("serre", "--l", "8"): "eb970e075fcb31cdcb5ca66fea6ee107a88f22eded8585f0739645735fc69dde",
+    ("serre", "--l", "9"): "46a40a8a7b09031a34b7d08ce2c690af8f65a08328228a2194adca045e567304",
+    ("serre", "--l", "10"): "03d1a2e00e5c1c9651432af3297cd3fcb28db173f4922b4bf47bcabdd1ada27b",
+    ("serre", "--l", "11"): "51fbc641c916e739187c44726cc0d237a1fbbc189a373bafe044112763380538",
+    ("serre", "--l", "12"): "559fd7350457f0099471085322e71f1bdf748941e80d6a71331ca9a98f93fc54",
+    ("char", "--l", "3"): "375e8334a3761b1ddd7744af96faf83c2172ff2d1d540cd9b3b3490d724867f6",
+    ("all", "--l", "2", "--depth", "3"): "3c60ba23329872aadb47a71c411c5eb659613d204903239fcc2fecc7539e6260",
+}
+
+
+@pytest.mark.parametrize(
+    "argv", list(REPORT_DIGESTS), ids=lambda argv: "-".join(a.lstrip("-") for a in argv)
+)
+def test_reports_are_byte_stable(argv, capsys):
+    assert main(list(argv)) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == REPORT_DIGESTS[argv]
+
+
 def test_criterion_4_characters(s5_reports):
     ok = True
     char_checks = {

@@ -16,6 +16,7 @@ from heckeclifford.grothendieck import (
     divided_power_integrality,
     e_drop,
     e_star_drop,
+    serre_relation,
     serre_verify,
     ses_check,
     shuffle,
@@ -163,16 +164,36 @@ def test_serre_verify_all_l():
 
 
 def test_serre_negative_control():
-    # the quadratic identity must NOT kill a generic word sum
-    from heckeclifford.grothendieck import _apply_ops
-
+    # the quadratic relation must NOT kill a generic word sum
     u = WordSum.word((1, 1, 2), 1)  # pretend character with wrong multiplicity
-    val = (
-        _apply_ops(u, (2, 1, 1))
-        + _apply_ops(u, (1, 1, 2))
-        - 2 * _apply_ops(u, (1, 2, 1))
-    )
-    assert not val.is_zero()
+    assert not serre_relation(u, 1, 2, 2).is_zero()
+
+
+@pytest.mark.parametrize(
+    "pair, kind, word, name",
+    [
+        ((1, 2), "iij", (1, 1, 2), "serre-quadratic"),
+        ((0, 1), "iiij", (0, 0, 0, 1), "serre-cubic"),
+    ],
+)
+def test_serre_verify_fails_on_a_planted_non_character(monkeypatch, pair, kind, word, name):
+    library = grothendieck.block_library
+
+    def planted(l, i, j):
+        lib = library(l, i, j)
+        if (i, j) == pair:
+            lib[kind].append(WordSum.word(word))
+        return lib
+
+    monkeypatch.setattr(grothendieck, "block_library", planted)
+    rep = serre_verify(4)
+    assert not rep["ok"]
+    failed = [c for c in rep["checks"] if c["status"] == "fail"]
+    i, j = pair
+    character = WordSum.word(word).to_json()
+    assert failed == [
+        {"check": name, "i": i, "j": j, "character": character, "status": "fail"}
+    ]
 
 
 def test_divided_power_integrality_library():

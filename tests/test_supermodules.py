@@ -1036,7 +1036,7 @@ def _on_words(ws, f):
     return WordSum({f(w): c for w, c in ws.terms.items()})
 
 
-@pytest.mark.parametrize("l", [2, 3, 4, 5])
+@pytest.mark.parametrize("l", [2, 3, 4, 5, 6, 7, 8])
 def test_every_library_character_is_a_module_character(l, monkeypatch):
     # ch_standard is the one source of the expected characters: each label of
     # character_library(l) is the formal character of a module built from
