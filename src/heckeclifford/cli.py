@@ -92,13 +92,10 @@ def _graph_dot(graph):
 
 
 def cmd_relations(args):
-    reports = []
-    ok = True
-    suites = ("s5", "shuffle") if args.suite == "all" else (args.suite,)
-    for name, rep in relation_suites(args.l, suites).items():
-        rep["suite"] = name
-        reports.append(rep)
-        ok &= rep["ok"]
+    suites = relation_suites(args.l)
+    names = list(suites) if args.suite == "all" else [args.suite]
+    reports = [{**suites[name], "suite": name} for name in names]
+    ok = all(rep["ok"] for rep in reports)
     _emit({"l": args.l, "ok": ok, "suites": reports}, args)
     return 0 if ok else 1
 

@@ -8,7 +8,9 @@ discriminants d_k in the field; it is a quotient ring, not necessarily a
 field, and offers no division.  On K-vectors (index t * rank + mask) it
 gives the r-translates and mat_vec, which applies a tower-linear map stored
 as its mask-0 columns.  When a discriminant is a square in the field, a
-module span over the tower is not free; supermodules reports that as an
+module span over the tower can fail to be free (it need not: at odd l,
+q((l-1)/2) = 0 gives d_((l-1)/2) = -1 = (q^l)^2, and the suites run over
+that tower unsplit); supermodules reports a failure as an
 InexactDivisionError, reads the square root off the trace of r_k on the span
 and rebuilds in the ring that `Tower.split` leaves.
 """
@@ -484,7 +486,7 @@ class Tower:
 
     At most two distinct nonzero discriminants are allowed.  The ring
     contains zero divisors when a discriminant is a square in F; a module
-    span over it is then not free, and once that square root is known `split`
+    span over it can then fail to be free, and once that root is known `split`
     produces the smaller ring.  Instances are interned per (field,
     discriminants), so equal towers are identical.
     """

@@ -808,11 +808,12 @@ def quotient(M, k_vectors, mu=None, extra_ops=None):
 
     N's T-basis and tracker come from tower_span; each unit vector e_t outside
     the span so far is a representative, inserted with its r-translates.  The
-    representatives must close the space, with K-dimension (|N-basis| +
-    |reps|) * rank, else InexactDivisionError.  Generators and extra_ops are
-    restricted to N and pushed to M/N by _subquotient in one pass, which also
-    checks that N is graded (ValueError) and invariant (NotInvariantError);
-    N is then what submodule returns on the same vectors.
+    tracker then spans every e_t and, spanned by r-translates, is closed under
+    r, so it is all of K^(dim * rank); M/N is free only if that dimension is
+    (|N-basis| + |reps|) * rank, else InexactDivisionError.  Generators and
+    extra_ops are restricted to N and pushed to M/N by _subquotient in one
+    pass, which also checks that N is graded (ValueError) and invariant
+    (NotInvariantError); N is then what submodule returns on the same vectors.
     """
     basis, tracker = tower_span(M, k_vectors)
     vectors = list(basis)
@@ -822,8 +823,6 @@ def quotient(M, k_vectors, mu=None, extra_ops=None):
             for mask, tv in enumerate(M.tower.translates(unit)):
                 tracker.insert(tv, (len(vectors), mask))
             vectors.append(unit)
-    if tracker.dim != M.k_dim():
-        raise InexactDivisionError(M, k_vectors, "quotient reps do not close")
     if tracker.dim != len(vectors) * M.rank:
         raise InexactDivisionError(
             M, k_vectors, "quotient dimension not divisible by the tower rank"
@@ -1494,14 +1493,13 @@ def discover_square_root(M, vectors):
     raise RuntimeError("no discriminant square root could be discovered")
 
 
-def with_splitting(make, compute):
+def with_splitting(model, compute):
     """Run compute(model); on an InexactDivisionError split the ring and retry.
 
     Each retry splits one discriminant off the tower, so a tower of d
     discriminants allows d retries; a failure with none left to split raises
     RuntimeError.
     """
-    model = make()
     splits = []
     while True:
         try:
@@ -1566,19 +1564,16 @@ def _pair_kinds(l):
     }
 
 
-def relation_suites(l, suites=("s5", "shuffle")):
-    """The s5 and shuffle suites named in `suites`, in one pass over the pairs.
+def relation_suites(l):
+    """The s5 and shuffle suites, in one pass over the pairs.
 
     s5: every rank 2..4 construction and invariance statement, with
     witnesses.  shuffle: ch(Ind M (*) N) = shuffle(ch M, ch N) over the built
     pair library.  Each pair's modules and characters are built once, in one
-    with_splitting compute, and serve both suites; a suite left out costs
-    nothing.  Two invariants keep the reports those of the suites run alone:
-    within each compute the s5 part runs first and in its own order, so a
-    ring split falls where the s5 suite alone would meet it; and each suite
-    lists its records by section (not-QQ, MM, letter (i, i), QM, l = 2),
-    each in the order made.  So the MM checks, run on the not-QQ compute's
-    modules, wait in checks["MM"] until every not-QQ record is in.
+    with_splitting compute, and serve both suites.  Each suite lists its
+    records by section (not-QQ, MM, letter (i, i), QM, l = 2), each in the
+    order made, so the MM checks, run on the not-QQ compute's modules, wait
+    in checks["MM"] until every not-QQ record is in.
 
     Every expected character is grothendieck.ch_standard(l, i, j, a, b), the
     irreducible i^a j i^b, at the label the check names: a module's own
@@ -1586,10 +1581,9 @@ def relation_suites(l, suites=("s5", "shuffle")):
     characters (L(i) is the label (j, i, 0, 0) for a neighbour j) or
     characters computed from the factors' matrices.
 
-    Returns {name: {"l", "ok", "checks"}} for the names in `suites`.
+    Returns {"s5": report, "shuffle": report}, each {"l", "ok", "checks"}.
     """
-    s5, sh = "s5" in suites, "shuffle" in suites
-    checks = {name: {} for name in (*suites, "MM")}
+    checks = {name: {} for name in ("s5", "shuffle", "MM")}
 
     def record(suite, check, i, j, ok, witness=None):
         # keyed so a ring-splitting retry overwrites its partial records
@@ -1606,11 +1600,9 @@ def relation_suites(l, suites=("s5", "shuffle")):
         record(suite, check, i, j, got == want, repr(got))
 
     def character(suite, check, i, j, M, a, b):
-        # M's character, matched against the irreducible i^a j i^b when the
-        # suite runs
+        # M's character, matched against the irreducible i^a j i^b
         got = formal_character(M)
-        if suite in checks:
-            match(suite, check, i, j, got, ch_standard(l, i, j, a, b))
+        match(suite, check, i, j, got, ch_standard(l, i, j, a, b))
         return got
 
     def invariance(suite, check, i, j, M, k, letter, closed=True):
@@ -1630,48 +1622,42 @@ def relation_suites(l, suites=("s5", "shuffle")):
 
     for i, j in pairs["not_QQ"]:
         def compute(model, i=i, j=j):
-            mm = s5 and type_of_letter(l, i) == type_of_letter(l, j) == "M"
             Li = build_L(l, i, model)
             Lj = build_L(l, j, model)
             M = induce(tensor_product(Lj, Li))
-            if s5:
-                kept, image = invariance("s5", "rank2-invariance", i, j, M, 2, i)
-                if kept:
-                    N = submodule(M, image, mu=(2,))
-                    character("s5", "rank2-N-character", i, j, N, 1, 0)
+            kept, image = invariance("s5", "rank2-invariance", i, j, M, 2, i)
+            if kept:
+                N = submodule(M, image, mu=(2,))
+                character("s5", "rank2-N-character", i, j, N, 1, 0)
             Lij = build_L_ij(l, i, j, model)
-            if s5:
-                record("s5", "block-ij-relations", i, j, not verify_relations(Lij))
+            record("s5", "block-ij-relations", i, j, not verify_relations(Lij))
             chij = character("s5", "block-ij-character", i, j, Lij, 1, 0)
-            if sh or mm:
-                M3 = induce(tensor_product(Lij, Li))
-                ch3 = formal_character(M3)
-            if mm:
+            M3 = induce(tensor_product(Lij, Li))
+            ch3 = formal_character(M3)
+            if type_of_letter(l, i) == type_of_letter(l, j) == "M":
                 qi, qj = q_of(l, i), q_of(l, j)
                 cond = qi * qj + qj * qj - 8
                 record("MM", "rank3-MM-scalar", i, j, not cond.is_zero(), repr(cond))
                 invariance("MM", "rank3-MM-noninvariance", i, j, M3, 3, i, closed=False)
-                want = ch_standard(l, i, j, 2, 0)
-                match("MM", "rank3-MM-character", i, j, ch3, want)
+                match("MM", "rank3-MM-character", i, j, ch3, ch_standard(l, i, j, 2, 0))
                 character(
                     "MM", "rank3-MM-sigma-character", i, j, sigma_twist(M3), 0, 2
                 )
-            if sh:
-                want = shuffle(letter(j), letter(i))
-                match("shuffle", "shuffle-Lj-Li", i, j, formal_character(M), want)
-                want3 = shuffle(chij, letter(i))
-                if type_of_letter(l, i) == "Q":
-                    # both factors type Q (j is not, in a not-QQ pair): the
-                    # plain tensor doubles the half tensor, so its induced
-                    # character is twice the shuffle
-                    match("shuffle", "shuffle-Lij-Li-doubled", i, j, ch3, 2 * want3)
-                else:
-                    match("shuffle", "shuffle-Lij-Li", i, j, ch3, want3)
+            want = shuffle(letter(j), letter(i))
+            match("shuffle", "shuffle-Lj-Li", i, j, formal_character(M), want)
+            want3 = shuffle(chij, letter(i))
+            if type_of_letter(l, i) == "Q":
+                # both factors type Q (j is not, in a not-QQ pair): the
+                # plain tensor doubles the half tensor, so its induced
+                # character is twice the shuffle
+                match("shuffle", "shuffle-Lij-Li-doubled", i, j, ch3, 2 * want3)
+            else:
+                match("shuffle", "shuffle-Lij-Li", i, j, ch3, want3)
 
-        with_splitting(lambda i=i, j=j: ScalarModel.for_indices(l, [i, j]), compute)
-    checks.get("s5", {}).update(checks.pop("MM"))
+        with_splitting(ScalarModel.for_indices(l, [i, j]), compute)
+    checks["s5"].update(checks.pop("MM"))
 
-    for i in range(l) if sh else ():
+    for i in range(l):
         def compute(model, i=i):
             Li = build_L(l, i, model)
             if type_of_letter(l, i) == "Q":
@@ -1683,92 +1669,76 @@ def relation_suites(l, suites=("s5", "shuffle")):
             want = shuffle(letter(i), letter(i))
             match("shuffle", "shuffle-Li-Li", i, i, got, want)
 
-        with_splitting(lambda i=i: ScalarModel.for_indices(l, [i]), compute)
+        with_splitting(ScalarModel.for_indices(l, [i]), compute)
 
     for i, j in pairs["QM"]:
         def compute(model, i=i, j=j):
             W = build_L_ij_star_L_i(l, i, j, model)
-            if s5:
-                record("s5", "half-tensor-relations", i, j, not verify_relations(W))
+            record("s5", "half-tensor-relations", i, j, not verify_relations(W))
             M3 = induce(W)
-            if s5:
-                _, image = invariance("s5", "rank3-QM-invariance", i, j, M3, 3, i)
-                N, Liji = quotient(M3, image, mu=(3,))
-                character("s5", "rank3-QM-N-character", i, j, N, 2, 0)
-                character("s5", "rank3-QM-quotient-character", i, j, Liji, 1, 1)
+            _, image = invariance("s5", "rank3-QM-invariance", i, j, M3, 3, i)
+            N, Liji = quotient(M3, image, mu=(3,))
+            character("s5", "rank3-QM-N-character", i, j, N, 2, 0)
+            character("s5", "rank3-QM-quotient-character", i, j, Liji, 1, 1)
             Liij = _block_iij(l, i, j, W, M3)
-            if s5:
-                record("s5", "block-iij-relations", i, j, True)
+            record("s5", "block-iij-relations", i, j, True)
             chiij = character("s5", "block-iij-character", i, j, Liij, 2, 0)
-            if s5:
-                # rank 4
-                cond = q_of(l, j) + 2 * q_of(l, i)
-                record("s5", "rank4-QM-scalar", i, j, not cond.is_zero(), repr(cond))
+            # rank 4
+            cond = q_of(l, j) + 2 * q_of(l, i)
+            record("s5", "rank4-QM-scalar", i, j, not cond.is_zero(), repr(cond))
             Li = build_L(l, i, model)
             M4 = induce(tensor_product(Liij, Li))
-            if s5:
-                invariance("s5", "rank4-QM-noninvariance", i, j, M4, 4, i, closed=False)
+            invariance("s5", "rank4-QM-noninvariance", i, j, M4, 4, i, closed=False)
             ch4 = character("s5", "rank4-QM-character", i, j, M4, 3, 0)
-            if s5:
-                character(
-                    "s5", "rank4-QM-sigma-character", i, j, sigma_twist(M4), 0, 3
-                )
-                Mm = tensor_product(Liji, Li)
-                character("s5", "block-ijii-character", i, j, induce(Mm), 1, 2)
-            if sh:
-                got = formal_character(M3)
-                want = shuffle(ch_standard(l, i, j, 1, 0), letter(i))
-                match("shuffle", "shuffle-W-star", i, j, got, want)
-                want4 = shuffle(chiij, letter(i))
-                match("shuffle", "shuffle-Liij-Li", i, j, ch4, want4)
+            character("s5", "rank4-QM-sigma-character", i, j, sigma_twist(M4), 0, 3)
+            Mm = tensor_product(Liji, Li)
+            character("s5", "block-ijii-character", i, j, induce(Mm), 1, 2)
+            got = formal_character(M3)
+            want = shuffle(ch_standard(l, i, j, 1, 0), letter(i))
+            match("shuffle", "shuffle-W-star", i, j, got, want)
+            want4 = shuffle(chiij, letter(i))
+            match("shuffle", "shuffle-Liij-Li", i, j, ch4, want4)
 
-        with_splitting(lambda i=i, j=j: ScalarModel.for_indices(l, [i, j]), compute)
+        with_splitting(ScalarModel.for_indices(l, [i, j]), compute)
 
     if l == 2:
         def compute(model):
-            if s5:
-                L01 = build_L01(model)
-                record("s5", "L01-relations", 0, 1, not verify_relations(L01))
-                character("s5", "L01-character", 0, 1, L01, 1, 0)
+            L01 = build_L01(model)
+            record("s5", "L01-relations", 0, 1, not verify_relations(L01))
+            character("s5", "L01-character", 0, 1, L01, 1, 0)
             L001 = build_L001(model)
-            if s5:
-                record("s5", "L001-relations", 0, 1, not verify_relations(L001))
-                character("s5", "L001-character", 0, 1, L001, 2, 0)
+            record("s5", "L001-relations", 0, 1, not verify_relations(L001))
+            character("s5", "L001-character", 0, 1, L001, 2, 0)
             ext = _star_L0(L001)
-            if s5:
-                record("s5", "L001*L0-relations", 0, 1, not verify_relations(ext))
-                # the quarter-turn scalar step of the rank-4 irreducibility witness
-                f = model.field
-                ok = 2 * f.xi != f.from_int(-4)
-                record("s5", "rank4-l2-scalar", 0, 1, ok, repr(2 * f.xi))
+            record("s5", "L001*L0-relations", 0, 1, not verify_relations(ext))
+            # the quarter-turn scalar step of the rank-4 irreducibility witness
+            f = model.field
+            ok = 2 * f.xi != f.from_int(-4)
+            record("s5", "rank4-l2-scalar", 0, 1, ok, repr(2 * f.xi))
             M4 = induce(ext)
-            if s5:
-                invariance("s5", "rank4-l2-noninvariance", 0, 1, M4, 4, 0, closed=False)
+            invariance("s5", "rank4-l2-noninvariance", 0, 1, M4, 4, 0, closed=False)
             ch4 = character("s5", "block-0010-character", 0, 1, M4, 3, 0)
-            if s5:
-                character("s5", "block-1000-character", 0, 1, sigma_twist(M4), 0, 3)
+            character("s5", "block-1000-character", 0, 1, sigma_twist(M4), 0, 3)
             L0 = build_L(2, 0, model)
             th0 = theta_for_end_letter(L0)
-            if s5:
-                # L(010) as the head of the induced module, then the 4-letter block
-                T3 = tensor_product(L01, L0)
-                M3 = induce(T3)
-                theta3 = ind_theta(T3, tensor_theta_right(L01, L0, th0), 3)
-                _, image3 = invariance("s5", "block-010-invariance", 0, 1, M3, 3, 0)
-                _, L010 = quotient(M3, image3, mu=(3,), extra_ops={"theta": theta3})
-                character("s5", "block-010-character", 0, 1, L010, 1, 1)
-                star = circled_star(L010, L010.extra["theta"], L0, th0)
-                character("s5", "block-0100-character", 0, 1, induce(star), 1, 2)
-            if sh:
-                L1 = build_L(2, 1, model)
-                star = circled_star(L0, th0, L1, theta_for_end_letter(L1))
-                got = formal_character(induce(star))
-                want = shuffle(letter(0), letter(1))
-                match("shuffle", "shuffle-L0-star-L1", 0, 1, got, want)
-                want4 = shuffle(ch_standard(2, 0, 1, 2, 0), letter(0))
-                match("shuffle", "shuffle-L001-star-L0", 0, 1, ch4, want4)
+            # L(010) as the head of the induced module, then the 4-letter block
+            T3 = tensor_product(L01, L0)
+            M3 = induce(T3)
+            theta3 = ind_theta(T3, tensor_theta_right(L01, L0, th0), 3)
+            _, image3 = invariance("s5", "block-010-invariance", 0, 1, M3, 3, 0)
+            _, L010 = quotient(M3, image3, mu=(3,), extra_ops={"theta": theta3})
+            character("s5", "block-010-character", 0, 1, L010, 1, 1)
+            star = circled_star(L010, L010.extra["theta"], L0, th0)
+            character("s5", "block-0100-character", 0, 1, induce(star), 1, 2)
+            L1 = build_L(2, 1, model)
+            star = circled_star(L0, th0, L1, theta_for_end_letter(L1))
+            got = formal_character(induce(star))
+            want = shuffle(letter(0), letter(1))
+            match("shuffle", "shuffle-L0-star-L1", 0, 1, got, want)
+            want4 = shuffle(ch_standard(2, 0, 1, 2, 0), letter(0))
+            match("shuffle", "shuffle-L001-star-L0", 0, 1, ch4, want4)
 
-        with_splitting(lambda: ScalarModel.for_indices(2, []), compute)
+        with_splitting(ScalarModel.for_indices(2, []), compute)
 
     reports = {}
     for name, recs in checks.items():
@@ -1780,9 +1750,9 @@ def relation_suites(l, suites=("s5", "shuffle")):
 
 def low_rank_suite(l):
     """Every rank 2..4 construction and invariance statement, with witnesses."""
-    return relation_suites(l, ("s5",))["s5"]
+    return relation_suites(l)["s5"]
 
 
 def shuffle_compat_suite(l):
     """ch(Ind M (*) N) = shuffle(ch M, ch N) over the built pair library."""
-    return relation_suites(l, ("shuffle",))["shuffle"]
+    return relation_suites(l)["shuffle"]

@@ -40,9 +40,7 @@ from heckeclifford.supermodules import (
     build_L01,
     build_L_ij,
     build_L_iij,
-    low_rank_suite,
     relation_suites,
-    shuffle_compat_suite,
     type_of_letter,
     verify_relations,
 )
@@ -161,13 +159,6 @@ def test_shuffle_reports_are_byte_stable(s5_reports):
         assert hashlib.sha256(text.encode()).hexdigest() == want, l
 
 
-def test_single_suite_runs_match_the_joint_pass(s5_reports):
-    # l = 4 is the first l with MM pairs, whose checks share a compute
-    for l in (2, 3, 4):
-        assert low_rank_suite(l) == s5_reports[l]["s5"], l
-        assert shuffle_compat_suite(l) == s5_reports[l]["shuffle"], l
-
-
 # sha256 of the stdout of `relations --suite all --l <l>`, recorded at commit
 # 49f3237, before the MM checks moved into the not-QQ pairs' compute (l = 6..12),
 # and at 47bcb32, before the expected characters came from ch_standard
@@ -222,7 +213,8 @@ def test_large_l_relations_reports_are_byte_stable(l, capsys, monkeypatch):
 
 
 # sha256 of the stdout of each command, recorded at commit 96c7840, before
-# serre_verify read one Serre relation off the Cartan matrix
+# serre_verify read one Serre relation off the Cartan matrix, and (relations)
+# at 0d2dafb, before a single --suite became a pick from the joint pass
 REPORT_DIGESTS = {
     ("serre", "--l", "2"): "64973318d26d8eb9b9b2a2fdf1fe65bd7ea3f7db2f9eafc188f8a76d74d4fbb9",
     ("serre", "--l", "3"): "696f8a8352bb7838e8630a5299ec36ba0e436e70a16bad33d0c02f04f5fa5e81",
@@ -237,6 +229,18 @@ REPORT_DIGESTS = {
     ("serre", "--l", "12"): "559fd7350457f0099471085322e71f1bdf748941e80d6a71331ca9a98f93fc54",
     ("char", "--l", "3"): "375e8334a3761b1ddd7744af96faf83c2172ff2d1d540cd9b3b3490d724867f6",
     ("all", "--l", "2", "--depth", "3"): "3c60ba23329872aadb47a71c411c5eb659613d204903239fcc2fecc7539e6260",
+    ("relations", "--l", "2", "--suite", "s5"): "f72d5ce47625451573638d48c3739bd0ba38aa0a324199c524e7fd60017a9a63",
+    ("relations", "--l", "2", "--suite", "shuffle"): "1a6dcb80010d95ac4bd4f932042f912455be605aaf5aa7d3d26bd361dbac633a",
+    ("relations", "--l", "2", "--suite", "all"): "dd49e42a7112926ab7c86e77290bada909b12a6199815e9b575f37ba538ea362",
+    ("relations", "--l", "3", "--suite", "s5"): "bc2040e4baaed725cc8d4a4edb9eb920e552a0241da04827b6bed78f3d4fe52d",
+    ("relations", "--l", "3", "--suite", "shuffle"): "a668e2fdd8c9a81459a770649686165b2e288112091d3450724193ea6ad6581c",
+    ("relations", "--l", "3", "--suite", "all"): "7261f1c610ae713f206c5ddc555fc2109ee676ed7457af9fe752a02ea3ebad52",
+    ("relations", "--l", "4", "--suite", "s5"): "f452bc6366d16ccb24c66780c067bf98504ff4fa3cfbc54b0ea59f03d31e0d56",
+    ("relations", "--l", "4", "--suite", "shuffle"): "2887adee5d24b57120dced6681a84cdb12e7da96acebb8621aded69212c25651",
+    ("relations", "--l", "4", "--suite", "all"): "20053f09d6ead6f58ad21307ff4842a192561dbdc746bf33a4456a9389b19e69",
+    ("relations", "--l", "5", "--suite", "s5"): "482e09640601de2b2fc5c37581f0cb7e120031b42752462c64f8d467b944db14",
+    ("relations", "--l", "5", "--suite", "shuffle"): "6574cbe30bbf9f57b87b806a1bc6aa8b5cf16c4a31e3757e2d1e8e78daac5c18",
+    ("relations", "--l", "5", "--suite", "all"): "f93a4183cd041c1fa033fecc4caeb85bd379f26c04fa44c39aee030bcfd91268",
 }
 
 

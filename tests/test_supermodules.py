@@ -4,6 +4,7 @@ import ast
 import collections
 import gc
 import hashlib
+import importlib.util
 import inspect
 from pathlib import Path
 
@@ -699,7 +700,7 @@ def test_with_splitting_retries_and_rebuilds():
         assert model.b(1, 1) == model.tower.scalar(model.field.zeta_pow(3))
         return "done"
 
-    out = with_splitting(lambda: ScalarModel.for_indices(3, [1]), compute)
+    out = with_splitting(ScalarModel.for_indices(3, [1]), compute)
     assert out == "done"
     assert attempts == [2, 1]
 
@@ -715,8 +716,26 @@ def test_with_splitting_stops_when_no_discriminant_is_left():
         raise InexactDivisionError(None, None, "still not free")
 
     with pytest.raises(RuntimeError, match=r"not stabilize after .*sqrt\(-1\)"):
-        with_splitting(lambda: ScalarModel.for_indices(3, [1]), compute)
+        with_splitting(ScalarModel.for_indices(3, [1]), compute)
     assert attempts == [2, 1]
+
+
+def test_relation_suites_run_under_the_benchmark_span_tracer():
+    # benchsuite/tracing.py wraps with_splitting's second positional argument
+    # as the compute it counts, so every call must pass it there
+    path = Path(__file__).parents[1] / "benchsuite" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    tracer = tracing.SpanTracer()
+    tracer.install()
+    try:
+        reports = relation_suites(3)
+    finally:
+        tracer.uninstall()
+    assert all(rep["ok"] for rep in reports.values())
+    calls = tracer.aggregate()["supermodules.with_splitting"]["calls"]
+    assert calls == tracer.stats["supermodules.with_splitting.computes"] == 9
 
 
 def test_model_split_keeps_module_builders_usable():
